@@ -1,7 +1,12 @@
 """Voiced-region detection, 50 ms segmentation, windowing, FFT, spectral peaks.
 
 The FFT is an iterative radix-2 transform; frames are zero-padded to the next
-power of two (2400-sample frames at 48 kHz become 4096 points).
+power of two (2400-sample frames at 48 kHz become 4096 points).  A real frame
+of N points goes through one N/2-point complex transform: even samples as the
+real part, odd samples as the imaginary part, then a split step that recovers
+bins 0..N/2 (Sorensen et al., Real-valued FFT algorithms, IEEE TASSP 1987).
+Pitch (in features) comes from an FFT autocorrelation built from two such
+packed transforms.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ VOICED_RMS_FACTOR = 2.0
 VOICED_FLATNESS_MAX = 0.3
 FLATNESS_BAND_HZ = (100.0, 4000.0)
 MIN_REGION_SECONDS = 0.100
+GATE_STACK = 16
 
 FLATNESS_FLOOR = 1e-12
 
@@ -91,6 +97,7 @@ def gaussian_window(n: int, sigma: float = DEFAULT_WINDOW_SIGMA) -> np.ndarray:
 
 _rev_cache: dict = {}
 _twiddle_cache: dict = {}
+_split_cache: dict = {}
 
 
 def _bit_reversal(n: int) -> np.ndarray:
@@ -135,35 +142,62 @@ def fft_radix2(x) -> np.ndarray:
     return y.reshape(*lead, n)
 
 
+def real_fft(x) -> np.ndarray:
+    """Bins 0..N/2 of the DFT of real frames along the last axis.
+
+    N must be a power of two and at least 2.  The N/2-point transform of
+    z[k] = x[2k] + i*x[2k+1] holds the even- and odd-sample spectra E and O,
+    which the split step separates and joins as X[k] = E[k] + W_N^k O[k].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    half = n // 2
+    z = fft_radix2(x[..., 0::2] + 1j * x[..., 1::2])
+    # zk[k] = Z[k mod N/2] and its reversal gives Z[(N/2 - k) mod N/2]
+    zk = np.concatenate([z, z[..., :1]], axis=-1)
+    zr = np.conj(zk[..., ::-1])
+    tw = _split_cache.get(n)
+    if tw is None:
+        tw = -0.5j * np.exp(-2j * np.pi * np.arange(half + 1) / n)
+        _split_cache[n] = tw
+    return 0.5 * (zk + zr) + tw * (zk - zr)
+
+
 def fft_magnitude(samples, sample_rate: int) -> Spectrum:
     """Magnitude spectrum of a frame, zero-padded to the next power of two.
 
-    Returns bins 0..N/2 inclusive; bin_hz = sample_rate / N.
+    Returns bins 0..N/2 inclusive; bin_hz = sample_rate / N.  A stack of
+    equal-length frames along leading axes gives one spectrum per frame, and
+    each equals the spectrum of that frame transformed alone, bit for bit.
     """
     x = np.asarray(samples, dtype=np.float64)
-    if len(x) == 0:
+    length = x.shape[-1]
+    if length == 0:
         raise EmptyFrame("cannot transform an empty frame")
     if not np.all(np.isfinite(x)):
         raise ValueError("frame contains non-finite samples")
     nfft = 1
-    while nfft < len(x):
+    while nfft < length:
         nfft *= 2
-    padded = np.zeros(nfft)
-    padded[:len(x)] = x
-    spectrum = fft_radix2(padded)
-    mags = np.abs(spectrum[:nfft // 2 + 1])
+    if nfft == 1:
+        mags = np.abs(x)
+    else:
+        padded = np.zeros(x.shape[:-1] + (nfft,))
+        padded[..., :length] = x
+        mags = np.abs(real_fft(padded))
     return Spectrum(magnitudes=mags, bin_hz=sample_rate / nfft, fft_size=nfft)
 
 
-def flatness_ratio(magnitudes) -> float:
-    """Geometric over arithmetic mean, with bins floored at 1e-12.
+def flatness_ratio(magnitudes):
+    """Geometric over arithmetic mean along the last axis, bins floored at 1e-12.
 
-    Near 1 for noise-like spectra, near 0 for tonal ones.  Shared by the
-    voiced-frame gate here and by the spectral descriptors in features.
+    Near 1 for noise-like spectra, near 0 for tonal ones.  A 1-D input gives
+    a float, a stack one ratio per row.  Shared by the voiced-frame gate here
+    and by the spectral descriptors in features.
     """
     m = np.maximum(np.asarray(magnitudes, dtype=np.float64), FLATNESS_FLOOR)
-    geometric = np.exp(np.mean(np.log(m)))
-    return float(geometric / np.mean(m))
+    ratio = np.exp(np.mean(np.log(m), axis=-1)) / np.mean(m, axis=-1)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 # === voiced-region detection ===
@@ -196,15 +230,21 @@ def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
     # rectangular frames smear enough to push tonal frames past the gate.
     window = gaussian_window(frame_len)
     voiced = np.zeros(len(starts), dtype=bool)
+    loud = np.flatnonzero(rms > gate)
     band = None
-    for j in np.flatnonzero(rms > gate):
-        spec = fft_magnitude(frames[j] * window, sr)
+    # frames go through the FFT in stacks of GATE_STACK so the working set
+    # stays bounded however long the clip is
+    for lo in range(0, len(loud), GATE_STACK):
+        rows = loud[lo:lo + GATE_STACK]
+        spec = fft_magnitude(frames[rows] * window, sr)
         if band is None:
-            freqs = np.arange(len(spec.magnitudes)) * spec.bin_hz
+            freqs = np.arange(spec.magnitudes.shape[-1]) * spec.bin_hz
             band = (freqs >= FLATNESS_BAND_HZ[0]) & (freqs <= FLATNESS_BAND_HZ[1])
-        voiced[j] = flatness_ratio(spec.magnitudes[band]) < VOICED_FLATNESS_MAX
+        voiced[rows] = (flatness_ratio(spec.magnitudes[:, band])
+                        < VOICED_FLATNESS_MAX)
 
-    # merge overlapping/touching frame intervals, then apply the length floor
+    # runs of consecutive voiced frames become regions; two runs are split by
+    # at least one unvoiced frame, so they never touch
     regions = []
     run_start = None
     prev = None
@@ -218,15 +258,8 @@ def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
     if run_start is not None:
         regions.append((starts[run_start], starts[prev] + frame_len))
 
-    merged = []
-    for lo, hi in regions:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-
     out = []
-    for lo, hi in merged:
+    for lo, hi in regions:
         if (hi - lo) / sr >= MIN_REGION_SECONDS:
             out.append(VoicedRegion(start_s=lo / sr, end_s=hi / sr))
     return out

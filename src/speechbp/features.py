@@ -19,7 +19,7 @@ import numpy as np
 from .dsp import (DEFAULT_WINDOW_SIGMA, EmptyFrame, MAX_SEGMENTS,
                   SEGMENT_SECONDS, DegenerateSpectrum, Segment, Spectrum,
                   detect_voiced_regions, fft_magnitude, flatness_ratio,
-                  gaussian_window, segment_length, segment_regions)
+                  gaussian_window, real_fft, segment_length, segment_regions)
 from .audio_io import AudioClip
 
 PREEMPHASIS = 0.97
@@ -157,10 +157,11 @@ def skewness(samples) -> float:
     if len(x) < 3:
         raise TooFewSamples("skewness needs at least 3 samples")
     centered = x - x.mean()
-    m2 = float(np.mean(centered ** 2))
+    squared = centered * centered
+    m2 = float(np.mean(squared))
     if m2 == 0.0:
         raise ZeroVariance("constant signal has no skewness")
-    return float(np.mean(centered ** 3)) / m2 ** 1.5
+    return float(np.mean(squared * centered)) / m2 ** 1.5
 
 
 def kurtosis(samples) -> float:
@@ -169,10 +170,11 @@ def kurtosis(samples) -> float:
     if len(x) < 4:
         raise TooFewSamples("kurtosis needs at least 4 samples")
     centered = x - x.mean()
-    m2 = float(np.mean(centered ** 2))
+    squared = centered * centered
+    m2 = float(np.mean(squared))
     if m2 == 0.0:
         raise ZeroVariance("constant signal has no kurtosis")
-    return float(np.mean(centered ** 4)) / m2 ** 2 - 3.0
+    return float(np.mean(squared * squared)) / m2 ** 2 - 3.0
 
 
 def poly_area(segment: Segment) -> float:
@@ -226,16 +228,25 @@ def pitch(segment: Segment) -> float:
     r0 = float(np.dot(x, x))
     if r0 <= 0.0:
         return 0.0
-    best_lag = 0
-    best_r = -np.inf
-    for lag in range(lag_lo, lag_hi + 1):
-        r = float(np.dot(x[:-lag], x[lag:])) / r0
-        if r > best_r:
-            best_r = r
-            best_lag = lag
-    if best_r < PITCH_MIN_CORRELATION:
+    # Every lag comes from one autocorrelation: the inverse transform of the
+    # power spectrum.  Padding to nfft >= n + lag_hi keeps the circular
+    # autocorrelation from wrapping into the lags read here.  The power
+    # spectrum is real and even, so its forward transform is nfft times its
+    # inverse and a second packed real transform serves.
+    nfft = 2
+    while nfft < n + lag_hi:
+        nfft *= 2
+    padded = np.zeros(nfft)
+    padded[:n] = x
+    spec = real_fft(padded)
+    power = spec.real * spec.real + spec.imag * spec.imag
+    acf = real_fft(np.concatenate([power, power[-2:0:-1]])).real
+    r = acf[lag_lo:lag_hi + 1] / (nfft * r0)
+    best = int(np.argmax(r))  # first maximum, as a strict > scan would pick
+    # written as "not >=" so a non-finite frame (NaN maximum) reads unvoiced
+    if not r[best] >= PITCH_MIN_CORRELATION:
         return 0.0
-    return segment.sample_rate / best_lag
+    return segment.sample_rate / (lag_lo + best)
 
 
 def segment_features(segment: Segment) -> SegmentFeatures:

@@ -156,6 +156,38 @@ def spectral_descriptors_oracle(mags, bin_hz, flatness_floor=1e-12):
     return centroid, math.sqrt(var), geo / arith
 
 
+# === autocorrelation pitch, one dot product per lag ===
+
+def pitch_oracle(samples, sample_rate, min_hz=60.0, max_hz=400.0,
+                 min_correlation=0.3):
+    """Normalized autocorrelation scanned lag by lag over the pitch band.
+
+    The first lag holding the maximum wins; a maximum below min_correlation,
+    a silent frame, or a frame shorter than the shortest lag reads 0.0.
+    """
+    import numpy as np
+
+    x = np.asarray(samples, dtype=np.float64)
+    n = len(x)
+    lag_lo = int(round(sample_rate / max_hz))
+    lag_hi = min(int(round(sample_rate / min_hz)), n - 1)
+    if lag_lo < 1 or lag_hi < lag_lo:
+        return 0.0
+    r0 = float(np.dot(x, x))
+    if r0 <= 0.0:
+        return 0.0
+    best_lag = 0
+    best_r = -np.inf
+    for lag in range(lag_lo, lag_hi + 1):
+        r = float(np.dot(x[:-lag], x[lag:])) / r0
+        if r > best_r:
+            best_r = r
+            best_lag = lag
+    if best_r < min_correlation:
+        return 0.0
+    return sample_rate / best_lag
+
+
 # === ReliefF, exhaustive by definition ===
 
 def relieff_oracle(X, y, k):

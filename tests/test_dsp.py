@@ -114,6 +114,28 @@ class TestFFT:
         scaled = fft_magnitude(2.5 * x, 48000).magnitudes
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 800, 2205, 2400, 4096])
+    def test_packed_magnitude_matches_matrix_dft(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        spec = fft_magnitude(x, 48000)
+        padded = np.zeros(spec.fft_size)
+        padded[:n] = x
+        want = np.abs(oracles.dft_matrix(padded))[:spec.fft_size // 2 + 1]
+        assert spec.magnitudes.shape == want.shape
+        assert np.max(np.abs(spec.magnitudes - want)) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 5, 2400])
+    def test_stacked_frames_equal_row_by_row(self, n):
+        frames = np.random.default_rng(37).normal(size=(3, 4, n))
+        stacked = fft_magnitude(frames, 48000)
+        assert stacked.magnitudes.shape[:2] == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                single = fft_magnitude(frames[i, j], 48000)
+                np.testing.assert_array_equal(stacked.magnitudes[i, j],
+                                              single.magnitudes)
+                assert single.fft_size == stacked.fft_size
+
     def test_parseval_energy(self):
         rng = np.random.default_rng(31)
         for n in (64, 300, 1024, 2400):
@@ -169,6 +191,18 @@ class TestVoicedRegions:
         assert regions[0].end_s < regions[1].start_s
         for r in regions:
             assert r.duration_s >= 0.100 - 1e-9
+
+    def test_runs_one_frame_apart_stay_separate(self):
+        # frame-aligned: 10 silent, 6 vowel, 1 silent, 6 vowel, 10 silent
+        sr = 48000
+        frame = 2400
+        vowel = synthesize_speech(150.0, [(700.0, 1.0)], 0.3, sr, seed=4)
+        assert len(vowel.samples) == 6 * frame
+        pad = np.zeros(10 * frame)
+        samples = np.concatenate([pad, vowel.samples, np.zeros(frame),
+                                  vowel.samples, pad])
+        regions = detect_voiced_regions(AudioClip(samples, sr, 1))
+        assert regions == [VoicedRegion(0.5, 0.8), VoicedRegion(0.85, 1.15)]
 
 
 class TestSegmentation:

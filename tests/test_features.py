@@ -114,6 +114,14 @@ class TestMoments:
             assert kurtosis(x) == pytest.approx(oracles.kurtosis_oracle(x),
                                                 rel=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_against_oracles_segment_length(self, seed):
+        x = np.random.default_rng(seed).normal(size=2400)
+        assert skewness(x) == pytest.approx(oracles.skewness_oracle(x),
+                                            rel=1e-12)
+        assert kurtosis(x) == pytest.approx(oracles.kurtosis_oracle(x),
+                                            rel=1e-12)
+
 
 class TestPolyArea:
     def test_constant_signal(self):
@@ -255,6 +263,36 @@ class TestPitch:
         seg = make_segment(np.sin(2 * np.pi * 200.0 * n / 8000),
                            sample_rate=8000)
         assert abs(pitch(seg) - 200.0) <= 5.0
+
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 44100, 48000])
+    @pytest.mark.parametrize("f0", [95.0, 150.0, 240.0])
+    def test_vowels_match_oracle(self, sample_rate, f0):
+        clip = synthesize_speech(f0, [(700.0, 1.0), (1200.0, 0.6)], 0.5,
+                                 sample_rate, seed=int(f0))
+        n = round(0.05 * sample_rate)
+        voiced = 0
+        for k in range(10):
+            frame = clip.samples[k * n:(k + 1) * n]
+            want = oracles.pitch_oracle(frame, sample_rate)
+            assert pitch(make_segment(frame, sample_rate)) == want
+            voiced += want > 0.0
+        assert voiced >= 5
+
+    @pytest.mark.parametrize("sample_rate", [8000, 48000])
+    def test_noise_and_silence_match_oracle(self, sample_rate):
+        n = round(0.05 * sample_rate)
+        rng = np.random.default_rng(sample_rate)
+        for frame in (rng.normal(0, 0.3, n), np.zeros(n)):
+            want = oracles.pitch_oracle(frame, sample_rate)
+            assert want == 0.0
+            assert pitch(make_segment(frame, sample_rate)) == want
+
+    @pytest.mark.parametrize("length", [1, 2, 50, 119, 120, 121, 130])
+    def test_short_segments_match_oracle(self, length):
+        # at 48 kHz the shortest lag is 120 samples
+        frame = np.random.default_rng(length).normal(size=length)
+        assert (pitch(make_segment(frame))
+                == oracles.pitch_oracle(frame, 48000))
 
 
 def fake_features(rng):
