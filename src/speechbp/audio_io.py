@@ -1,4 +1,4 @@
-"""WAV ingestion, normalization, and vowel-like fixture synthesis.
+"""WAV ingestion and vowel-like fixture synthesis.
 
 The corpus format is RIFF/WAVE, PCM format code 1, 16-bit little-endian,
 stereo at 48 kHz.  Loading downmixes to mono; other sample rates are accepted
@@ -30,10 +30,6 @@ class UnsupportedEncoding(ValueError):
 
 class TruncatedData(ValueError):
     """data chunk declares more bytes than the file holds."""
-
-
-class EmptyClip(ValueError):
-    pass
 
 
 class InvalidFrequency(ValueError):
@@ -128,19 +124,6 @@ def write_wav(path, samples, sample_rate: int, channels: int = 2) -> None:
                                 sample_rate * block_align, block_align, 16)
     data = b"data" + struct.pack("<I", len(payload))
     Path(path).write_bytes(header + fmt + data + payload)
-
-
-def normalize_amplitude(clip: AudioClip) -> AudioClip:
-    """Scale so the peak absolute amplitude is exactly 1; all-zero clips pass
-    through unchanged."""
-    if len(clip.samples) == 0:
-        raise EmptyClip("cannot normalize an empty clip")
-    peak = float(np.max(np.abs(clip.samples)))
-    if peak == 0.0:
-        return AudioClip(clip.samples.copy(), clip.sample_rate,
-                         clip.source_channels)
-    return AudioClip(clip.samples / peak, clip.sample_rate,
-                     clip.source_channels)
 
 
 def synthesize_speech(f0: float, formants, duration_s: float,

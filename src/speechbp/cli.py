@@ -24,28 +24,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import (EmptyClip, InvalidFrequency, MalformedRiff,
-                       TruncatedData, UnsupportedEncoding, load_wav)
+from .audio_io import (InvalidFrequency, MalformedRiff, TruncatedData,
+                       UnsupportedEncoding, load_wav)
 from .dataset import (ConstantColumn, DBP_RANGE, SBP_RANGE, Scaler,
                       TooFewExamples, apply_scaler, build_examples,
                       correlation_matrix, fit_scaler, label_hypertension,
-                      mean_of_measurements, read_manifest, scaler_from_dict,
-                      scaler_to_dict, split, synthesize_cohort,
-                      write_manifest)
-from .dsp import detect_voiced_regions, segment_regions
+                      read_manifest, scaler_from_dict, scaler_to_dict, split,
+                      synthesize_cohort, write_manifest)
+from .dsp import ClipTooShort
 from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
-                       NoSegments, aggregate_recording, read_features_csv,
-                       segment_features, write_features_csv)
-from .model import EncoderConfig, init_params, load_params, save_params
+                       NoSegments, ZeroVariance, extract_recording,
+                       read_features_csv, write_features_csv)
+from .model import (ChecksumMismatch, EncoderConfig, VersionMismatch,
+                    init_params, load_params, save_params)
 from .relieff import (ClassTooSmall, cross_validated_selection,
                       write_selection_manifest, write_weights_report)
 from .textcodec import (build_vocabulary, load_vocabulary, save_vocabulary,
                         serialize_features, tokenize)
-from .training import (EmptyDataset, LabeledSequence, TrainConfig,
-                       TrainingDiverged, ZeroVariance, confusion_matrix,
-                       evaluate, predict_pressures, read_history_csv, train,
-                       validation_split, write_confusion_json,
-                       write_history_csv, write_metrics_json)
+from .training import (LabeledSequence, TrainConfig, TrainingDiverged,
+                       confusion_matrix, evaluate, predict_pressures,
+                       read_history_csv, train, validation_split,
+                       write_confusion_json, write_history_csv,
+                       write_metrics_json)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -80,10 +80,6 @@ class ConfigError(ValueError):
 
 
 class SchemaMismatch(ValueError):
-    pass
-
-
-class NoVoicedAudio(ValueError):
     pass
 
 
@@ -316,15 +312,8 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     ids, vectors, failures = [], [], []
     for record in records:
         try:
-            segments = []
-            if not record.wav_paths:
-                raise NoVoicedAudio("manifest row lists no recordings")
-            for path in record.wav_paths:
-                clip = load_wav(path)
-                segments.extend(segment_regions(
-                    clip, detect_voiced_regions(clip)))
-            vector = aggregate_recording(
-                [segment_features(s) for s in segments], cfg.schema)
+            vector = extract_recording(
+                [load_wav(p) for p in record.wav_paths], cfg.schema)
         except (ValueError, OSError) as err:
             failures.append((record.id, err))
             continue
@@ -438,13 +427,8 @@ def cmd_predict(cfg: PipelineConfig, wav=None, row=None) -> int:
     model = _load_model(cfg)
 
     if wav is not None:
-        clip = load_wav(wav)
-        regions = detect_voiced_regions(clip)
-        if not regions:
-            raise NoVoicedAudio("no voiced audio in input")
-        segments = segment_regions(clip, regions)
-        vector = aggregate_recording([segment_features(s) for s in segments],
-                                     model.pipeline["schema_id"])
+        vector = extract_recording([load_wav(wav)],
+                                   model.pipeline["schema_id"])
         source = str(wav)
     else:
         examples, _, _ = _read_examples(cfg)
@@ -668,13 +652,17 @@ def main(argv=None) -> int:
         return cmd_report(cfg)
     except TrainingDiverged as err:
         return _fail(EXIT_DIVERGED, err)
-    except (ClassTooSmall, TooFewExamples, EmptyDataset, ZeroVariance,
+    except (ClassTooSmall, TooFewExamples, ZeroVariance,
             ConstantColumn) as err:
         return _fail(EXIT_DATA, err)
-    except (NoVoicedAudio, NoSegments) as err:
+    except (NoSegments, ClipTooShort) as err:
         return _fail(EXIT_DEGENERATE, err)
-    except (MalformedRiff, UnsupportedEncoding, TruncatedData, EmptyClip,
-            InvalidFrequency) as err:
+    # a malformed WAV or a damaged artifact (params.bin header, version or
+    # checksum; a JSON file that no longer parses) is file trouble, checked
+    # before the ValueError catch-all below
+    except (MalformedRiff, UnsupportedEncoding, TruncatedData,
+            InvalidFrequency, ChecksumMismatch, VersionMismatch,
+            json.JSONDecodeError, UnicodeDecodeError) as err:
         return _fail(EXIT_IO, err)
     except OSError as err:
         return _fail(EXIT_IO, err)

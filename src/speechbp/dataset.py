@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,8 +137,7 @@ def mean_of_measurements(record: ParticipantRecord):
 
 
 def build_examples(records: Sequence[ParticipantRecord],
-                   feature_vectors: dict,
-                   target_rule: Callable = mean_of_measurements):
+                   feature_vectors: dict):
     """Pair each participant with their feature vector and BP targets."""
     examples = []
     seen = set()
@@ -148,7 +147,7 @@ def build_examples(records: Sequence[ParticipantRecord],
         seen.add(record.id)
         if record.id not in feature_vectors:
             raise MissingFeatures(record.id)
-        sbp, dbp = target_rule(record)
+        sbp, dbp = mean_of_measurements(record)
         examples.append(LabeledExample(
             participant_id=record.id,
             features=feature_vectors[record.id],
@@ -157,13 +156,6 @@ def build_examples(records: Sequence[ParticipantRecord],
             hypertension=label_hypertension(sbp, dbp),
         ))
     return examples
-
-
-def id_and_target_vectors(examples: Sequence[LabeledExample]):
-    """The id list and the (sbp, dbp, class) triples, index-aligned."""
-    ids = [e.participant_id for e in examples]
-    targets = [(e.sbp_target, e.dbp_target, e.hypertension) for e in examples]
-    return ids, targets
 
 
 # --- scaling ---

@@ -1,4 +1,4 @@
-"""Voiced-region detection, 50 ms segmentation, windowing, FFT, spectral peaks.
+"""Voiced-region detection, 50 ms segmentation, windowing, and the FFT.
 
 The FFT is an iterative radix-2 transform; frames are zero-padded to the next
 power of two (2400-sample frames at 48 kHz become 4096 points).  A real frame
@@ -48,7 +48,7 @@ class ClipTooShort(ValueError):
 
 
 class DegenerateSpectrum(ValueError):
-    """All magnitudes zero; no peaks or descriptors exist."""
+    """All magnitudes zero; no spectral descriptors exist."""
 
 
 @dataclass(frozen=True)
@@ -290,33 +290,3 @@ def segment_regions(clip: AudioClip, regions, max_segments: int = MAX_SEGMENTS):
                                     index=len(segments)))
             start += seg_len
     return segments
-
-
-def spectral_peaks(spectrum: Spectrum, min_separation_hz: float = 50.0,
-                   relative_floor: float = 0.1):
-    """Up to five spectral peaks as (frequency_hz, magnitude), strongest first.
-
-    Local maxima below relative_floor of the global maximum are ignored, and
-    peaks closer than min_separation_hz to an already accepted one are
-    suppressed.
-    """
-    m = np.asarray(spectrum.magnitudes, dtype=np.float64)
-    peak_mag = float(np.max(m)) if len(m) else 0.0
-    if peak_mag <= 0.0:
-        raise DegenerateSpectrum("all magnitudes are zero")
-
-    floor = relative_floor * peak_mag
-    interior = np.arange(1, len(m) - 1)
-    is_max = (m[interior] >= m[interior - 1]) & (m[interior] >= m[interior + 1])
-    candidates = interior[is_max & (m[interior] >= floor)]
-    # strongest first; frequency breaks exact magnitude ties deterministically
-    order = sorted(candidates, key=lambda k: (-m[k], k))
-
-    chosen: list[tuple[float, float]] = []
-    for k in order:
-        freq = float(k * spectrum.bin_hz)
-        if all(abs(freq - f) >= min_separation_hz for f, _ in chosen):
-            chosen.append((freq, float(m[k])))
-            if len(chosen) == 5:
-                break
-    return chosen

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import (DEFAULT_WINDOW_SIGMA, EmptyFrame, MAX_SEGMENTS,
-                  SEGMENT_SECONDS, DegenerateSpectrum, Segment, Spectrum,
+from .dsp import (DEFAULT_WINDOW_SIGMA, EmptyFrame, SEGMENT_SECONDS,
+                  DegenerateSpectrum, Segment, Spectrum,
                   detect_voiced_regions, fft_magnitude, flatness_ratio,
                   gaussian_window, real_fft, segment_length, segment_regions)
 from .audio_io import AudioClip
@@ -282,7 +282,7 @@ def aggregate_recording(per_segment: Sequence[SegmentFeatures],
     if schema not in (BASE_SCHEMA, EXTENDED_SCHEMA):
         raise ValueError(f"unknown schema {schema!r}")
     if not per_segment:
-        raise NoSegments("cannot aggregate zero segments")
+        raise NoSegments("no voiced audio in input")
 
     rows = np.array([
         list(f.mfcc) + [f.skewness, f.kurtosis, f.poly_area, f.amp_max,
@@ -306,11 +306,17 @@ def aggregate_recording(per_segment: Sequence[SegmentFeatures],
                          n_segments=len(per_segment), schema_id=schema)
 
 
-def extract_recording(clip: AudioClip, schema: str = BASE_SCHEMA,
-                      max_segments: int = MAX_SEGMENTS) -> FeatureVector:
-    """Voiced-region detection, segmentation, and aggregation for one clip."""
-    regions = detect_voiced_regions(clip)
-    segments = segment_regions(clip, regions, max_segments)
+def extract_recording(clips: Sequence[AudioClip],
+                      schema: str = BASE_SCHEMA) -> FeatureVector:
+    """Voiced-region detection, segmentation, and aggregation for a recording.
+
+    Each clip is segmented on its own, so the segment cap applies per clip;
+    the features are then averaged over the segments of all clips.  Raises
+    NoSegments when no clip holds a voiced segment.
+    """
+    segments = []
+    for clip in clips:
+        segments.extend(segment_regions(clip, detect_voiced_regions(clip)))
     return aggregate_recording([segment_features(s) for s in segments],
                                schema)
 

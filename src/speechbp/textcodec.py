@@ -7,7 +7,6 @@ vocabulary stays a few dozen entries and needs no external files.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,21 +20,12 @@ PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 SPECIALS = (PAD, UNK, CLS, SEP)
 CHAR_TOKENS = tuple("0123456789") + (".", "-")
-UNK_MARKER = "<unk>"
 
 DEFAULT_MAX_LEN = 512
 DEFAULT_DECIMALS = 2
 
 
 class NonFiniteValue(ValueError):
-    pass
-
-
-class UnknownId(ValueError):
-    pass
-
-
-class InvalidSequence(ValueError):
     pass
 
 
@@ -49,11 +39,6 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.id_to_token):
-            raise UnknownId(f"id {token_id} outside vocabulary")
-        return self.id_to_token[token_id]
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
@@ -137,80 +122,3 @@ def tokenize(text: str, vocab: Vocabulary,
     mask[:true_length] = 1
     return TokenSequence(input_ids=ids, attention_mask=mask,
                          true_length=true_length)
-
-
-def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
-    """Inverse of tokenize up to truncation and [UNK] loss.
-
-    Runs of character tokens glue back into one word, which is exact for
-    serialized feature text where numbers always sit between names.
-    """
-    words: list = []
-    char_run: list = []
-    char_set = set(CHAR_TOKENS)
-
-    def flush():
-        if char_run:
-            words.append("".join(char_run))
-            char_run.clear()
-
-    for token_id in seq.input_ids[1:seq.true_length - 1]:
-        token = vocab.token_of(int(token_id))
-        if token in char_set:
-            char_run.append(token)
-            continue
-        flush()
-        words.append(UNK_MARKER if token == UNK else token)
-    flush()
-    return " ".join(words)
-
-
-def validate_sequence(seq: TokenSequence,
-                      vocab: Vocabulary | None = None) -> None:
-    """Raises InvalidSequence unless the sequence is exactly well formed."""
-    ids = np.asarray(seq.input_ids)
-    mask = np.asarray(seq.attention_mask)
-    n = len(ids)
-    if len(mask) != n:
-        raise InvalidSequence("ids and mask lengths differ")
-    if not 2 <= seq.true_length <= n:
-        raise InvalidSequence(f"true_length {seq.true_length} out of range")
-    want_mask = np.zeros(n, dtype=np.int64)
-    want_mask[:seq.true_length] = 1
-    if not np.array_equal(mask, want_mask):
-        raise InvalidSequence("mask is not a prefix of ones")
-    if ids[0] != CLS_ID:
-        raise InvalidSequence("sequence must start with [CLS]")
-    if ids[seq.true_length - 1] != SEP_ID:
-        raise InvalidSequence("content must end with [SEP]")
-    if np.any(ids[seq.true_length:] != PAD_ID):
-        raise InvalidSequence("positions past true_length must be [PAD]")
-    if np.any(ids < 0):
-        raise InvalidSequence("negative token id")
-    if vocab is not None and np.any(ids >= len(vocab)):
-        raise InvalidSequence("token id outside vocabulary")
-
-
-def write_sequences_csv(path, sequences: Sequence[TokenSequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for seq in sequences:
-            writer.writerow(int(i) for i in seq.input_ids)
-
-
-def read_sequences_csv(path) -> list:
-    sequences = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            ids = np.array([int(c) for c in row], dtype=np.int64)
-            sep_pos = np.flatnonzero(ids == SEP_ID)
-            if len(sep_pos) != 1:
-                raise InvalidSequence("stored row must contain one [SEP]")
-            true_length = int(sep_pos[0]) + 1
-            mask = np.zeros(len(ids), dtype=np.int64)
-            mask[:true_length] = 1
-            seq = TokenSequence(input_ids=ids, attention_mask=mask,
-                                true_length=true_length)
-            validate_sequence(seq)
-            sequences.append(seq)
-    return sequences

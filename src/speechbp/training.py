@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, apply_scaler,
-                      invert_scaler, label_hypertension)
+from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, TooFewExamples,
+                      apply_scaler, invert_scaler, label_hypertension)
+from .features import ZeroVariance
 from .model import (EncoderConfig, ShapeMismatch, backward, forward)
 from .textcodec import TokenSequence
 
@@ -30,18 +31,6 @@ DIVERGENCE_LIMIT = 1000.0
 
 
 class LengthMismatch(ValueError):
-    pass
-
-
-class Empty(ValueError):
-    pass
-
-
-class ZeroVariance(ValueError):
-    pass
-
-
-class EmptyDataset(ValueError):
     pass
 
 
@@ -105,7 +94,7 @@ def _paired(y, yhat):
     if a.shape != b.shape:
         raise LengthMismatch(f"{a.shape[0]} targets vs {b.shape[0]} predictions")
     if a.size == 0:
-        raise Empty("no examples")
+        raise TooFewExamples("no examples")
     return a, b
 
 
@@ -203,18 +192,19 @@ def _targets(examples) -> np.ndarray:
     return np.array([[ex.sbp, ex.dbp] for ex in examples], dtype=np.float64)
 
 
-def _predict(enc_config, params, examples):
-    """Eval-mode predictions in fixed-size chunks, scaler units, (n, 2)."""
+def _predict(enc_config, params, sequences):
+    """Eval-mode predictions for token sequences in fixed-size chunks, in
+    scaler units, (n, 2)."""
     rows = []
-    for start in range(0, len(examples), EVAL_BATCH):
-        chunk = [ex.sequence for ex in examples[start:start + EVAL_BATCH]]
-        out = forward(enc_config, params, chunk, mode="eval")
+    for start in range(0, len(sequences), EVAL_BATCH):
+        out = forward(enc_config, params,
+                      sequences[start:start + EVAL_BATCH], mode="eval")
         rows.append(np.hstack([out.sbp_pred, out.dbp_pred]))
     return np.vstack(rows)
 
 
 def _dataset_loss(enc_config, params, examples, z_targets) -> float:
-    preds = _predict(enc_config, params, examples)
+    preds = _predict(enc_config, params, [ex.sequence for ex in examples])
     return total_loss(preds[:, 0], preds[:, 1],
                       z_targets[:, 0], z_targets[:, 1])
 
@@ -231,7 +221,7 @@ def train(enc_config: EncoderConfig, params: dict,
     TrainingDiverged rather than writing garbage onward.
     """
     if not train_set:
-        raise EmptyDataset("no training examples")
+        raise TooFewExamples("no training examples")
     if config.target_scaler is None:
         raise ValueError("config.target_scaler must be fitted first")
     scaler = config.target_scaler
@@ -279,9 +269,9 @@ def evaluate(enc_config: EncoderConfig, params: dict,
              target_scaler: Scaler) -> Metrics:
     """Metrics in mmHg on a held-out set."""
     if not test_set:
-        raise EmptyDataset("no evaluation examples")
-    preds = invert_scaler(target_scaler,
-                          _predict(enc_config, params, test_set))
+        raise TooFewExamples("no evaluation examples")
+    preds = predict_pressures(enc_config, params,
+                              [ex.sequence for ex in test_set], target_scaler)
     y = _targets(test_set)
     return Metrics(
         sbp_mae=mae(y[:, 0], preds[:, 0]),
@@ -295,12 +285,8 @@ def evaluate(enc_config: EncoderConfig, params: dict,
 
 def predict_pressures(enc_config, params, sequences, target_scaler):
     """mmHg predictions for bare token sequences, (n, 2)."""
-    rows = []
-    for start in range(0, len(sequences), EVAL_BATCH):
-        out = forward(enc_config, params,
-                      sequences[start:start + EVAL_BATCH], mode="eval")
-        rows.append(np.hstack([out.sbp_pred, out.dbp_pred]))
-    return invert_scaler(target_scaler, np.vstack(rows))
+    return invert_scaler(target_scaler,
+                         _predict(enc_config, params, sequences))
 
 
 # --- classification view ----------------------------------------------------

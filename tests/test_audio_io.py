@@ -1,4 +1,4 @@
-"""Tests for WAV parsing, normalization, and the vowel synthesizer."""
+"""Tests for WAV parsing and the vowel synthesizer."""
 
 import struct
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from speechbp import audio_io
-from speechbp.audio_io import (AudioClip, EmptyClip, InvalidFrequency,
-                               MalformedRiff, TruncatedData,
-                               UnsupportedEncoding, load_wav,
-                               normalize_amplitude, synthesize_speech,
-                               write_wav)
+from speechbp.audio_io import (AudioClip, InvalidFrequency, MalformedRiff,
+                               TruncatedData, UnsupportedEncoding, load_wav,
+                               synthesize_speech, write_wav)
+from speechbp.dsp import fft_magnitude, gaussian_window
 
 
 def wav_bytes(samples_int16, sample_rate=48000, channels=1, audio_format=1,
@@ -117,42 +116,6 @@ class TestWriteRoundTrip:
         np.testing.assert_array_equal(clips["a"] + clips["b"], clips["ab"])
 
 
-class TestNormalize:
-    def test_peak_scaling(self):
-        clip = AudioClip(np.array([0.25, -0.5]), 48000, 1)
-        np.testing.assert_array_equal(normalize_amplitude(clip).samples,
-                                      [0.5, -1.0])
-
-    def test_zero_signal_passthrough(self):
-        clip = AudioClip(np.zeros(10), 48000, 1)
-        np.testing.assert_array_equal(normalize_amplitude(clip).samples,
-                                      np.zeros(10))
-
-    def test_empty_clip(self):
-        with pytest.raises(EmptyClip):
-            normalize_amplitude(AudioClip(np.array([]), 48000, 1))
-
-    def test_peak_property_over_seeds(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            clip = AudioClip(rng.normal(0, 0.1, size=200), 8000, 1)
-            out = normalize_amplitude(clip)
-            assert abs(np.max(np.abs(out.samples)) - 1.0) < 1e-12
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        clip = AudioClip(rng.normal(size=300), 48000, 1)
-        once = normalize_amplitude(clip)
-        twice = normalize_amplitude(once)
-        np.testing.assert_array_equal(once.samples, twice.samples)
-
-    def test_input_unchanged(self):
-        x = np.array([0.25, -0.5])
-        clip = AudioClip(x, 48000, 1)
-        normalize_amplitude(clip)
-        np.testing.assert_array_equal(x, [0.25, -0.5])
-
-
 class TestSynthesize:
     FORMANTS = [(700.0, 1.0), (1200.0, 0.6)]
 
@@ -183,3 +146,18 @@ class TestSynthesize:
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
             synthesize_speech(120.0, self.FORMANTS, 0.0, 48000, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 6])
+    def test_formants_recovered_from_synthesis(self, seed):
+        sr = 48000
+        clip = synthesize_speech(100.0, [(700.0, 1.0), (1200.0, 0.9)],
+                                 1.0, sr, seed=seed)
+        mid = clip.samples[sr // 2:sr // 2 + 2400]
+        spec = fft_magnitude(mid * gaussian_window(2400), sr)
+        # the two strongest local maxima of the spectrum sit on the formants
+        m = spec.magnitudes
+        k = np.arange(1, len(m) - 1)
+        peaks = k[(m[k] >= m[k - 1]) & (m[k] >= m[k + 1])]
+        top2 = sorted(peaks[np.argsort(-m[peaks])[:2]] * spec.bin_hz)
+        assert abs(top2[0] - 700.0) <= 2 * spec.bin_hz
+        assert abs(top2[1] - 1200.0) <= 2 * spec.bin_hz

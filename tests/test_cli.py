@@ -11,6 +11,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,24 @@ class TestExtract:
         with open(workdir / "features.csv") as fh:
             assert sum(1 for _ in fh) - 1 == 7
 
+    def test_row_without_recording_partial_failure(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        config = write_config(tmp_path / "c.json", workdir,
+                              cohort={"n_female": 4, "n_male": 4})
+        assert main(["synth", "--config", str(config)]) == EXIT_OK
+        manifest = workdir / "manifest.csv"
+        with open(manifest, newline="") as fh:
+            rows = list(csv.reader(fh))
+        victim = next(r for r in rows if r[0] == "F002")
+        victim[-1] = ""
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["extract", "--config", str(config)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "failed F002: no voiced audio in input" in err
+        with open(workdir / "features.csv") as fh:
+            assert sum(1 for _ in fh) - 1 == 7
+
     def test_missing_manifest(self, tmp_path):
         assert main(["extract", "--workdir",
                      str(tmp_path / "empty")]) == EXIT_IO
@@ -330,6 +349,15 @@ class TestPredict:
         assert main(["predict", "--config", str(config), "--wav",
                      str(silent)]) == EXIT_DEGENERATE
 
+    @pytest.mark.parametrize("n_samples", [2880, 0])
+    def test_clip_under_100_ms(self, pipeline, tmp_path, capsys, n_samples):
+        _, config = pipeline
+        short = tmp_path / "short.wav"
+        write_wav(short, np.zeros(n_samples), 48000, channels=1)
+        assert main(["predict", "--config", str(config), "--wav",
+                     str(short)]) == EXIT_DEGENERATE
+        assert "need at least 100 ms" in capsys.readouterr().err
+
     def test_requires_exactly_one_input(self, pipeline):
         workdir, config = pipeline
         assert main(["predict", "--config", str(config)]) == EXIT_CONFIG
@@ -354,6 +382,53 @@ class TestPredict:
         pipe_path.write_text(json.dumps(pipe))
         assert main(["predict", "--workdir", str(clone), "--row",
                      "F001"]) == EXIT_CONFIG
+
+
+def _flip_payload_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 0xFF])
+
+
+def _replace_header(data: bytes, fill: bytes) -> bytes:
+    (n,) = struct.unpack_from("<Q", data, 0)
+    return data[:8] + fill * n + data[8 + n:]
+
+
+def _future_version(data: bytes) -> bytes:
+    (n,) = struct.unpack_from("<Q", data, 0)
+    header = json.loads(data[8:8 + n])
+    header["format_version"] += 1
+    blob = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(blob)) + blob + data[8 + n:]
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[:len(data) // 2]
+
+
+class TestDamagedModel:
+    """A damaged model file is a malformed file: exit 3, not a config error."""
+
+    @pytest.mark.parametrize("name, damage", [
+        ("params.bin", _flip_payload_byte),
+        ("params.bin", lambda d: _replace_header(d, b"#")),
+        ("params.bin", lambda d: _replace_header(d, b"\xff")),
+        ("params.bin", _future_version),
+        ("pipeline.json", _truncate),
+        ("vocab.json", _truncate),
+    ], ids=["payload-byte", "header-garbage", "header-not-utf8",
+            "header-version", "pipeline-truncated", "vocab-truncated"])
+    def test_exits_io(self, pipeline, tmp_path, capsys, name, damage):
+        workdir, _ = pipeline
+        clone = tmp_path / "w"
+        clone.mkdir()
+        for artifact in ("manifest.csv", "features.csv", "features.json"):
+            shutil.copy(workdir / artifact, clone / artifact)
+        shutil.copytree(workdir / "model", clone / "model")
+        target = clone / "model" / name
+        target.write_bytes(damage(target.read_bytes()))
+        assert main(["predict", "--workdir", str(clone), "--row",
+                     "F001"]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReport:

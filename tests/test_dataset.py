@@ -10,8 +10,7 @@ from speechbp.dataset import (ConstantColumn, DegenerateFeature, DuplicateId,
                               OutOfPhysiologicRange, ParticipantRecord,
                               Scaler, TooFewExamples, apply_scaler,
                               build_examples, correlation_matrix, fit_scaler,
-                              id_and_target_vectors, invert_scaler,
-                              label_hypertension, read_manifest,
+                              invert_scaler, label_hypertension, read_manifest,
                               scaler_from_dict, scaler_to_dict, split,
                               synthesize_cohort, write_manifest)
 from speechbp.features import FeatureVector
@@ -91,15 +90,6 @@ class TestBuildExamples:
         assert ex[0].dbp_target == 75.0
         assert ex[0].hypertension == 1  # dbp 75 > 72
 
-    def test_id_and_target_vectors_align(self):
-        records = [make_record("A", sbp=(100.0, 100.0), dbp=(60.0, 60.0)),
-                   make_record("B", sbp=(140.0, 140.0), dbp=(90.0, 90.0))]
-        vectors = {"A": make_vector(), "B": make_vector()}
-        ids, targets = id_and_target_vectors(build_examples(records, vectors))
-        assert ids == ["A", "B"]
-        assert targets[0] == (100.0, 60.0, 0)
-        assert targets[1] == (140.0, 90.0, 1)
-
     def test_duplicate_id(self):
         records = [make_record("A"), make_record("A")]
         with pytest.raises(DuplicateId):
@@ -112,8 +102,8 @@ class TestBuildExamples:
     def test_95_records(self):
         records = [make_record(f"P{i:03d}") for i in range(95)]
         vectors = {r.id: make_vector() for r in records}
-        ids, targets = id_and_target_vectors(build_examples(records, vectors))
-        assert len(ids) == len(targets) == 95
+        examples = build_examples(records, vectors)
+        assert [e.participant_id for e in examples] == [r.id for r in records]
 
 
 class TestScaler:

@@ -1,4 +1,4 @@
-"""Tests for windowing, the radix-2 FFT, voiced-region detection, and peaks."""
+"""Tests for windowing, the radix-2 FFT, and voiced-region detection."""
 
 import cmath
 import math
@@ -8,11 +8,10 @@ import pytest
 
 import oracles
 from speechbp.audio_io import AudioClip, synthesize_speech
-from speechbp.dsp import (ClipTooShort, DegenerateSpectrum, EmptyFrame,
-                          InvalidLength, InvalidSigma, MAX_SEGMENTS,
-                          VoicedRegion, detect_voiced_regions, fft_magnitude,
-                          fft_radix2, gaussian_window, segment_length,
-                          segment_regions, spectral_peaks)
+from speechbp.dsp import (ClipTooShort, EmptyFrame, InvalidLength,
+                          InvalidSigma, MAX_SEGMENTS, VoicedRegion,
+                          detect_voiced_regions, fft_magnitude, fft_radix2,
+                          gaussian_window, segment_length, segment_regions)
 
 # detection works on a 50 ms grid, so region edges are only pinned down to
 # one frame; the epsilon absorbs float noise on the 0.05 boundary itself
@@ -253,63 +252,3 @@ class TestSegmentation:
         regions = [VoicedRegion(0.0, 0.2), VoicedRegion(1.0, 1.2)]
         segs = segment_regions(clip, regions)
         assert [s.index for s in segs] == list(range(8))
-
-
-class TestSpectralPeaks:
-    def test_single_on_bin_cosine(self):
-        n = np.arange(1024)
-        spec = fft_magnitude(np.cos(2 * np.pi * 40 * n / 1024), 48000)
-        peaks = spectral_peaks(spec)
-        assert len(peaks) == 1
-        assert peaks[0][0] == pytest.approx(40 * 48000 / 1024)
-
-    def test_two_tones_both_found(self):
-        n = np.arange(64)
-        x = np.cos(2 * np.pi * 5 * n / 64) + np.cos(2 * np.pi * 20 * n / 64)
-        peaks = spectral_peaks(fft_magnitude(x, 6400))
-        assert sorted(f for f, _ in peaks) == pytest.approx([500.0, 2000.0])
-
-    def test_minimum_separation(self):
-        from speechbp.dsp import Spectrum
-        mags = np.full(200, 1e-6)
-        mags[100] = 1.0
-        mags[104] = 0.9  # 40 Hz away at 10 Hz bins: suppressed
-        mags[130] = 0.5
-        spec = Spectrum(mags, 10.0, 398)
-        peaks = spectral_peaks(spec)
-        freqs = [f for f, _ in peaks]
-        assert 1000.0 in freqs and 1300.0 in freqs
-        assert 1040.0 not in freqs
-
-    def test_relative_floor(self):
-        from speechbp.dsp import Spectrum
-        mags = np.full(300, 1e-9)
-        mags[50] = 1.0
-        mags[200] = 0.05  # below a tenth of the maximum
-        spec = Spectrum(mags, 10.0, 598)
-        peaks = spectral_peaks(spec)
-        assert [f for f, _ in peaks] == [500.0]
-
-    def test_at_most_five(self):
-        from speechbp.dsp import Spectrum
-        mags = np.full(500, 1e-9)
-        for i, k in enumerate(range(50, 450, 50)):
-            mags[k] = 1.0 - 0.05 * i
-        spec = Spectrum(mags, 10.0, 998)
-        assert len(spectral_peaks(spec)) == 5
-
-    def test_degenerate_spectrum(self):
-        from speechbp.dsp import Spectrum
-        with pytest.raises(DegenerateSpectrum):
-            spectral_peaks(Spectrum(np.zeros(33), 100.0, 64))
-
-    @pytest.mark.parametrize("seed", [0, 3, 6])
-    def test_formants_recovered_from_synthesis(self, seed):
-        sr = 48000
-        clip = synthesize_speech(100.0, [(700.0, 1.0), (1200.0, 0.9)],
-                                 1.0, sr, seed=seed)
-        mid = clip.samples[sr // 2:sr // 2 + 2400]
-        spec = fft_magnitude(mid * gaussian_window(2400), sr)
-        top2 = sorted(f for f, _ in spectral_peaks(spec)[:2])
-        assert abs(top2[0] - 700.0) <= 2 * spec.bin_hz
-        assert abs(top2[1] - 1200.0) <= 2 * spec.bin_hz

@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from speechbp.audio_io import AudioClip, synthesize_speech
-from speechbp.dsp import DegenerateSpectrum, EmptyFrame, Segment, Spectrum
+from speechbp.dsp import (DegenerateSpectrum, EmptyFrame, Segment, Spectrum,
+                          detect_voiced_regions, segment_regions)
 from speechbp import features as F
 from speechbp.features import (FeatureVector, NoSegments, SegmentFeatures,
                                TooFewSamples, WrongFrameLength, ZeroVariance,
@@ -403,20 +404,32 @@ class TestExtractRecording:
         return AudioClip(np.concatenate([pad, vowel.samples, pad]), 48000, 1)
 
     def test_full_pipeline(self):
-        vec = extract_recording(self.bracketed(150.0, 3), schema="extended")
+        vec = extract_recording([self.bracketed(150.0, 3)], schema="extended")
         assert vec.n_segments == 30
         assert vec.names[-1] == "pitch_hz"
         assert abs(vec.values[-1] - 150.0) <= 2.0
         assert np.all(np.isfinite(vec.values))
 
     def test_base_width(self):
-        vec = extract_recording(self.bracketed(120.0, 4), schema="base")
+        vec = extract_recording([self.bracketed(120.0, 4)], schema="base")
         assert len(vec.values) == 17
 
     def test_silence_raises(self):
         clip = AudioClip(np.zeros(48000), 48000, 1)
         with pytest.raises(NoSegments):
-            extract_recording(clip)
+            extract_recording([clip])
+
+    def test_clips_pool_their_segments(self):
+        clips = [self.bracketed(150.0, 3), self.bracketed(120.0, 4)]
+        vec = extract_recording(clips, schema="extended")
+        per_clip = [segment_regions(c, detect_voiced_regions(c))
+                    for c in clips]
+        assert vec.n_segments == sum(len(segs) for segs in per_clip)
+        want = aggregate_recording(
+            [segment_features(s) for segs in per_clip for s in segs],
+            schema="extended")
+        assert vec.names == want.names
+        np.testing.assert_array_equal(vec.values, want.values)
 
 
 class TestCsvRoundTrip:

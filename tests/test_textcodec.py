@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from speechbp.features import BASE_NAMES, FeatureVector
-from speechbp.textcodec import (CLS_ID, InvalidSequence, NonFiniteValue,
-                                PAD_ID, SEP_ID, TokenSequence, UNK_ID,
-                                UnknownId, build_vocabulary, detokenize,
-                                load_vocabulary, read_sequences_csv,
+from speechbp.textcodec import (CLS_ID, NonFiniteValue, PAD_ID, SEP_ID,
+                                UNK_ID, build_vocabulary, load_vocabulary,
                                 save_vocabulary, serialize_features,
-                                tokenize, validate_sequence,
-                                write_sequences_csv)
+                                tokenize)
 
 
 def base_vector(values=None):
@@ -44,7 +41,7 @@ class TestVocabulary:
 
     def test_round_trip_tokens(self, vocab):
         for token, idx in vocab.token_to_id.items():
-            assert vocab.token_of(idx) == token
+            assert vocab.id_to_token[idx] == token
             assert vocab.id_of(token) == idx
 
     def test_unknown_token_maps_to_unk(self, vocab):
@@ -173,96 +170,3 @@ class TestTokenize:
         seq = tokenize(serialize_features(base_vector()), vocab)
         assert np.all(seq.input_ids < len(vocab))
         assert np.all(seq.input_ids >= 0)
-
-
-class TestDetokenize:
-    def test_simple_round_trip(self, vocab):
-        text = "mfcc1 1.00"
-        assert detokenize(tokenize(text, vocab), vocab) == text
-
-    def test_unk_marker(self, vocab):
-        seq = tokenize("mystery 1.00", vocab)
-        assert detokenize(seq, vocab) == "<unk> 1.00"
-
-    def test_hundred_random_vectors_round_trip(self, vocab):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            text = serialize_features(base_vector(rng.normal(0, 30, 17)))
-            assert detokenize(tokenize(text, vocab), vocab) == text
-
-    def test_unknown_id_rejected(self, vocab):
-        ids = np.full(8, PAD_ID, dtype=np.int64)
-        ids[0], ids[1], ids[2] = CLS_ID, 999, SEP_ID
-        mask = np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=np.int64)
-        seq = TokenSequence(ids, mask, 3)
-        with pytest.raises(UnknownId):
-            detokenize(seq, vocab)
-
-
-class TestValidator:
-    def good(self, vocab, max_len=32):
-        return tokenize("mfcc1 1.00", vocab, max_len=max_len)
-
-    def test_accepts_well_formed(self, vocab):
-        validate_sequence(self.good(vocab), vocab)
-
-    def test_rejects_corrupted_pad(self, vocab):
-        seq = self.good(vocab)
-        ids = seq.input_ids.copy()
-        ids[20] = 5  # a pad position
-        with pytest.raises(InvalidSequence):
-            validate_sequence(TokenSequence(ids, seq.attention_mask,
-                                            seq.true_length), vocab)
-
-    def test_rejects_broken_mask(self, vocab):
-        seq = self.good(vocab)
-        mask = seq.attention_mask.copy()
-        mask[2] = 0
-        with pytest.raises(InvalidSequence):
-            validate_sequence(TokenSequence(seq.input_ids, mask,
-                                            seq.true_length))
-
-    def test_rejects_missing_cls(self, vocab):
-        seq = self.good(vocab)
-        ids = seq.input_ids.copy()
-        ids[0] = PAD_ID
-        with pytest.raises(InvalidSequence):
-            validate_sequence(TokenSequence(ids, seq.attention_mask,
-                                            seq.true_length))
-
-    def test_rejects_missing_sep(self, vocab):
-        seq = self.good(vocab)
-        ids = seq.input_ids.copy()
-        ids[seq.true_length - 1] = PAD_ID
-        with pytest.raises(InvalidSequence):
-            validate_sequence(TokenSequence(ids, seq.attention_mask,
-                                            seq.true_length))
-
-    def test_rejects_out_of_vocab_id(self, vocab):
-        seq = self.good(vocab)
-        ids = seq.input_ids.copy()
-        ids[1] = len(vocab) + 7
-        with pytest.raises(InvalidSequence):
-            validate_sequence(TokenSequence(ids, seq.attention_mask,
-                                            seq.true_length), vocab)
-
-
-class TestSequenceCsv:
-    def test_round_trip(self, vocab, tmp_path):
-        rng = np.random.default_rng(23)
-        seqs = [tokenize(serialize_features(base_vector(rng.normal(0, 9, 17))),
-                         vocab, max_len=64) for _ in range(5)]
-        p = tmp_path / "seqs.csv"
-        write_sequences_csv(p, seqs)
-        back = read_sequences_csv(p)
-        assert len(back) == 5
-        for a, b in zip(seqs, back):
-            np.testing.assert_array_equal(a.input_ids, b.input_ids)
-            np.testing.assert_array_equal(a.attention_mask, b.attention_mask)
-            assert a.true_length == b.true_length
-
-    def test_rejects_two_seps(self, tmp_path):
-        p = tmp_path / "seqs.csv"
-        p.write_text("2,5,3,3,0\n")
-        with pytest.raises(InvalidSequence):
-            read_sequences_csv(p)

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 import oracles
-from speechbp.dataset import fit_scaler
-from speechbp.features import BASE_NAMES, FeatureVector
+from speechbp.dataset import TooFewExamples, fit_scaler
+from speechbp.features import BASE_NAMES, FeatureVector, ZeroVariance
 from speechbp.model import (EncoderConfig, ShapeMismatch, forward,
                             init_params, load_params, save_params)
 from speechbp.textcodec import build_vocabulary, serialize_features, tokenize
-from speechbp.training import (DIVERGENCE_LIMIT, Empty, EmptyDataset,
-                               LabeledSequence, LengthMismatch, Metrics,
-                               TrainConfig, TrainHistory, TrainingDiverged,
-                               ZeroVariance, adam_step, confusion_matrix,
-                               evaluate, init_adam_state, mae, mse, r2,
-                               read_history_csv, total_loss,
-                               total_loss_gradients, train,
-                               validation_split, write_confusion_json,
-                               write_history_csv, write_metrics_json)
+from speechbp.training import (DIVERGENCE_LIMIT, LabeledSequence,
+                               LengthMismatch, Metrics, TrainConfig,
+                               TrainHistory, TrainingDiverged, adam_step,
+                               confusion_matrix, evaluate, init_adam_state,
+                               mae, mse, r2, read_history_csv, total_loss,
+                               total_loss_gradients, train, validation_split,
+                               write_confusion_json, write_history_csv,
+                               write_metrics_json)
 
 VOCAB = build_vocabulary(BASE_NAMES)
 
@@ -64,7 +63,7 @@ class TestMse:
             mse([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(Empty):
+        with pytest.raises(TooFewExamples):
             mse([], [])
 
 
@@ -323,7 +322,7 @@ class TestTrain:
     def test_empty_train_rejected(self):
         enc = toy_encoder()
         scaler = target_scaler(labeled_examples())
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TooFewExamples):
             train(enc, init_params(enc), [], [],
                   TrainConfig(target_scaler=scaler))
 
@@ -388,7 +387,7 @@ class TestEvaluate:
     def test_empty_set_rejected(self):
         enc = toy_encoder()
         scaler = target_scaler(labeled_examples())
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TooFewExamples):
             evaluate(enc, init_params(enc), [], scaler)
 
 
