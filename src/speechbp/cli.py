@@ -39,8 +39,8 @@ from .model import (ChecksumMismatch, EncoderConfig, VersionMismatch,
                     init_params, load_params, save_params)
 from .relieff import (ClassTooSmall, cross_validated_selection,
                       write_selection_manifest, write_weights_report)
-from .textcodec import (build_vocabulary, load_vocabulary, save_vocabulary,
-                        serialize_features, tokenize)
+from .textcodec import (NotAJsonObject, build_vocabulary, load_vocabulary,
+                        save_vocabulary, serialize_features, tokenize)
 from .training import (LabeledSequence, TrainConfig, TrainingDiverged,
                        confusion_matrix, evaluate, predict_pressures,
                        read_history_csv, train, validation_split,
@@ -281,6 +281,9 @@ class ModelBundle:
 
 def _load_model(cfg: PipelineConfig) -> ModelBundle:
     pipe = json.loads(cfg.pipeline_path.read_text())
+    if not isinstance(pipe, dict):
+        raise NotAJsonObject(
+            f"{cfg.pipeline_path}: pipeline is not a JSON object")
     enc, params = load_params(cfg.params_path)
     vocab = load_vocabulary(cfg.vocab_path)
     return ModelBundle(
@@ -406,11 +409,11 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     sequences = _sequencize(test_ex, model.feature_scaler, model.vocab,
                             model.enc.max_len, model.decimals)
 
-    metrics = evaluate(model.enc, model.params, sequences,
-                       model.target_scaler)
     preds = predict_pressures(model.enc, model.params,
                               [s.sequence for s in sequences],
                               model.target_scaler)
+    metrics = evaluate(model.enc, model.params, sequences,
+                       model.target_scaler, preds=preds)
     truth = [label_hypertension(s.sbp, s.dbp) for s in sequences]
     counts = confusion_matrix(preds[:, 0], preds[:, 1], truth)
     write_metrics_json(cfg.metrics_path, metrics)
@@ -658,11 +661,12 @@ def main(argv=None) -> int:
     except (NoSegments, ClipTooShort) as err:
         return _fail(EXIT_DEGENERATE, err)
     # a malformed WAV or a damaged artifact (params.bin header, version or
-    # checksum; a JSON file that no longer parses) is file trouble, checked
-    # before the ValueError catch-all below
+    # checksum; a JSON file that no longer parses or is not an object) is
+    # file trouble, checked before the ValueError catch-all below
     except (MalformedRiff, UnsupportedEncoding, TruncatedData,
             InvalidFrequency, ChecksumMismatch, VersionMismatch,
-            json.JSONDecodeError, UnicodeDecodeError) as err:
+            json.JSONDecodeError, UnicodeDecodeError,
+            NotAJsonObject) as err:
         return _fail(EXIT_IO, err)
     except OSError as err:
         return _fail(EXIT_IO, err)

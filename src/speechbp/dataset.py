@@ -163,25 +163,21 @@ def build_examples(records: Sequence[ParticipantRecord],
 @dataclass(frozen=True)
 class Scaler:
     kind: str
-    center: np.ndarray  # per-feature min (minmax) or mean (standard)
-    scale: np.ndarray   # per-feature range or std; 0 flags a constant column
+    center: np.ndarray  # per-feature mean
+    scale: np.ndarray   # per-feature std; 0 flags a constant column
 
 
 def fit_scaler(train_features, kind: str, on_constant: str = "reject") -> Scaler:
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-d matrix with at least 2 training rows")
-    if kind == "minmax":
-        center = X.min(axis=0)
-        scale = X.max(axis=0) - center
-    elif kind == "standard":
-        center = X.mean(axis=0)
-        scale = X.std(axis=0)
-        if on_constant == "reject" and np.any(scale == 0.0):
-            flat = [int(i) for i in np.flatnonzero(scale == 0.0)]
-            raise DegenerateFeature(f"constant feature columns {flat}")
-    else:
+    if kind != "standard":
         raise ValueError(f"unknown scaler kind {kind!r}")
+    center = X.mean(axis=0)
+    scale = X.std(axis=0)
+    if on_constant == "reject" and np.any(scale == 0.0):
+        flat = [int(i) for i in np.flatnonzero(scale == 0.0)]
+        raise DegenerateFeature(f"constant feature columns {flat}")
     return Scaler(kind=kind, center=center, scale=scale)
 
 
@@ -189,12 +185,7 @@ def apply_scaler(scaler: Scaler, features) -> np.ndarray:
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     safe = np.where(scaler.scale == 0.0, 1.0, scaler.scale)
     out = (X - scaler.center) / safe
-    if scaler.kind == "minmax":
-        # a constant training column gives no ordering information; park it
-        # mid-range
-        out[:, scaler.scale == 0.0] = 0.5
-    else:
-        out[:, scaler.scale == 0.0] = 0.0
+    out[:, scaler.scale == 0.0] = 0.0
     return out
 
 

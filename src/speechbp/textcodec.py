@@ -29,6 +29,10 @@ class NonFiniteValue(ValueError):
     pass
 
 
+class NotAJsonObject(ValueError):
+    """A model file that parses as JSON but whose top level is no object."""
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     token_to_id: dict
@@ -63,6 +67,8 @@ def save_vocabulary(path, vocab: Vocabulary) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     mapping = json.loads(Path(path).read_text())
+    if not isinstance(mapping, dict):
+        raise NotAJsonObject(f"{path}: vocabulary is not a JSON object")
     ids = sorted(mapping.values())
     if ids != list(range(len(mapping))):
         raise ValueError("vocabulary ids must be dense from 0")

@@ -266,12 +266,18 @@ def train(enc_config: EncoderConfig, params: dict,
 
 def evaluate(enc_config: EncoderConfig, params: dict,
              test_set: Sequence[LabeledSequence],
-             target_scaler: Scaler) -> Metrics:
-    """Metrics in mmHg on a held-out set."""
+             target_scaler: Scaler, preds=None) -> Metrics:
+    """Metrics in mmHg on a held-out set.
+
+    `preds` takes the (n, 2) mmHg predictions when the caller already has
+    them from `predict_pressures`; without it they are computed here.
+    """
     if not test_set:
         raise TooFewExamples("no evaluation examples")
-    preds = predict_pressures(enc_config, params,
-                              [ex.sequence for ex in test_set], target_scaler)
+    if preds is None:
+        preds = predict_pressures(enc_config, params,
+                                  [ex.sequence for ex in test_set],
+                                  target_scaler)
     y = _targets(test_set)
     return Metrics(
         sbp_mae=mae(y[:, 0], preds[:, 0]),

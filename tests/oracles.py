@@ -313,3 +313,105 @@ def central_difference(f, get, put, h=1e-4):
     f_minus = f()
     put(orig)
     return (f_plus - f_minus) / (2.0 * h)
+
+
+# === the encoder's eval forward over every position of every block ===
+#
+# The encoder's eval forward as it stood before its last block was cut
+# down to the [CLS] row, copied with its helpers and with the u ** 3 GELU;
+# only the error checks and the train-mode branch are left out.  `config`
+# needs the attributes of speechbp.model.EncoderConfig, `sequences` those of
+# speechbp.textcodec.TokenSequence.
+
+def _full_batch_arrays(sequences):
+    import numpy as np
+
+    t_max = max(s.true_length for s in sequences)
+    ids = np.stack([np.asarray(s.input_ids[:t_max]) for s in sequences])
+    mask = np.stack([np.asarray(s.attention_mask[:t_max])
+                     for s in sequences]).astype(np.float64)
+    return ids, mask
+
+
+def _full_split_heads(x, n_heads):
+    b, t, h = x.shape
+    return x.reshape(b, t, n_heads, h // n_heads).transpose(0, 2, 1, 3)
+
+
+def _full_merge_heads(x):
+    b, a, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, a * dh)
+
+
+def _full_layer_norm(x, gain, bias, eps):
+    import numpy as np
+
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(x.var(axis=-1, keepdims=True))
+    inv = 1.0 / np.maximum(sd, eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias
+
+
+def gelu_pow_oracle(u):
+    """The tanh GELU with the cube taken by pow; returns (gelu, tanh term)."""
+    import numpy as np
+
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * u ** 3))
+    return 0.5 * u * (1.0 + t), t
+
+
+def gelu_backward_pow_oracle(d_out, u, t):
+    """d gelu / d u times d_out, with the square taken by pow."""
+    import numpy as np
+
+    du_inner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * u ** 2)
+    return d_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * du_inner)
+
+
+def _full_softmax_rows(scores):
+    import numpy as np
+
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def encoder_forward_oracle(config, params, sequences):
+    """Eval-mode (sbp, dbp) predictions, each (b, 1), every row computed."""
+    import numpy as np
+
+    ids, mask = _full_batch_arrays(sequences)
+    b, t = ids.shape
+    scale = 1.0 / np.sqrt(config.hidden_dim // config.n_heads)
+
+    x = params["token_embedding"][ids] + params["position_embedding"][:t]
+    key_bias = (1.0 - mask)[:, None, None, :] * -1e9
+
+    for i in range(config.n_layers):
+        p = f"layer{i}."
+        q = _full_split_heads(x @ params[p + "wq"] + params[p + "bq"],
+                              config.n_heads)
+        k = _full_split_heads(x @ params[p + "wk"] + params[p + "bk"],
+                              config.n_heads)
+        v = _full_split_heads(x @ params[p + "wv"] + params[p + "bv"],
+                              config.n_heads)
+        scores = q @ k.transpose(0, 1, 3, 2) * scale + key_bias
+        attn = _full_softmax_rows(scores)
+        ctx = _full_merge_heads(attn @ v)
+        attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
+        y1 = _full_layer_norm(
+            x + attn_out, params[p + "attn_gain"], params[p + "attn_bias"],
+            config.layernorm_epsilon)
+        h1 = y1 @ params[p + "w1"] + params[p + "b1"]
+        g, _ = gelu_pow_oracle(h1)
+        ffn_out = g @ params[p + "w2"] + params[p + "b2"]
+        x = _full_layer_norm(
+            y1 + ffn_out, params[p + "ffn_gain"], params[p + "ffn_bias"],
+            config.layernorm_epsilon)
+
+    pooled = np.tanh(x[:, 0, :] @ params["pooler_weight"]
+                     + params["pooler_bias"])
+    sbp = pooled @ params["sbp_weight"] + params["sbp_bias"]
+    dbp = pooled @ params["dbp_weight"] + params["dbp_bias"]
+    return sbp, dbp

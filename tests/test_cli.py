@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speechbp import training
 from speechbp.audio_io import write_wav
 from speechbp.cli import (CONFIG_DEFAULTS, ConfigError, EXIT_CONFIG,
                           EXIT_DATA, EXIT_DEGENERATE, EXIT_DIVERGED,
@@ -307,6 +308,20 @@ class TestEval:
         assert main(["eval", "--workdir",
                      str(tmp_path / "empty")]) == EXIT_IO
 
+    def test_encoder_runs_once_over_test_set(self, pipeline, monkeypatch):
+        workdir, config = pipeline
+        seen = []
+        real = training.forward
+
+        def counting(enc, params, sequences, *args, **kwargs):
+            seen.append(len(sequences))
+            return real(enc, params, sequences, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counting)
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+        metrics = json.loads((workdir / "metrics.json").read_text())
+        assert sum(seen) == metrics["n"]
+
 
 class TestPredict:
     def run_json(self, argv, capsys):
@@ -415,8 +430,11 @@ class TestDamagedModel:
         ("params.bin", _future_version),
         ("pipeline.json", _truncate),
         ("vocab.json", _truncate),
+        ("pipeline.json", lambda d: b"[1]\n"),
+        ("vocab.json", lambda d: b"[]\n"),
     ], ids=["payload-byte", "header-garbage", "header-not-utf8",
-            "header-version", "pipeline-truncated", "vocab-truncated"])
+            "header-version", "pipeline-truncated", "vocab-truncated",
+            "pipeline-not-object", "vocab-not-object"])
     def test_exits_io(self, pipeline, tmp_path, capsys, name, damage):
         workdir, _ = pipeline
         clone = tmp_path / "w"

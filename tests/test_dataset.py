@@ -107,17 +107,6 @@ class TestBuildExamples:
 
 
 class TestScaler:
-    def test_minmax_example(self):
-        s = fit_scaler(np.array([[10.0], [20.0], [30.0]]), "minmax")
-        out = apply_scaler(s, np.array([[10.0], [20.0], [30.0]]))
-        np.testing.assert_allclose(out.ravel(), [0.0, 0.5, 1.0])
-
-    def test_minmax_constant_column_centers(self):
-        s = fit_scaler(np.array([[4.0, 1.0], [4.0, 3.0]]), "minmax")
-        out = apply_scaler(s, np.array([[4.0, 2.0]]))
-        assert out[0, 0] == 0.5
-        assert out[0, 1] == 0.5
-
     def test_standard_example(self):
         s = fit_scaler(np.array([[1.0], [2.0], [3.0]]), "standard")
         assert s.scale[0] == pytest.approx(0.81649658092772603, rel=1e-12)
@@ -139,25 +128,21 @@ class TestScaler:
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(20, 5)) * rng.uniform(0.1, 30, size=5)
-        for kind in ("minmax", "standard"):
-            s = fit_scaler(X, kind)
-            back = invert_scaler(s, apply_scaler(s, X))
-            np.testing.assert_allclose(back, X, atol=1e-12)
-
-    def test_test_rows_may_exceed_unit_interval(self):
-        s = fit_scaler(np.array([[0.0], [1.0]]), "minmax")
-        assert apply_scaler(s, np.array([[2.0]]))[0, 0] == 2.0
+        s = fit_scaler(X, "standard")
+        back = invert_scaler(s, apply_scaler(s, X))
+        np.testing.assert_allclose(back, X, atol=1e-12)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            fit_scaler(np.zeros((3, 1)), "robust")
+        for kind in ("robust", "minmax"):
+            with pytest.raises(ValueError):
+                fit_scaler(np.zeros((3, 1)), kind)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            fit_scaler(np.zeros((1, 3)), "minmax")
+            fit_scaler(np.zeros((1, 3)), "standard")
 
     def test_dict_round_trip(self):
-        s = fit_scaler(np.array([[1.0, 2.0], [3.0, 4.0]]), "minmax")
+        s = fit_scaler(np.array([[1.0, 2.0], [3.0, 4.0]]), "standard")
         s2 = scaler_from_dict(scaler_to_dict(s))
         assert s2.kind == s.kind
         np.testing.assert_array_equal(s2.center, s.center)

@@ -11,12 +11,14 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import (central_difference, encoder_forward_oracle,
+                     gelu_backward_pow_oracle, gelu_pow_oracle)
 from speechbp.model import (ChecksumMismatch, EncoderConfig, ForwardOutput,
                             IdOutOfRange, InvalidConfig, LengthExceedsMax,
                             MissingCache, ShapeMismatch, VersionMismatch,
-                            _layer_norm, _layer_norm_backward, backward,
-                            forward, init_params, load_params, param_shapes,
+                            _gelu, _gelu_backward, _layer_norm,
+                            _layer_norm_backward, backward, forward,
+                            init_params, load_params, param_shapes,
                             save_params, zero_gradients)
 from speechbp.textcodec import TokenSequence
 
@@ -151,6 +153,33 @@ class TestForward:
         out = forward(cfg, params, batch)
         assert np.all(np.isfinite(out.sbp_pred))
         assert np.all(np.isfinite(out.dbp_pred))
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_matches_full_row_oracle(self, n_layers):
+        # the last block computes row 0 alone; predictions must equal those
+        # of the forward that computes every row of every block.  Weights
+        # far from init make every block matter.
+        cfg = toy_config(n_layers=n_layers, max_len=16)
+        rng = np.random.default_rng(n_layers)
+        params = {name: rng.normal(0.0, 0.5, shape)
+                  for name, shape in param_shapes(cfg).items()}
+        batch = [random_seq(rng) for _ in range(5)]
+        assert len({s.true_length for s in batch}) > 1
+        out = forward(cfg, params, batch)
+        want_sbp, want_dbp = encoder_forward_oracle(cfg, params, batch)
+        for got, want in ((out.sbp_pred, want_sbp),
+                          (out.dbp_pred, want_dbp)):
+            assert np.max(np.abs(got - want)) <= \
+                1e-12 * np.max(np.abs(want))
+
+    def test_last_block_caches_one_row(self):
+        cfg = toy_config(n_layers=2)
+        out = forward(cfg, init_params(cfg), [make_seq([2, 5, 7, 4, 9, 3])],
+                      mode="train", dropout_seed=1)
+        inner, last = out.cache["layers"]
+        assert inner["h1"].shape[1] == 6 and inner["attn"].shape[2] == 6
+        assert last["h1"].shape[1] == 1 and last["attn"].shape[2] == 1
+        assert last["k"].shape[2] == 6 and last["v"].shape[2] == 6
 
     def test_bad_mode(self, toy):
         cfg, params, batch = toy
@@ -304,6 +333,15 @@ class TestBackward:
         assert checked >= 200
         assert worst < 1e-4
 
+    def test_finite_difference_two_layers(self, toy):
+        # an inner block over every row feeding a last block over the
+        # [CLS] row, on a padded batch of two lengths
+        _, _, batch = toy
+        cfg = toy_config(n_layers=2)
+        worst, checked = gradcheck(cfg, init_params(cfg), batch)
+        assert checked >= 200
+        assert worst < 1e-4
+
     def test_linearity_in_upstream_grad(self, toy):
         cfg, params, batch = toy
         out = forward(cfg, params, batch, mode="train", dropout_seed=5)
@@ -351,6 +389,27 @@ class TestBackward:
         z = zero_gradients(cfg)
         assert all(np.all(arr == 0.0) for arr in z.values())
         assert {n: a.shape for n, a in z.items()} == param_shapes(cfg)
+
+
+class TestGelu:
+    U = np.concatenate([np.linspace(-10.0, 10.0, 20001),
+                        np.random.default_rng(5).normal(0.0, 3.0, 5000)])
+
+    def test_matches_pow_form(self):
+        g, t = _gelu(self.U)
+        want_g, want_t = gelu_pow_oracle(self.U)
+        np.testing.assert_allclose(t, want_t, rtol=1e-13, atol=0.0)
+        # 0.5 u (1 + t) cancels for u near -4, where 1 + t is ~1e-7 and a
+        # one-ulp change in t is a 1e-11 relative change in the output; so
+        # the error is measured against |u|, the scale of the product
+        assert np.all(np.abs(g - want_g) <= 1e-13 * np.abs(self.U))
+
+    def test_backward_matches_pow_form(self):
+        _, t = gelu_pow_oracle(self.U)
+        d_out = np.random.default_rng(6).normal(size=self.U.shape)
+        np.testing.assert_allclose(
+            _gelu_backward(d_out, self.U, t),
+            gelu_backward_pow_oracle(d_out, self.U, t), rtol=1e-13, atol=0.0)
 
 
 class TestLayerNormDegenerate:

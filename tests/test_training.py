@@ -15,7 +15,8 @@ from speechbp.training import (DIVERGENCE_LIMIT, LabeledSequence,
                                LengthMismatch, Metrics, TrainConfig,
                                TrainHistory, TrainingDiverged, adam_step,
                                confusion_matrix, evaluate, init_adam_state,
-                               mae, mse, r2, read_history_csv, total_loss,
+                               mae, mse, predict_pressures, r2,
+                               read_history_csv, total_loss,
                                total_loss_gradients, train, validation_split,
                                write_confusion_json, write_history_csv,
                                write_metrics_json)
@@ -389,6 +390,16 @@ class TestEvaluate:
         scaler = target_scaler(labeled_examples())
         with pytest.raises(TooFewExamples):
             evaluate(enc, init_params(enc), [], scaler)
+
+    def test_precomputed_predictions(self):
+        enc = toy_encoder()
+        examples = labeled_examples()
+        scaler = target_scaler(examples)
+        params = init_params(enc)
+        preds = predict_pressures(enc, params,
+                                  [ex.sequence for ex in examples], scaler)
+        assert evaluate(enc, params, examples, scaler, preds=preds) == \
+            evaluate(enc, params, examples, scaler)
 
 
 class TestConfusion:
