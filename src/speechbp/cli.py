@@ -33,14 +33,15 @@ from .dataset import (ConstantColumn, DBP_RANGE, SBP_RANGE, Scaler,
                       synthesize_cohort, write_manifest)
 from .dsp import ClipTooShort
 from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
-                       NoSegments, ZeroVariance, extract_recording,
-                       read_features_csv, write_features_csv)
+                       MalformedArtifact, NoSegments, ZeroVariance,
+                       extract_recording, read_features_csv,
+                       write_features_csv)
 from .model import (ChecksumMismatch, EncoderConfig, VersionMismatch,
                     init_params, load_params, save_params)
 from .relieff import (ClassTooSmall, cross_validated_selection,
                       write_selection_manifest, write_weights_report)
-from .textcodec import (NotAJsonObject, build_vocabulary, load_vocabulary,
-                        save_vocabulary, serialize_features, tokenize)
+from .textcodec import (build_vocabulary, load_vocabulary, save_vocabulary,
+                        serialize_features, tokenize)
 from .training import (LabeledSequence, TrainConfig, TrainingDiverged,
                        confusion_matrix, evaluate, predict_pressures,
                        read_history_csv, train, validation_split,
@@ -160,14 +161,23 @@ class PipelineConfig:
         return self.workdir / "correlation.svg"
 
 
+# the JSON type a value must have, by its default's type; workdir's null
+# default takes a string, and an int passes for a float
+_JSON_TYPES = {type(None): (str, "a string"), int: (int, "an integer"),
+               float: ((int, float), "a number"), str: (str, "a string"),
+               list: (list, "a list"), dict: (dict, "an object")}
+
+
 def _merge_section(defaults: dict, given: dict, where: str) -> dict:
     merged = dict(defaults)
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {where}{key!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where}{key} must be an object")
+        accepted, what = _JSON_TYPES[type(defaults[key])]
+        # a bool is an int to Python, but no config value is a bool
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {where}{key} must be {what}")
+        if isinstance(value, dict):
             merged[key] = _merge_section(defaults[key], value,
                                          f"{where}{key}.")
         else:
@@ -201,11 +211,17 @@ def resolve_config(config_path, seed_override=None,
     seed = merged["seed"] if seed_override is None else seed_override
     if merged["schema"] not in (BASE_SCHEMA, EXTENDED_SCHEMA):
         raise ConfigError(f"unknown feature schema {merged['schema']!r}")
-    if not 0 <= int(merged["decimals"]) <= 12:
+    if not 0 <= merged["decimals"] <= 12:
         raise ConfigError("decimals must lie in [0, 12]")
+    if merged["selection"]["folds"] < 2:
+        raise ConfigError("selection.folds must be at least 2")
+    k_grid = merged["selection"]["k_grid"]
+    if not k_grid or not all(type(k) is int and k >= 1 for k in k_grid):
+        raise ConfigError(
+            "selection.k_grid must be a non-empty list of integers >= 1")
     return PipelineConfig(
-        workdir=Path(workdir), seed=int(seed), schema=merged["schema"],
-        decimals=int(merged["decimals"]), cohort=merged["cohort"],
+        workdir=Path(workdir), seed=seed, schema=merged["schema"],
+        decimals=merged["decimals"], cohort=merged["cohort"],
         selection=merged["selection"], split=merged["split"],
         encoder=merged["encoder"], training=merged["training"])
 
@@ -282,7 +298,7 @@ class ModelBundle:
 def _load_model(cfg: PipelineConfig) -> ModelBundle:
     pipe = json.loads(cfg.pipeline_path.read_text())
     if not isinstance(pipe, dict):
-        raise NotAJsonObject(
+        raise MalformedArtifact(
             f"{cfg.pipeline_path}: pipeline is not a JSON object")
     enc, params = load_params(cfg.params_path)
     vocab = load_vocabulary(cfg.vocab_path)
@@ -661,12 +677,13 @@ def main(argv=None) -> int:
     except (NoSegments, ClipTooShort) as err:
         return _fail(EXIT_DEGENERATE, err)
     # a malformed WAV or a damaged artifact (params.bin header, version or
-    # checksum; a JSON file that no longer parses or is not an object) is
-    # file trouble, checked before the ValueError catch-all below
+    # checksum; a JSON file that no longer parses or is not an object; a
+    # features table that is ragged or holds a non-number) is file trouble,
+    # checked before the ValueError catch-all below
     except (MalformedRiff, UnsupportedEncoding, TruncatedData,
             InvalidFrequency, ChecksumMismatch, VersionMismatch,
             json.JSONDecodeError, UnicodeDecodeError,
-            NotAJsonObject) as err:
+            MalformedArtifact) as err:
         return _fail(EXIT_IO, err)
     except OSError as err:
         return _fail(EXIT_IO, err)

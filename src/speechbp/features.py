@@ -55,6 +55,12 @@ class ZeroVariance(ValueError):
     pass
 
 
+class MalformedArtifact(ValueError):
+    """A damaged artifact: a features table whose rows are ragged, hold a
+    cell that is no finite number or disagree with its manifest, or a JSON
+    model file whose top level is not an object."""
+
+
 class NoSegments(ValueError):
     pass
 
@@ -376,12 +382,23 @@ def read_features_csv(csv_path, manifest_path):
     manifest = json.loads(Path(manifest_path).read_text())
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        names = tuple(next(reader))
-        matrix = np.array([[float(cell) for cell in row] for row in reader],
-                          dtype=np.float64)
+        names = tuple(next(reader, ()))
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            raise MalformedArtifact(f"{csv_path}: line {line} has "
+                                    f"{len(row)} cells, the header "
+                                    f"{len(names)}")
+    try:
+        matrix = np.array([[float(cell) for cell in row] for row in rows],
+                          dtype=np.float64).reshape(len(rows), len(names))
+    except ValueError as err:
+        raise MalformedArtifact(f"{csv_path}: {err}") from None
+    if not np.all(np.isfinite(matrix)):
+        raise MalformedArtifact(f"{csv_path}: a cell is not finite")
     ids = [rec["id"] for rec in manifest["recordings"]]
     if len(ids) != len(matrix):
-        raise ValueError("manifest and CSV row counts disagree")
+        raise MalformedArtifact("manifest and CSV row counts disagree")
     if tuple(manifest["feature_names"]) != names:
-        raise ValueError("manifest and CSV header disagree")
+        raise MalformedArtifact("manifest and CSV header disagree")
     return ids, names, matrix, manifest

@@ -3,7 +3,8 @@
 Exhaustive variant: every instance serves as a query in index order, so there
 is no sampling randomness anywhere in the weights.  Distances are Manhattan
 on range-normalized features; neighbor ties go to the lower index so results
-are reproducible across implementations.
+are reproducible across implementations.  Query rows are walked one at a
+time, so memory stays at one n x d block of diffs whatever n is.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_K = 10
 DEFAULT_K_GRID = (3, 5, 10)
 DEFAULT_FOLDS = 10
 
@@ -29,16 +29,10 @@ class EmptyFeatureSet(ValueError):
     pass
 
 
-class AllFeaturesDropped(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FeatureWeights:
     names: tuple
     weights: np.ndarray
-    k_neighbors: int
-    n_iterations: int
 
 
 @dataclass(frozen=True)
@@ -49,18 +43,20 @@ class SelectionResult:
     weights: FeatureWeights
 
 
-def _normalized_diffs(X: np.ndarray) -> np.ndarray:
-    """Pairwise per-feature diffs |x_a - x_b| / range; zero-range columns
-    contribute 0."""
+def _range_scale(X: np.ndarray) -> np.ndarray:
+    """Column ranges, inf for a zero-range column so |a - b| / scale reads
+    exactly 0 there."""
     ranges = X.max(axis=0) - X.min(axis=0)
-    safe = np.where(ranges == 0.0, 1.0, ranges)
-    diffs = np.abs(X[:, None, :] - X[None, :, :]) / safe
-    diffs[:, :, ranges == 0.0] = 0.0
-    return diffs
+    return np.where(ranges == 0.0, np.inf, ranges)
 
 
-def relieff_weights(X, y, k: int = DEFAULT_K, m: int | None = None,
-                    names: Sequence[str] | None = None) -> FeatureWeights:
+def _relieff_pass(X, y, ks: Sequence[int]) -> np.ndarray:
+    """ReliefF weights for every k of the ascending grid ks, one row per k.
+
+    Each query row's diffs to all instances are built on their own and its
+    neighbors are sorted once: the k nearest hits and misses are a prefix of
+    the max(ks) nearest, so one order serves the whole grid.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -71,65 +67,59 @@ def relieff_weights(X, y, k: int = DEFAULT_K, m: int | None = None,
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2 or np.min(counts) < 2:
         raise ClassTooSmall("need at least 2 examples in each of 2 classes")
-    if k < 1 or k > np.min(counts) - 1:
-        raise ClassTooSmall(
-            f"k={k} exceeds smallest class size {int(np.min(counts))} - 1")
-    iterations = n if m is None else min(m, n)
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
+    for k in (ks[0], ks[-1]):
+        if k < 1 or k > np.min(counts) - 1:
+            raise ClassTooSmall(
+                f"k={k} exceeds smallest class size {int(np.min(counts))} - 1")
 
     count_of = {int(c): int(cnt) for c, cnt in zip(labels, counts)}
-    diffs = _normalized_diffs(X)
-    dist = diffs.sum(axis=2)
-    np.fill_diagonal(dist, np.inf)
-
-    hit_acc = np.zeros(d)
-    miss_acc = np.zeros(d)
-    for r in range(iterations):
-        order = np.argsort(dist[r], kind="stable")  # ties -> lower index
+    scale = _range_scale(X)
+    # the j-th nearest miss counts for every k > j, a suffix of the grid
+    first_k_above = np.searchsorted(ks, np.arange(ks[-1]), side="right")
+    hit_acc = np.zeros((len(ks), d))
+    miss_acc = np.zeros((len(ks), d))
+    for r in range(n):
+        diff = np.abs(X - X[r]) / scale
+        dist = diff.sum(axis=1)
+        dist[r] = np.inf
+        order = np.argsort(dist, kind="stable")  # ties -> lower index
         same = y[order] == y[r]
-        hits = order[same][:k]
-        misses = order[~same][:k]
-        hit_acc += diffs[r, hits].sum(axis=0)
+        hits = order[same][:ks[-1]]
+        misses = order[~same][:ks[-1]]
+        for i, k in enumerate(ks):
+            hit_acc[i] += diff[hits[:k]].sum(axis=0)
         denom = n - count_of[int(y[r])]
-        for mi in misses:
-            miss_acc += (count_of[int(y[mi])] / denom) * diffs[r, mi]
+        for j, mi in enumerate(misses):
+            miss_acc[first_k_above[j]:] += (
+                (count_of[int(y[mi])] / denom) * diff[mi])
+    return (miss_acc - hit_acc) / (n * np.asarray(ks))[:, None]
 
-    weights = (miss_acc - hit_acc) / (iterations * k)
+
+def relieff_weights(X, y, k: int,
+                    names: Sequence[str] | None = None) -> FeatureWeights:
+    weights = _relieff_pass(X, y, (k,))[0]
     if names is None:
-        names = tuple(f"f{i}" for i in range(d))
-    return FeatureWeights(names=tuple(names), weights=weights,
-                          k_neighbors=k, n_iterations=iterations)
+        names = tuple(f"f{i}" for i in range(len(weights)))
+    return FeatureWeights(names=tuple(names), weights=weights)
 
 
-def select_features(weights: FeatureWeights, policy="drop_nonpositive"):
-    """Kept feature names in descending-weight order.
+def _kept_columns(weights: np.ndarray) -> np.ndarray:
+    """The positive weights in descending order, or else the single best."""
+    order = np.argsort(-weights, kind="stable")
+    return order[:max(1, int(np.count_nonzero(weights > 0.0)))]
 
-    policy is either the string "drop_nonpositive" or a ("top_k", k) pair.
-    """
-    order = np.argsort(-weights.weights, kind="stable")
-    if policy == "drop_nonpositive":
-        kept = [weights.names[i] for i in order if weights.weights[i] > 0.0]
-        if not kept:
-            raise AllFeaturesDropped("no feature has positive weight")
-        return kept
-    if (isinstance(policy, tuple) and len(policy) == 2
-            and policy[0] == "top_k"):
-        top = int(policy[1])
-        if top < 1:
-            raise ValueError("top_k needs a positive count")
-        return [weights.names[i] for i in order[:top]]
-    raise ValueError(f"unknown policy {policy!r}")
+
+def select_features(weights: FeatureWeights) -> list:
+    """Kept feature names, by the one keep rule of `_kept_columns`."""
+    return [weights.names[i] for i in _kept_columns(weights.weights)]
 
 
 def _nearest_neighbor_accuracy(X_train, y_train, X_test, y_test) -> float:
     """1-NN accuracy, Manhattan on ranges learned from the training part."""
-    ranges = X_train.max(axis=0) - X_train.min(axis=0)
-    safe = np.where(ranges == 0.0, 1.0, ranges)
+    scale = _range_scale(X_train)
     correct = 0
     for i in range(len(X_test)):
-        d = np.abs(X_train - X_test[i]) / safe
-        d[:, ranges == 0.0] = 0.0
+        d = np.abs(X_train - X_test[i]) / scale
         nearest = int(np.argmin(d.sum(axis=1)))  # ties -> lower index
         correct += int(y_train[nearest] == y_test[i])
     return correct / len(X_test)
@@ -145,17 +135,6 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _keep_indices(weights: FeatureWeights):
-    try:
-        kept = select_features(weights, "drop_nonpositive")
-    except AllFeaturesDropped:
-        # degenerate fold: keep the single best-ranked feature instead of
-        # failing the whole selection
-        kept = select_features(weights, ("top_k", 1))
-    name_to_col = {name: i for i, name in enumerate(weights.names)}
-    return kept, [name_to_col[name] for name in kept]
-
-
 def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
                               k_grid: Sequence[int] = DEFAULT_K_GRID,
                               seed: int = 0,
@@ -163,42 +142,41 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
                               ) -> SelectionResult:
     """Pick the neighbor count by stratified k-fold 1-NN accuracy.
 
-    Candidates that cannot run on some fold (class too small for k) are
-    skipped; ties in mean accuracy go to the smaller k.  Final weights are
-    recomputed on the full data with the winner.
+    Each fold's training part gets one ReliefF pass over every feasible k:
+    a k is feasible when every training part has more than k examples in
+    each class.  Ties in mean accuracy go to the smaller k.  Final weights
+    are recomputed on the full data with the winner.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if folds < 2:
+        raise ValueError("cross-validation needs at least 2 folds")
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2 or np.min(counts) < folds:
         raise ClassTooSmall(
             f"every class needs at least {folds} examples for {folds}-fold CV")
 
     fold_of = _fold_assignment(y, folds, seed)
-    per_k: dict = {}
-    for k in sorted(set(int(k) for k in k_grid)):
-        accs = []
-        feasible = True
-        for f in range(folds):
-            tr = fold_of != f
-            te = ~tr
-            try:
-                w = relieff_weights(X[tr], y[tr], k=k, names=names)
-            except ClassTooSmall:
-                feasible = False
-                break
-            _, cols = _keep_indices(w)
-            accs.append(_nearest_neighbor_accuracy(
-                X[tr][:, cols], y[tr], X[te][:, cols], y[te]))
-        if feasible:
-            per_k[k] = accs
-    if not per_k:
+    smallest = min(int(np.min(np.unique(y[fold_of != f],
+                                        return_counts=True)[1]))
+                   for f in range(folds))
+    ks = [k for k in sorted(set(int(k) for k in k_grid))
+          if 1 <= k <= smallest - 1]
+    if not ks:
         raise ClassTooSmall("no candidate k fits the smallest class")
+
+    per_k: dict = {k: [] for k in ks}
+    for f in range(folds):
+        tr = fold_of != f
+        te = ~tr
+        for k, weights in zip(ks, _relieff_pass(X[tr], y[tr], ks)):
+            cols = _kept_columns(weights)
+            per_k[k].append(_nearest_neighbor_accuracy(
+                X[tr][:, cols], y[tr], X[te][:, cols], y[te]))
 
     chosen = min(per_k, key=lambda k: (-float(np.mean(per_k[k])), k))
     final = relieff_weights(X, y, k=chosen, names=names)
-    kept, _ = _keep_indices(final)
-    return SelectionResult(chosen_k=chosen, kept=tuple(kept),
+    return SelectionResult(chosen_k=chosen, kept=tuple(select_features(final)),
                            fold_accuracies=tuple(per_k[chosen]),
                            weights=final)
 

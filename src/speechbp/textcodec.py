@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FeatureVector, MalformedArtifact
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
@@ -27,10 +27,6 @@ DEFAULT_DECIMALS = 2
 
 class NonFiniteValue(ValueError):
     pass
-
-
-class NotAJsonObject(ValueError):
-    """A model file that parses as JSON but whose top level is no object."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ def save_vocabulary(path, vocab: Vocabulary) -> None:
 def load_vocabulary(path) -> Vocabulary:
     mapping = json.loads(Path(path).read_text())
     if not isinstance(mapping, dict):
-        raise NotAJsonObject(f"{path}: vocabulary is not a JSON object")
+        raise MalformedArtifact(f"{path}: vocabulary is not a JSON object")
     ids = sorted(mapping.values())
     if ids != list(range(len(mapping))):
         raise ValueError("vocabulary ids must be dense from 0")

@@ -290,9 +290,14 @@ def evaluate(enc_config: EncoderConfig, params: dict,
 
 
 def predict_pressures(enc_config, params, sequences, target_scaler):
-    """mmHg predictions for bare token sequences, (n, 2)."""
-    return invert_scaler(target_scaler,
-                         _predict(enc_config, params, sequences))
+    """mmHg predictions for bare token sequences, (n, 2).
+
+    A non-finite prediction means the saved model diverged."""
+    preds = invert_scaler(target_scaler,
+                          _predict(enc_config, params, sequences))
+    if not np.all(np.isfinite(preds)):
+        raise TrainingDiverged("model predicts a non-finite pressure")
+    return preds
 
 
 # --- classification view ----------------------------------------------------

@@ -27,6 +27,7 @@ from speechbp.cli import (CONFIG_DEFAULTS, ConfigError, EXIT_CONFIG,
                           resolve_config)
 from speechbp.dataset import label_hypertension
 from speechbp.features import BASE_NAMES
+from speechbp.model import load_params, save_params
 
 ROOT = Path(__file__).resolve().parents[1]
 COHORT = {"n_female": 16, "n_male": 16}
@@ -44,6 +45,23 @@ def write_config(path: Path, workdir: Path, **overrides) -> Path:
     payload.update(overrides)
     path.write_text(json.dumps(payload))
     return path
+
+
+def clone_inputs(workdir: Path, clone: Path, *extra: str) -> Path:
+    """A fresh workdir holding the pipeline's manifest and feature table,
+    plus the named extra artifacts (a directory is copied whole)."""
+    clone.mkdir()
+    for name in ("manifest.csv", "features.csv", "features.json") + extra:
+        if (workdir / name).is_dir():
+            shutil.copytree(workdir / name, clone / name)
+        else:
+            shutil.copy(workdir / name, clone / name)
+    return clone
+
+
+def snapshot(directory: Path) -> dict:
+    return {p: p.read_bytes() for p in sorted(directory.rglob("*"))
+            if p.is_file()}
 
 
 @pytest.fixture(scope="session")
@@ -68,10 +86,13 @@ class TestConfigResolution:
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"seed": 9, "training": {"epochs": 7}}))
+        # an int passes where the default is a float
+        p.write_text(json.dumps({"seed": 9, "training": {
+            "epochs": 7, "learning_rate": 1}}))
         cfg = resolve_config(p)
         assert cfg.seed == 9
         assert cfg.training["epochs"] == 7
+        assert cfg.training["learning_rate"] == 1
         assert cfg.training["batch_size"] == \
             CONFIG_DEFAULTS["training"]["batch_size"]
 
@@ -101,12 +122,37 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("payload", [{"schema": "mel"},
                                          {"decimals": -1},
-                                         {"decimals": 13}])
+                                         {"decimals": 13},
+                                         {"seed": True},
+                                         {"training": {"learning_rate":
+                                                       False}},
+                                         {"workdir": 5}])
     def test_value_guards(self, tmp_path, payload):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             resolve_config(p)
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("select", {"selection": {"folds": 0}}),
+        ("select", {"selection": {"folds": 1}}),
+        ("select", {"selection": {"k_grid": []}}),
+        ("select", {"selection": {"k_grid": [0]}}),
+        ("select", {"selection": {"folds": 2.5}}),
+        ("select", {"selection": {"k_grid": 3}}),
+        ("train", {"training": {"epochs": "5"}}),
+        ("train", {"split": {"test_fraction": "0.2"}}),
+    ], ids=["folds-0", "folds-1", "k_grid-empty", "k_grid-0", "folds-float",
+            "k_grid-int", "epochs-string", "test_fraction-string"])
+    def test_bad_value_exits_config_and_writes_nothing(
+            self, pipeline, tmp_path, capsys, command, overrides):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        before = snapshot(clone)
+        config = write_config(tmp_path / "c.json", clone, **overrides)
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert snapshot(clone) == before
 
     def test_workdir_priority(self, tmp_path, monkeypatch):
         p = tmp_path / "c.json"
@@ -220,6 +266,11 @@ class TestExtract:
                      str(tmp_path / "empty")]) == EXIT_IO
 
 
+def _edit_first_row(text: str, edit) -> str:
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, edit(first), rest])
+
+
 class TestSelect:
     def test_artifacts(self, pipeline):
         workdir, _ = pipeline
@@ -240,6 +291,24 @@ class TestSelect:
         assert main(["synth", "--config", str(config)]) == EXIT_OK
         assert main(["extract", "--config", str(config)]) == EXIT_OK
         assert main(["select", "--config", str(config)]) == EXIT_DATA
+
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],
+        lambda text: _edit_first_row(text, lambda row: row + ",0.5"),
+        lambda text: _edit_first_row(text,
+                                     lambda row: "nan" + row[row.index(","):]),
+    ], ids=["truncated", "ragged-row", "nan-cell"])
+    def test_damaged_features_exit_io(self, pipeline, tmp_path, capsys,
+                                      damage):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        table = clone / "features.csv"
+        table.write_text(damage(table.read_text()))
+        assert main(["select", "--workdir", str(clone)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (clone / "weights.csv").exists()
+        assert not (clone / "selection.json").exists()
 
 
 class TestTrain:
@@ -307,6 +376,21 @@ class TestEval:
     def test_missing_model(self, tmp_path):
         assert main(["eval", "--workdir",
                      str(tmp_path / "empty")]) == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [["eval"], ["predict", "--row", "F001"]],
+                             ids=["eval", "predict"])
+    def test_non_finite_prediction_exits_diverged(self, pipeline, tmp_path,
+                                                  capsys, argv):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
+        enc, params = load_params(clone / "model" / "params.bin")
+        params["sbp_bias"] = np.full(1, np.nan)
+        save_params(clone / "model" / "params.bin", enc, params)
+        assert main(argv + ["--workdir", str(clone)]) == EXIT_DIVERGED
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert not (clone / "metrics.json").exists()
 
     def test_encoder_runs_once_over_test_set(self, pipeline, monkeypatch):
         workdir, config = pipeline
@@ -386,11 +470,7 @@ class TestPredict:
 
     def test_schema_mismatch(self, pipeline, tmp_path):
         workdir, _ = pipeline
-        clone = tmp_path / "w"
-        clone.mkdir()
-        for name in ("manifest.csv", "features.csv", "features.json"):
-            shutil.copy(workdir / name, clone / name)
-        shutil.copytree(workdir / "model", clone / "model")
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
         pipe_path = clone / "model" / "pipeline.json"
         pipe = json.loads(pipe_path.read_text())
         pipe["kept_features"].append("pitch_hz")
@@ -437,11 +517,7 @@ class TestDamagedModel:
             "pipeline-not-object", "vocab-not-object"])
     def test_exits_io(self, pipeline, tmp_path, capsys, name, damage):
         workdir, _ = pipeline
-        clone = tmp_path / "w"
-        clone.mkdir()
-        for artifact in ("manifest.csv", "features.csv", "features.json"):
-            shutil.copy(workdir / artifact, clone / artifact)
-        shutil.copytree(workdir / "model", clone / "model")
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
         target = clone / "model" / name
         target.write_bytes(damage(target.read_bytes()))
         assert main(["predict", "--workdir", str(clone), "--row",
@@ -480,10 +556,7 @@ class TestReport:
 
     def test_without_loss_curve(self, pipeline, tmp_path):
         workdir, _ = pipeline
-        clone = tmp_path / "w"
-        clone.mkdir()
-        for name in ("manifest.csv", "features.csv", "features.json"):
-            shutil.copy(workdir / name, clone / name)
+        clone = clone_inputs(workdir, tmp_path / "w")
         assert main(["report", "--workdir", str(clone)]) == EXIT_OK
         assert (clone / "correlation.csv").exists()
         assert not (clone / "loss_curve.svg").exists()

@@ -1,15 +1,17 @@
-"""Tests for ReliefF weights, pruning policies, and cross-validated selection."""
+"""Tests for ReliefF weights, the keep rule, and cross-validated selection."""
 
 import csv
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from speechbp.relieff import (AllFeaturesDropped, ClassTooSmall,
-                              EmptyFeatureSet, FeatureWeights,
+from speechbp.relieff import (ClassTooSmall, EmptyFeatureSet,
+                              FeatureWeights, _fold_assignment,
+                              _nearest_neighbor_accuracy, _relieff_pass,
                               cross_validated_selection, relieff_weights,
                               select_features, write_selection_manifest,
                               write_weights_report)
@@ -108,11 +110,34 @@ class TestWeights:
             w = relieff_weights(X, y, k=3).weights
             assert np.all(np.abs(w) <= 1.0 + 1e-12)
 
-    def test_partial_iteration_count(self):
-        rng = np.random.default_rng(1)
-        w = relieff_weights(rng.normal(size=(20, 2)), np.array([0, 1] * 10),
-                            k=2, m=5)
-        assert w.n_iterations == 5
+    def test_grid_pass_equals_single_k(self):
+        # one neighbor order serves every k: each row of the grid pass is
+        # bit for bit the lone fit at that k
+        ks = (1, 2, 3, 5)
+        for trial in range(5):
+            rng = np.random.default_rng(50 + trial)
+            n = int(rng.integers(20, 80))
+            X = rng.normal(size=(n, int(rng.integers(1, 9))))
+            X[:, 0] = np.round(X[:, 0])  # distance ties
+            y = balanced_labels(rng, n, min_per_class=6)
+            grid = _relieff_pass(X, y, ks)
+            for k, row in zip(ks, grid):
+                np.testing.assert_array_equal(
+                    row, relieff_weights(X, y, k=k).weights)
+
+    def test_memory_bounded(self):
+        # one n x d block of diffs at a time; an n x n x d array would be
+        # 544 MB here
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(2000, 17))
+        y = balanced_labels(rng, 2000)
+        tracemalloc.start()
+        try:
+            relieff_weights(X, y, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_custom_names(self):
         y = np.array([0, 1] * 5)
@@ -136,38 +161,28 @@ class TestWeights:
 
 def weights_fixture():
     return FeatureWeights(names=("a", "b", "c"),
-                          weights=np.array([0.5, -0.2, 0.0]),
-                          k_neighbors=3, n_iterations=10)
+                          weights=np.array([0.5, -0.2, 0.0]))
 
 
 class TestSelection:
     def test_drop_nonpositive(self):
-        assert select_features(weights_fixture(), "drop_nonpositive") == ["a"]
+        assert select_features(weights_fixture()) == ["a"]
 
-    def test_top_k(self):
-        assert select_features(weights_fixture(), ("top_k", 2)) == ["a", "c"]
-
-    def test_top_k_tie_keeps_earlier_feature(self):
+    def test_tie_keeps_earlier_feature(self):
         w = FeatureWeights(names=("a", "b", "c"),
-                           weights=np.array([0.3, 0.5, 0.5]),
-                           k_neighbors=1, n_iterations=1)
-        assert select_features(w, ("top_k", 2)) == ["b", "c"]
+                           weights=np.array([0.3, 0.5, 0.5]))
+        assert select_features(w) == ["b", "c", "a"]
 
     def test_descending_order(self):
         w = FeatureWeights(names=("a", "b", "c"),
-                           weights=np.array([0.1, 0.9, 0.5]),
-                           k_neighbors=1, n_iterations=1)
-        assert select_features(w, "drop_nonpositive") == ["b", "c", "a"]
+                           weights=np.array([0.1, 0.9, 0.5]))
+        assert select_features(w) == ["b", "c", "a"]
 
     def test_all_dropped(self):
-        w = FeatureWeights(names=("a",), weights=np.array([-0.4]),
-                           k_neighbors=1, n_iterations=1)
-        with pytest.raises(AllFeaturesDropped):
-            select_features(w, "drop_nonpositive")
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            select_features(weights_fixture(), "keep_everything")
+        # no positive weight: the single best feature stays, never none
+        w = FeatureWeights(names=("a", "b", "c"),
+                           weights=np.array([-0.4, 0.0, -0.1]))
+        assert select_features(w) == ["b"]
 
     def test_informative_feature_ranked_first(self):
         firsts = 0
@@ -178,7 +193,7 @@ class TestSelection:
                                  rng.normal(size=40), rng.normal(size=40),
                                  rng.normal(size=40)])
             w = relieff_weights(X, y, k=3)
-            firsts += select_features(w, ("top_k", 1))[0] == "f0"
+            firsts += select_features(w)[0] == "f0"
         assert firsts >= 95
 
 
@@ -217,6 +232,39 @@ class TestCrossValidation:
         res = cross_validated_selection(X, y, folds=10, k_grid=(3, 5, 50),
                                         seed=1)
         assert res.chosen_k in (3, 5)
+
+    def test_matches_refit_per_k_and_fold(self):
+        # the fold loop as one ReliefF fit per (k, fold) pair, skipping a k
+        # that some training part's smallest class cannot serve
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            y = balanced_labels(rng, 60, min_per_class=12)
+            X = np.column_stack([y + rng.normal(0, 0.7, 60),
+                                 rng.normal(size=(60, 4))])
+            fold_of = _fold_assignment(y, 5, seed)
+            smallest = min(np.bincount(y[fold_of != f]).min()
+                           for f in range(5))
+            grid = (40, int(smallest), int(smallest) - 1, 5, 2, 1)
+            per_k = {}
+            for k in sorted(set(grid)):
+                try:
+                    fits = [relieff_weights(X[fold_of != f], y[fold_of != f],
+                                            k=k) for f in range(5)]
+                except ClassTooSmall:
+                    continue
+                per_k[k] = []
+                for f, w in enumerate(fits):
+                    tr, te = fold_of != f, fold_of == f
+                    cols = [int(name[1:]) for name in select_features(w)]
+                    per_k[k].append(_nearest_neighbor_accuracy(
+                        X[tr][:, cols], y[tr], X[te][:, cols], y[te]))
+            want = min(per_k, key=lambda k: (-float(np.mean(per_k[k])), k))
+            res = cross_validated_selection(X, y, folds=5, k_grid=grid,
+                                            seed=seed)
+            assert res.chosen_k == want
+            assert res.fold_accuracies == tuple(per_k[want])
+            np.testing.assert_array_equal(
+                res.weights.weights, relieff_weights(X, y, k=want).weights)
 
     def test_small_class_rejected(self):
         y = np.array([0] * 9 + [1] * 20)
