@@ -19,17 +19,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import (InvalidFrequency, MalformedRiff, TruncatedData,
                        UnsupportedEncoding, load_wav)
-from .dataset import (ConstantColumn, DBP_RANGE, SBP_RANGE, Scaler,
-                      TooFewExamples, apply_scaler, build_examples,
-                      correlation_matrix, fit_scaler, label_hypertension,
-                      read_manifest, scaler_from_dict, scaler_to_dict, split,
+from .dataset import (Scaler, TooFewExamples, apply_scaler, build_examples,
+                      correlation_matrix, fit_scaler, read_manifest,
+                      scaler_from_dict, scaler_to_dict, split,
                       synthesize_cohort, write_manifest)
 from .dsp import ClipTooShort
 from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
@@ -38,15 +37,16 @@ from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
                        write_features_csv)
 from .model import (ChecksumMismatch, EncoderConfig, VersionMismatch,
                     init_params, load_params, save_params)
-from .relieff import (ClassTooSmall, cross_validated_selection,
-                      write_selection_manifest, write_weights_report)
-from .textcodec import (build_vocabulary, load_vocabulary, save_vocabulary,
+from .relieff import (DEFAULT_FOLDS, DEFAULT_K_GRID, ClassTooSmall,
+                      cross_validated_selection, write_selection_manifest,
+                      write_weights_report)
+from .textcodec import (DEFAULT_DECIMALS, build_vocabulary,
                         serialize_features, tokenize)
 from .training import (LabeledSequence, TrainConfig, TrainingDiverged,
-                       confusion_matrix, evaluate, predict_pressures,
-                       read_history_csv, train, validation_split,
-                       write_confusion_json, write_history_csv,
-                       write_metrics_json)
+                       confusion_matrix, evaluate, label_prediction,
+                       predict_pressures, read_history_csv, train,
+                       validation_split, write_confusion_json,
+                       write_history_csv, write_metrics_json)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -59,20 +59,25 @@ EXIT_DEGENERATE = 6
 WORKDIR_ENV = "BP_WORKDIR"
 DEFAULT_WORKDIR = "runs"
 
+
+def _field_defaults(cls) -> dict:
+    """A config dataclass's field defaults, less the fields the pipeline
+    fills in itself."""
+    return {f.name: f.default for f in fields(cls)
+            if f.name not in ("vocab_size", "seed", "target_scaler")}
+
+
 # every key is optional in the JSON file; unknown keys are rejected
 CONFIG_DEFAULTS = {
     "workdir": None,
     "seed": 0,
     "schema": BASE_SCHEMA,
-    "decimals": 2,
+    "decimals": DEFAULT_DECIMALS,
     "cohort": {"n_female": 45, "n_male": 50},
-    "selection": {"folds": 10, "k_grid": [3, 5, 10]},
+    "selection": {"folds": DEFAULT_FOLDS, "k_grid": list(DEFAULT_K_GRID)},
     "split": {"test_fraction": 0.2, "val_fraction": 0.1},
-    "encoder": {"hidden_dim": 64, "n_layers": 2, "n_heads": 4,
-                "ff_dim": 256, "max_len": 512, "dropout_p": 0.1,
-                "layernorm_epsilon": 1e-5},
-    "training": {"epochs": 50, "batch_size": 32, "learning_rate": 2e-5,
-                 "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},
+    "encoder": _field_defaults(EncoderConfig),
+    "training": _field_defaults(TrainConfig),
 }
 
 
@@ -131,10 +136,6 @@ class PipelineConfig:
     @property
     def pipeline_path(self) -> Path:
         return self.model_dir / "pipeline.json"
-
-    @property
-    def vocab_path(self) -> Path:
-        return self.model_dir / "vocab.json"
 
     @property
     def loss_curve_csv(self) -> Path:
@@ -250,68 +251,73 @@ def _read_examples(cfg: PipelineConfig):
     return build_examples(have, vectors), tuple(names), fman
 
 
-def _project(examples, kept):
-    """Restrict every example's features to the kept columns, kept order."""
-    names = examples[0].features.names
+def _kept_columns(names, X, kept) -> np.ndarray:
+    """The columns of the feature rows X (named by `names`) that the model
+    keeps, in kept order."""
     missing = [k for k in kept if k not in names]
     if missing:
-        raise SchemaMismatch(f"features {missing} expected by the model are "
-                             f"absent from schema {names}")
-    cols = [names.index(k) for k in kept]
-    out = []
-    for ex in examples:
-        vec = FeatureVector(names=tuple(kept),
-                            values=ex.features.values[cols],
-                            n_segments=ex.features.n_segments,
-                            schema_id=ex.features.schema_id)
-        out.append(replace(ex, features=vec))
-    return out
+        raise SchemaMismatch(f"input features lack {missing}")
+    # take, not X[:, cols]: the result stays row-major, so column means sum
+    # in the same order as over the full table
+    return X.take([names.index(k) for k in kept], axis=1)
 
 
-def _sequencize(examples, feature_scaler, vocab, max_len, decimals):
-    """Scaled, serialized, tokenized sequences with their mmHg targets."""
-    M = np.array([ex.features.values for ex in examples], dtype=np.float64)
-    Z = apply_scaler(feature_scaler, M)
-    out = []
-    for ex, zrow in zip(examples, Z):
-        vec = FeatureVector(names=ex.features.names, values=zrow,
-                            n_segments=ex.features.n_segments,
-                            schema_id=ex.features.schema_id)
-        seq = tokenize(serialize_features(vec, decimals), vocab, max_len)
-        out.append(LabeledSequence(ex.participant_id, seq,
-                                   ex.sbp_target, ex.dbp_target))
-    return out
+def _encode(names, X, kept, feature_scaler, decimals, max_len) -> list:
+    """Model input for feature rows: the kept columns, scaled as one
+    matrix, rendered as "name value" text and tokenized."""
+    vocab = build_vocabulary(kept)
+    Z = apply_scaler(feature_scaler, _kept_columns(names, X, kept))
+    return [tokenize(serialize_features(
+                FeatureVector(names=kept, values=z, n_segments=0,
+                              schema_id=""), decimals), vocab, max_len)
+            for z in Z]
 
 
 @dataclass(frozen=True)
 class ModelBundle:
     enc: EncoderConfig
     params: dict
-    vocab: object
     kept: tuple
     decimals: int
     feature_scaler: Scaler
     target_scaler: Scaler
-    pipeline: dict
+    schema_id: str
+    test_ids: tuple
 
 
 def _load_model(cfg: PipelineConfig) -> ModelBundle:
+    """The weight file and pipeline.json, checked against each other.
+
+    The vocabulary is not stored: it follows from the kept features and
+    must have the size the weights were trained with.  Any damage raises
+    MalformedArtifact (or the weight file's checksum or version error).
+    """
     pipe = json.loads(cfg.pipeline_path.read_text())
-    if not isinstance(pipe, dict):
-        raise MalformedArtifact(
-            f"{cfg.pipeline_path}: pipeline is not a JSON object")
     enc, params = load_params(cfg.params_path)
-    vocab = load_vocabulary(cfg.vocab_path)
-    return ModelBundle(
-        enc=enc, params=params, vocab=vocab,
-        kept=tuple(pipe["kept_features"]), decimals=int(pipe["decimals"]),
-        feature_scaler=scaler_from_dict(pipe["feature_scaler"]),
-        target_scaler=scaler_from_dict(pipe["target_scaler"]),
-        pipeline=pipe)
-
-
-def _clip_range(value: float, bounds) -> float:
-    return float(min(max(value, bounds[0]), bounds[1]))
+    try:
+        kept = tuple(pipe["kept_features"])
+        model = ModelBundle(
+            enc=enc, params=params, kept=kept,
+            decimals=int(pipe["decimals"]),
+            feature_scaler=scaler_from_dict(pipe["feature_scaler"]),
+            target_scaler=scaler_from_dict(pipe["target_scaler"]),
+            schema_id=pipe["schema_id"], test_ids=tuple(pipe["split"]["test"]))
+        vocab_size = len(build_vocabulary(kept))
+    except (KeyError, TypeError, ValueError) as err:
+        raise MalformedArtifact(f"{cfg.pipeline_path}: not a model pipeline "
+                                f"({type(err).__name__}: {err})") from None
+    if vocab_size != enc.vocab_size:
+        raise MalformedArtifact(
+            f"{cfg.pipeline_path}: the kept features make a vocabulary of "
+            f"{vocab_size}, the weights expect {enc.vocab_size}")
+    for what, scaler, size in (("feature", model.feature_scaler, len(kept)),
+                               ("target", model.target_scaler, 2)):
+        if scaler.center.shape != (size,) or scaler.scale.shape != (size,):
+            raise MalformedArtifact(
+                f"{cfg.pipeline_path}: {what} scaler holds "
+                f"{scaler.center.shape} centers and {scaler.scale.shape} "
+                f"scales, expected {size} each")
+    return model
 
 
 # --- subcommands ------------------------------------------------------------
@@ -363,23 +369,25 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    examples, _, fman = _read_examples(cfg)
+    examples, names, fman = _read_examples(cfg)
     selection = json.loads(cfg.selection_json.read_text())
     kept = tuple(selection["kept"])
-    reduced = _project(examples, kept)
 
-    train_ex, test_ex = split(reduced, cfg.split["test_fraction"], cfg.seed)
-    feature_scaler = fit_scaler(
-        np.array([ex.features.values for ex in train_ex]), "standard",
-        on_constant="center")
+    train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
+    X = np.array([ex.features.values for ex in train_ex])
+    feature_scaler = fit_scaler(_kept_columns(names, X, kept), "standard",
+                                on_constant="center")
     target_scaler = fit_scaler(
         np.array([[ex.sbp_target, ex.dbp_target] for ex in train_ex]),
-        "standard")
+        "standard", names=("SBP", "DBP"))
 
-    vocab = build_vocabulary(kept)
-    enc = EncoderConfig(vocab_size=len(vocab), seed=cfg.seed, **cfg.encoder)
-    sequences = _sequencize(train_ex, feature_scaler, vocab, enc.max_len,
-                            cfg.decimals)
+    enc = EncoderConfig(vocab_size=len(build_vocabulary(kept)),
+                        seed=cfg.seed, **cfg.encoder)
+    sequences = [LabeledSequence(ex.participant_id, seq, ex.sbp_target,
+                                 ex.dbp_target)
+                 for ex, seq in zip(train_ex, _encode(
+                     names, X, kept, feature_scaler, cfg.decimals,
+                     enc.max_len))]
     train_part, val_part = validation_split(sequences, cfg.seed,
                                             cfg.split["val_fraction"])
     train_cfg = TrainConfig(seed=cfg.seed, target_scaler=target_scaler,
@@ -389,7 +397,6 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
     cfg.model_dir.mkdir(parents=True, exist_ok=True)
     save_params(cfg.params_path, enc, params)
-    save_vocabulary(cfg.vocab_path, vocab)
     pipeline = {
         "schema_id": fman["schema_id"],
         "decimals": cfg.decimals,
@@ -414,24 +421,25 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 def cmd_eval(cfg: PipelineConfig) -> int:
     model = _load_model(cfg)
-    examples, _, _ = _read_examples(cfg)
-    reduced = _project(examples, model.kept)
-    by_id = {ex.participant_id: ex for ex in reduced}
-    test_ids = model.pipeline["split"]["test"]
-    missing = [i for i in test_ids if i not in by_id]
+    examples, names, _ = _read_examples(cfg)
+    by_id = {ex.participant_id: ex for ex in examples}
+    missing = [i for i in model.test_ids if i not in by_id]
     if missing:
         raise TooFewExamples(f"test participants {missing} have no features")
-    test_ex = [by_id[i] for i in test_ids]
-    sequences = _sequencize(test_ex, model.feature_scaler, model.vocab,
-                            model.enc.max_len, model.decimals)
+    test_ex = [by_id[i] for i in model.test_ids]
+    seqs = _encode(names, np.array([ex.features.values for ex in test_ex]),
+                   model.kept, model.feature_scaler, model.decimals,
+                   model.enc.max_len)
 
-    preds = predict_pressures(model.enc, model.params,
-                              [s.sequence for s in sequences],
+    preds = predict_pressures(model.enc, model.params, seqs,
                               model.target_scaler)
-    metrics = evaluate(model.enc, model.params, sequences,
+    metrics = evaluate(model.enc, model.params,
+                       [LabeledSequence(ex.participant_id, seq, ex.sbp_target,
+                                        ex.dbp_target)
+                        for ex, seq in zip(test_ex, seqs)],
                        model.target_scaler, preds=preds)
-    truth = [label_hypertension(s.sbp, s.dbp) for s in sequences]
-    counts = confusion_matrix(preds[:, 0], preds[:, 1], truth)
+    counts = confusion_matrix(preds[:, 0], preds[:, 1],
+                              [ex.hypertension for ex in test_ex])
     write_metrics_json(cfg.metrics_path, metrics)
     write_confusion_json(cfg.confusion_path, counts)
     print(f"test n={metrics.n}  SBP mae {metrics.sbp_mae:.2f} "
@@ -446,34 +454,23 @@ def cmd_predict(cfg: PipelineConfig, wav=None, row=None) -> int:
     model = _load_model(cfg)
 
     if wav is not None:
-        vector = extract_recording([load_wav(wav)],
-                                   model.pipeline["schema_id"])
+        vector = extract_recording([load_wav(wav)], model.schema_id)
         source = str(wav)
     else:
         examples, _, _ = _read_examples(cfg)
-        match = [ex for ex in examples if ex.participant_id == row]
+        match = [ex.features for ex in examples if ex.participant_id == row]
         if not match:
             raise ConfigError(f"participant {row!r} has no features row")
-        vector = match[0].features
+        vector = match[0]
         source = str(row)
 
-    names = vector.names
-    missing = [k for k in model.kept if k not in names]
-    if missing:
-        raise SchemaMismatch(f"input features lack {missing}")
-    cols = [names.index(k) for k in model.kept]
-    values = apply_scaler(model.feature_scaler, vector.values[cols])[0]
-    vec = FeatureVector(names=model.kept, values=values,
-                        n_segments=vector.n_segments,
-                        schema_id=vector.schema_id)
-    seq = tokenize(serialize_features(vec, model.decimals), model.vocab,
-                   model.enc.max_len)
-    sbp, dbp = predict_pressures(model.enc, model.params, [seq],
+    seqs = _encode(vector.names, vector.values[None], model.kept,
+                   model.feature_scaler, model.decimals, model.enc.max_len)
+    sbp, dbp = predict_pressures(model.enc, model.params, seqs,
                                  model.target_scaler)[0]
-    label = label_hypertension(_clip_range(sbp, SBP_RANGE),
-                               _clip_range(dbp, DBP_RANGE))
     print(json.dumps({"input": source, "sbp_mmhg": float(sbp),
-                      "dbp_mmhg": float(dbp), "hypertensive": label}))
+                      "dbp_mmhg": float(dbp),
+                      "hypertensive": label_prediction(sbp, dbp)}))
     return EXIT_OK
 
 
@@ -671,13 +668,12 @@ def main(argv=None) -> int:
         return cmd_report(cfg)
     except TrainingDiverged as err:
         return _fail(EXIT_DIVERGED, err)
-    except (ClassTooSmall, TooFewExamples, ZeroVariance,
-            ConstantColumn) as err:
+    except (ClassTooSmall, TooFewExamples, ZeroVariance) as err:
         return _fail(EXIT_DATA, err)
     except (NoSegments, ClipTooShort) as err:
         return _fail(EXIT_DEGENERATE, err)
-    # a malformed WAV or a damaged artifact (params.bin header, version or
-    # checksum; a JSON file that no longer parses or is not an object; a
+    # a malformed WAV or a damaged artifact (a model file that does not
+    # parse, fails its checks or disagrees with the other; a manifest or
     # features table that is ragged or holds a non-number) is file trouble,
     # checked before the ValueError catch-all below
     except (MalformedRiff, UnsupportedEncoding, TruncatedData,

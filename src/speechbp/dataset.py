@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import synthesize_speech, write_wav
-from .features import FeatureVector
+from .features import FeatureVector, MalformedArtifact, ZeroVariance
 
 SBP_RANGE = (60.0, 260.0)
 DBP_RANGE = (30.0, 160.0)
@@ -73,12 +73,11 @@ class InvalidProfile(ValueError):
     pass
 
 
-class ConstantColumn(ValueError):
-    pass
-
-
-class DegenerateFeature(ValueError):
-    pass
+def _reject_constant(stds: np.ndarray, names) -> None:
+    flat = np.flatnonzero(stds == 0.0)
+    if flat.size:
+        raise ZeroVariance("constant column "
+                           + ", ".join(str(names[i]) for i in flat))
 
 
 def _check_bp(value: float, lo: float, hi: float, what: str) -> None:
@@ -167,7 +166,10 @@ class Scaler:
     scale: np.ndarray   # per-feature std; 0 flags a constant column
 
 
-def fit_scaler(train_features, kind: str, on_constant: str = "reject") -> Scaler:
+def fit_scaler(train_features, kind: str, on_constant: str = "reject",
+               names=None) -> Scaler:
+    """Per-column mean and std.  A constant column raises ZeroVariance,
+    named from `names` (else by index), unless on_constant is "center"."""
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-d matrix with at least 2 training rows")
@@ -175,9 +177,8 @@ def fit_scaler(train_features, kind: str, on_constant: str = "reject") -> Scaler
         raise ValueError(f"unknown scaler kind {kind!r}")
     center = X.mean(axis=0)
     scale = X.std(axis=0)
-    if on_constant == "reject" and np.any(scale == 0.0):
-        flat = [int(i) for i in np.flatnonzero(scale == 0.0)]
-        raise DegenerateFeature(f"constant feature columns {flat}")
+    if on_constant == "reject":
+        _reject_constant(scale, range(X.shape[1]) if names is None else names)
     return Scaler(kind=kind, center=center, scale=scale)
 
 
@@ -382,11 +383,15 @@ def write_manifest(path, records: Sequence[ParticipantRecord]) -> None:
 def read_manifest(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != MANIFEST_COLUMNS:
             raise ValueError(f"unexpected manifest header {header}")
         records = []
         for row in reader:
+            if len(row) != len(header):
+                raise MalformedArtifact(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"the header {len(header)}")
             (pid, sex, age, sbp_i, sbp_f, dbp_i, dbp_f, hr, wavs) = row
             records.append(ParticipantRecord(
                 id=pid, sex=sex, age=int(age),
@@ -414,9 +419,7 @@ def correlation_matrix(columns: dict):
     if X.shape[0] < 3:
         raise ValueError("need at least 3 rows")
     stds = X.std(axis=0)
-    flat = np.flatnonzero(stds == 0.0)
-    if flat.size:
-        raise ConstantColumn(", ".join(names[i] for i in flat))
+    _reject_constant(stds, names)
     Z = (X - X.mean(axis=0)) / stds
     r = (Z.T @ Z) / X.shape[0]
     r = (r + r.T) / 2.0

@@ -56,9 +56,10 @@ class ZeroVariance(ValueError):
 
 
 class MalformedArtifact(ValueError):
-    """A damaged artifact: a features table whose rows are ragged, hold a
-    cell that is no finite number or disagree with its manifest, or a JSON
-    model file whose top level is not an object."""
+    """A damaged artifact: a manifest or features table whose rows are
+    ragged, a features table with a cell that is no finite number or that
+    disagrees with its manifest, or model files that do not describe a
+    model or disagree with each other."""
 
 
 class NoSegments(ValueError):

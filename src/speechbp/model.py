@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .features import MalformedArtifact
 from .textcodec import TokenSequence
 
 FORMAT_VERSION = 1
@@ -57,8 +58,9 @@ class ChecksumMismatch(ValueError):
     pass
 
 
-class ShapeMismatch(ValueError):
-    pass
+class ShapeMismatch(MalformedArtifact):
+    """Arrays whose layout disagrees: a weight file's index against its
+    config, or gradients against parameters."""
 
 
 @dataclass(frozen=True)
@@ -431,40 +433,44 @@ def load_params(path):
     if len(raw) < 8 + header_len:
         raise ChecksumMismatch("truncated header")
     header = json.loads(raw[8:8 + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise MalformedArtifact(f"{path}: header is not a JSON object")
 
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"container version {header.get('format_version')!r}, "
             f"expected {FORMAT_VERSION}")
 
-    config = EncoderConfig(**header["config"])
+    try:
+        config = EncoderConfig(**header["config"])
+        index = [(e["name"], tuple(e["shape"]), e["offset"], e["nbytes"])
+                 for e in header["arrays"]]
+        payload_bytes, digest = header["payload_bytes"], header["sha256"]
+    except (KeyError, TypeError, InvalidConfig) as err:
+        raise MalformedArtifact(
+            f"{path}: header does not describe a weight file "
+            f"({type(err).__name__}: {err})") from None
     expected = param_shapes(config)
-    index = header["arrays"]
-    if [e["name"] for e in index] != list(expected):
+    if [name for name, *_ in index] != list(expected):
         raise ShapeMismatch("array index does not match the config layout")
     offset = 0
-    for entry in index:
-        shape = tuple(entry["shape"])
-        if shape != expected[entry["name"]]:
-            raise ShapeMismatch(
-                f"{entry['name']}: header shape {shape}, "
-                f"config expects {expected[entry['name']]}")
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
-        if entry["offset"] != offset or entry["nbytes"] != nbytes:
-            raise ShapeMismatch(f"{entry['name']}: inconsistent extent")
+    for name, shape, start, nbytes in index:
+        if shape != expected[name]:
+            raise ShapeMismatch(f"{name}: header shape {shape}, "
+                                f"config expects {expected[name]}")
+        if start != offset or nbytes != 8 * int(np.prod(shape)):
+            raise ShapeMismatch(f"{name}: inconsistent extent")
         offset += nbytes
 
     payload = raw[8 + header_len:]
-    if len(payload) != header["payload_bytes"] or offset != len(payload):
+    if len(payload) != payload_bytes or offset != len(payload):
         raise ChecksumMismatch("payload length does not match header")
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+    if hashlib.sha256(payload).hexdigest() != digest:
         raise ChecksumMismatch("payload checksum mismatch")
 
     params = {}
-    for entry in index:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count,
-                            offset=entry["offset"])
-        params[entry["name"]] = arr.reshape(shape).astype(np.float64)
+    for name, shape, start, nbytes in index:
+        arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8,
+                            offset=start)
+        params[name] = arr.reshape(shape).astype(np.float64)
     return config, params

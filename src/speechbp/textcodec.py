@@ -2,19 +2,18 @@
 
 Feature vectors become "name value" word pairs; names tokenize as single
 symbols and numbers split into per-character digit tokens, so the whole
-vocabulary stays a few dozen entries and needs no external files.
+vocabulary stays a few dozen entries and follows from the feature names
+alone: a trained model stores its kept names, never a vocabulary file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureVector, MalformedArtifact
+from .features import FeatureVector
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
@@ -54,25 +53,6 @@ def build_vocabulary(feature_names: Sequence[str]) -> Vocabulary:
             seen.add(token)
     return Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)},
                       id_to_token=tuple(tokens))
-
-
-def save_vocabulary(path, vocab: Vocabulary) -> None:
-    Path(path).write_text(
-        json.dumps(vocab.token_to_id, indent=2, sort_keys=True) + "\n")
-
-
-def load_vocabulary(path) -> Vocabulary:
-    mapping = json.loads(Path(path).read_text())
-    if not isinstance(mapping, dict):
-        raise MalformedArtifact(f"{path}: vocabulary is not a JSON object")
-    ids = sorted(mapping.values())
-    if ids != list(range(len(mapping))):
-        raise ValueError("vocabulary ids must be dense from 0")
-    ordered = sorted(mapping, key=mapping.get)
-    for token, want in zip(SPECIALS, range(4)):
-        if mapping.get(token) != want:
-            raise ValueError(f"special token {token} must have id {want}")
-    return Vocabulary(token_to_id=dict(mapping), id_to_token=tuple(ordered))
 
 
 @dataclass(frozen=True)

@@ -302,24 +302,29 @@ def predict_pressures(enc_config, params, sequences, target_scaler):
 
 # --- classification view ----------------------------------------------------
 
-def confusion_matrix(pred_sbp, pred_dbp, true_class) -> dict:
-    """2x2 counts with hypertensive as the positive class.
+def label_prediction(sbp: float, dbp: float) -> int:
+    """Hypertension label of a predicted pressure pair.
 
     Raw model output can wander outside physiologic bounds early in
     training; predictions are clipped into the valid ranges first.  Both
     thresholds sit strictly inside their ranges, so clipping never moves a
     prediction across a class boundary.
     """
+    return label_hypertension(float(np.clip(sbp, *SBP_RANGE)),
+                              float(np.clip(dbp, *DBP_RANGE)))
+
+
+def confusion_matrix(pred_sbp, pred_dbp, true_class) -> dict:
+    """2x2 counts with hypertensive as the positive class, predictions
+    labeled by `label_prediction`."""
     ps = np.asarray(pred_sbp, dtype=np.float64).ravel()
     pd = np.asarray(pred_dbp, dtype=np.float64).ravel()
     tc = np.asarray(true_class).ravel()
     if not ps.shape == pd.shape == tc.shape:
         raise LengthMismatch("prediction and label lengths differ")
-    ps = np.clip(ps, *SBP_RANGE)
-    pd = np.clip(pd, *DBP_RANGE)
     counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     for s, d, t in zip(ps, pd, tc):
-        predicted = label_hypertension(float(s), float(d))
+        predicted = label_prediction(s, d)
         truth = int(t)
         if predicted and truth:
             counts["tp"] += 1

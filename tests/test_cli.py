@@ -6,7 +6,9 @@ own throwaway working directories.
 """
 
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -14,10 +16,13 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speechbp import training
 from speechbp.audio_io import write_wav
@@ -25,7 +30,7 @@ from speechbp.cli import (CONFIG_DEFAULTS, ConfigError, EXIT_CONFIG,
                           EXIT_DATA, EXIT_DEGENERATE, EXIT_DIVERGED,
                           EXIT_IO, EXIT_OK, EXIT_PARTIAL, main,
                           resolve_config)
-from speechbp.dataset import label_hypertension
+from speechbp.dataset import label_hypertension, read_manifest, write_manifest
 from speechbp.features import BASE_NAMES
 from speechbp.model import load_params, save_params
 
@@ -164,6 +169,12 @@ class TestConfigResolution:
         assert resolve_config(None).workdir == Path("from_env")
         monkeypatch.delenv("BP_WORKDIR")
         assert resolve_config(None).workdir == Path("runs")
+
+    def test_readme_default_tree(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("complete default tree:", 1)[1]
+        block = block.split("```json", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == CONFIG_DEFAULTS
 
     def test_seed_override(self, tmp_path):
         p = tmp_path / "c.json"
@@ -318,7 +329,9 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss"]
         assert len(rows) - 1 == TRAINING["epochs"]
-        assert (workdir / "model" / "params.bin").exists()
+        # the vocabulary is derived from kept_features, never stored
+        assert sorted(p.name for p in (workdir / "model").iterdir()) == [
+            "params.bin", "pipeline.json"]
         pipe = json.loads((workdir / "model" / "pipeline.json").read_text())
         kept = json.loads((workdir / "selection.json").read_text())["kept"]
         assert pipe["kept_features"] == kept
@@ -468,15 +481,23 @@ class TestPredict:
         assert main(["predict", "--config", str(config), "--row",
                      "Z999"]) == EXIT_CONFIG
 
-    def test_schema_mismatch(self, pipeline, tmp_path):
+    def test_schema_mismatch(self, pipeline, tmp_path, capsys):
+        # the feature table lacks a column the model keeps
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
-        pipe_path = clone / "model" / "pipeline.json"
-        pipe = json.loads(pipe_path.read_text())
-        pipe["kept_features"].append("pitch_hz")
-        pipe_path.write_text(json.dumps(pipe))
+        kept = json.loads((clone / "model" / "pipeline.json").read_text())[
+            "kept_features"]
+        with open(clone / "features.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index(kept[0])
+        with open(clone / "features.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(r[:col] + r[col + 1:] for r in rows)
+        fman = json.loads((clone / "features.json").read_text())
+        fman["feature_names"].remove(kept[0])
+        (clone / "features.json").write_text(json.dumps(fman))
         assert main(["predict", "--workdir", str(clone), "--row",
                      "F001"]) == EXIT_CONFIG
+        assert f"input features lack ['{kept[0]}']" in capsys.readouterr().err
 
 
 def _flip_payload_byte(data: bytes) -> bytes:
@@ -488,12 +509,22 @@ def _replace_header(data: bytes, fill: bytes) -> bytes:
     return data[:8] + fill * n + data[8 + n:]
 
 
-def _future_version(data: bytes) -> bytes:
-    (n,) = struct.unpack_from("<Q", data, 0)
-    header = json.loads(data[8:8 + n])
-    header["format_version"] += 1
-    blob = json.dumps(header).encode("utf-8")
-    return struct.pack("<Q", len(blob)) + blob + data[8 + n:]
+def _edit_header(edit):
+    """Damage that rewrites params.bin's JSON header through `edit`."""
+    def damage(data: bytes) -> bytes:
+        (n,) = struct.unpack_from("<Q", data, 0)
+        blob = json.dumps(edit(json.loads(data[8:8 + n]))).encode("utf-8")
+        return struct.pack("<Q", len(blob)) + blob + data[8 + n:]
+    return damage
+
+
+def _edit_json(edit):
+    """Damage that rewrites a JSON file through `edit`."""
+    return lambda data: json.dumps(edit(json.loads(data))).encode("utf-8")
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
 
 
 def _truncate(data: bytes) -> bytes:
@@ -507,14 +538,31 @@ class TestDamagedModel:
         ("params.bin", _flip_payload_byte),
         ("params.bin", lambda d: _replace_header(d, b"#")),
         ("params.bin", lambda d: _replace_header(d, b"\xff")),
-        ("params.bin", _future_version),
+        ("params.bin", _edit_header(
+            lambda h: {**h, "format_version": h["format_version"] + 1})),
+        ("params.bin", _edit_header(lambda h: {**h, "arrays": [
+            {**h["arrays"][0], "shape": [1, 1]}] + h["arrays"][1:]})),
+        ("params.bin", _edit_header(_without("arrays"))),
+        ("params.bin", _edit_header(
+            lambda h: {**h, "config": {**h["config"], "colour": 1}})),
+        ("params.bin", _edit_header(
+            lambda h: {**h, "config": {**h["config"], "n_heads": 3}})),
+        ("params.bin", _edit_header(lambda h: [])),
         ("pipeline.json", _truncate),
-        ("vocab.json", _truncate),
         ("pipeline.json", lambda d: b"[1]\n"),
-        ("vocab.json", lambda d: b"[]\n"),
+        ("pipeline.json", _edit_json(_without("kept_features"))),
+        ("pipeline.json", _edit_json(
+            lambda p: {**p, "kept_features": p["kept_features"][:-1]})),
+        ("pipeline.json", _edit_json(lambda p: {**p, "feature_scaler": {
+            **p["feature_scaler"], "center": [0.0]}})),
+        ("pipeline.json", _edit_json(lambda p: {**p, "target_scaler": {
+            **p["target_scaler"], "scale": [1.0, 1.0, 1.0]}})),
     ], ids=["payload-byte", "header-garbage", "header-not-utf8",
-            "header-version", "pipeline-truncated", "vocab-truncated",
-            "pipeline-not-object", "vocab-not-object"])
+            "header-version", "array-shape", "header-no-arrays",
+            "config-unknown-key", "config-n_heads-3", "header-not-object",
+            "pipeline-truncated", "pipeline-not-object", "pipeline-no-kept",
+            "kept-one-short", "feature-scaler-length-1",
+            "target-scaler-length-3"])
     def test_exits_io(self, pipeline, tmp_path, capsys, name, damage):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
@@ -522,6 +570,111 @@ class TestDamagedModel:
         target.write_bytes(damage(target.read_bytes()))
         assert main(["predict", "--workdir", str(clone), "--row",
                      "F001"]) == EXIT_IO
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+
+    def test_stale_vocab_file_ignored(self, pipeline, tmp_path, capsys):
+        # the vocabulary follows from pipeline.json; a vocab.json left by an
+        # older version is never read
+        workdir, config = pipeline
+        assert main(["predict", "--config", str(config), "--row",
+                     "F001"]) == EXIT_OK
+        want = capsys.readouterr().out
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
+        (clone / "model" / "vocab.json").write_text("[]\n")
+        assert main(["predict", "--workdir", str(clone), "--row",
+                     "F001"]) == EXIT_OK
+        assert capsys.readouterr().out == want
+
+
+class TestConstantSbp:
+    """A constant column is ZeroVariance (exit 4) wherever it is found, and
+    the message names it."""
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_constant_sbp_exits_data(self, pipeline, tmp_path, capsys,
+                                     command):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        records = read_manifest(clone / "manifest.csv")
+        write_manifest(clone / "manifest.csv", [
+            dataclasses.replace(r, sbp_initial=110.0, sbp_final=110.0)
+            for r in records])
+        before = snapshot(clone)
+        assert main([command, "--workdir", str(clone)]) == EXIT_DATA
+        assert "constant column SBP" in capsys.readouterr().err
+        assert snapshot(clone) == before
+
+
+# (damaged file, extra files its command needs, the command)
+FUZZ_TARGETS = [
+    ("manifest.csv", (), ["report"]),
+    ("features.csv", (), ["select"]),
+    ("features.json", (), ["select"]),
+    ("selection.json", ("selection.json",), ["train"]),
+    ("model/params.bin", ("model",), ["predict", "--row", "F001"]),
+    ("model/pipeline.json", ("model",), ["predict", "--row", "F001"]),
+    ("wav/F001.wav", ("model",), ["predict", "--wav"]),
+]
+# the README's exit codes, less 1: no damaged input is a partial extraction
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA, EXIT_DIVERGED,
+                    EXIT_DEGENERATE}
+# a one-epoch, one-layer model keeps each fuzzed `train` cheap
+FUZZ_ENCODER = {"hidden_dim": 8, "n_layers": 1, "n_heads": 2, "ff_dim": 16,
+                "max_len": 128}
+
+
+def _damage(data, raw: bytes) -> bytes:
+    """raw cut short, or one of its bytes flipped, as drawn."""
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:at]
+    flip = data.draw(st.integers(1, 255), label="xor")
+    return raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+
+
+class TestParserFuzz:
+    """A truncated or byte-flipped input file exits with a documented code,
+    never 1, and with no traceback."""
+
+    @pytest.mark.parametrize("target, extra, argv", FUZZ_TARGETS,
+                             ids=[t[0] for t in FUZZ_TARGETS])
+    @settings(derandomize=True, max_examples=30, deadline=None,
+              database=None)
+    @given(data=st.data())
+    def test_damaged_input(self, pipeline, target, extra, argv, data):
+        workdir, _ = pipeline
+        damaged = _damage(data, (workdir / target).read_bytes())
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            clone = clone_inputs(workdir, Path(tmp) / "w", *extra)
+            path = clone / target
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(damaged)
+            config = write_config(Path(tmp) / "c.json", clone,
+                                  encoder=FUZZ_ENCODER,
+                                  training={**TRAINING, "epochs": 1})
+            if argv[-1] == "--wav":
+                argv = argv + [str(path)]
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + ["--config", str(config)])
+        assert code in DOCUMENTED_EXITS, err.getvalue()
+        if code != EXIT_OK:
+            assert err.getvalue().startswith("error: ")
+
+    @pytest.mark.parametrize("cut, code", [
+        (lambda text: 0, EXIT_CONFIG),
+        (lambda text: text.index("\n") + 10, EXIT_IO),
+    ], ids=["empty", "mid-row"])
+    def test_truncated_manifest(self, pipeline, tmp_path, capsys, cut, code):
+        # an empty manifest has no header (exit 2); a cut inside a row
+        # leaves it ragged, a malformed file (exit 3)
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        text = (clone / "manifest.csv").read_text()
+        (clone / "manifest.csv").write_text(text[:cut(text)])
+        assert main(["report", "--workdir", str(clone)]) == code
         assert capsys.readouterr().err.startswith("error: ")
 
 

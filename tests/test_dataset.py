@@ -5,15 +5,14 @@ import pytest
 
 import oracles
 from speechbp import dataset as D
-from speechbp.dataset import (ConstantColumn, DegenerateFeature, DuplicateId,
-                              LabeledExample, MissingFeatures,
+from speechbp.dataset import (DuplicateId, LabeledExample, MissingFeatures,
                               OutOfPhysiologicRange, ParticipantRecord,
                               Scaler, TooFewExamples, apply_scaler,
                               build_examples, correlation_matrix, fit_scaler,
                               invert_scaler, label_hypertension, read_manifest,
                               scaler_from_dict, scaler_to_dict, split,
                               synthesize_cohort, write_manifest)
-from speechbp.features import FeatureVector
+from speechbp.features import FeatureVector, MalformedArtifact, ZeroVariance
 
 
 def make_record(pid="P001", sbp=(120.0, 110.0), dbp=(80.0, 70.0), sex="F",
@@ -116,8 +115,11 @@ class TestScaler:
                                     1.2247448713915890], rtol=1e-12)
 
     def test_standard_rejects_constant_by_default(self):
-        with pytest.raises(DegenerateFeature):
+        with pytest.raises(ZeroVariance, match="constant column 1"):
             fit_scaler(np.array([[1.0, 5.0], [2.0, 5.0]]), "standard")
+        with pytest.raises(ZeroVariance, match="constant column DBP"):
+            fit_scaler(np.array([[1.0, 5.0], [2.0, 5.0]]), "standard",
+                       names=("SBP", "DBP"))
 
     def test_standard_constant_policy_center(self):
         s = fit_scaler(np.array([[1.0, 5.0], [2.0, 5.0]]), "standard",
@@ -302,6 +304,24 @@ class TestManifest:
         with pytest.raises(ValueError):
             read_manifest(p)
 
+    @pytest.mark.parametrize("text", ["", "id,sex\n"], ids=["empty", "short"])
+    def test_empty_or_short_header_rejected(self, tmp_path, text):
+        p = tmp_path / "manifest.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="unexpected manifest header"):
+            read_manifest(p)
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["cell-short", "cell-extra"])
+    def test_ragged_row_is_malformed(self, tmp_path, cut):
+        p = tmp_path / "manifest.csv"
+        write_manifest(p, synthesize_cohort(n_female=2, n_male=2, seed=1))
+        lines = p.read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join(cells[:cut] if cut < 0 else cells + ["x"])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedArtifact, match="line 3"):
+            read_manifest(p)
+
     def test_missing_heart_rate(self, tmp_path):
         r = ParticipantRecord(id="A", sex="F", age=30, sbp_initial=120.0,
                               sbp_final=118.0, dbp_initial=80.0,
@@ -345,7 +365,7 @@ class TestCorrelation:
         assert np.min(np.linalg.eigvalsh(R)) > -1e-9
 
     def test_constant_column(self):
-        with pytest.raises(ConstantColumn):
+        with pytest.raises(ZeroVariance, match="constant column a"):
             correlation_matrix({"a": [1.0, 1.0, 1.0], "b": [1.0, 2.0, 3.0]})
 
     def test_too_few_rows(self):

@@ -5,8 +5,7 @@ import pytest
 
 from speechbp.features import BASE_NAMES, FeatureVector
 from speechbp.textcodec import (CLS_ID, NonFiniteValue, PAD_ID, SEP_ID,
-                                UNK_ID, build_vocabulary, load_vocabulary,
-                                save_vocabulary, serialize_features,
+                                UNK_ID, build_vocabulary, serialize_features,
                                 tokenize)
 
 
@@ -46,25 +45,6 @@ class TestVocabulary:
 
     def test_unknown_token_maps_to_unk(self, vocab):
         assert vocab.id_of("banana") == UNK_ID
-
-    def test_json_round_trip(self, vocab, tmp_path):
-        p = tmp_path / "vocab.json"
-        save_vocabulary(p, vocab)
-        loaded = load_vocabulary(p)
-        assert loaded.token_to_id == vocab.token_to_id
-        assert loaded.id_to_token == vocab.id_to_token
-
-    def test_load_rejects_sparse_ids(self, tmp_path):
-        p = tmp_path / "vocab.json"
-        p.write_text('{"[PAD]": 0, "[UNK]": 1, "[CLS]": 2, "[SEP]": 3, "x": 9}')
-        with pytest.raises(ValueError):
-            load_vocabulary(p)
-
-    def test_load_rejects_moved_specials(self, tmp_path):
-        p = tmp_path / "vocab.json"
-        p.write_text('{"[PAD]": 1, "[UNK]": 0, "[CLS]": 2, "[SEP]": 3}')
-        with pytest.raises(ValueError):
-            load_vocabulary(p)
 
 
 class TestSerialize:

@@ -15,7 +15,7 @@ from speechbp.training import (DIVERGENCE_LIMIT, LabeledSequence,
                                LengthMismatch, Metrics, TrainConfig,
                                TrainHistory, TrainingDiverged, adam_step,
                                confusion_matrix, evaluate, init_adam_state,
-                               mae, mse, predict_pressures, r2,
+                               label_prediction, mae, mse, predict_pressures, r2,
                                read_history_csv, total_loss,
                                total_loss_gradients, train, validation_split,
                                write_confusion_json, write_history_csv,
@@ -434,6 +434,15 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             confusion_matrix([120.0], [80.0, 70.0], [1, 0])
+
+    @pytest.mark.parametrize("sbp, dbp, want", [
+        (500.0, 20.0, 1), (10.0, 20.0, 0), (10.0, 500.0, 1),
+        (115.0, 72.0, 0), (115.0 + 1e-9, 72.0, 1), (-np.inf, np.inf, 1)])
+    def test_label_prediction_clips_then_labels(self, sbp, dbp, want):
+        # the rule confusion_matrix and `bp predict` share
+        assert label_prediction(sbp, dbp) == want
+        assert confusion_matrix([sbp], [dbp], [want])[
+            "tp" if want else "tn"] == 1
 
 
 class TestWriters:
