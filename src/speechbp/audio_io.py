@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import MalformedArtifact, write_bytes
+
 # -32768 maps to -1.0 exactly with this divisor
 INT16_FULL_SCALE = 32768.0
 
@@ -20,15 +22,15 @@ F0_MIN_HZ = 60.0
 F0_MAX_HZ = 400.0
 
 
-class MalformedRiff(ValueError):
+class MalformedRiff(MalformedArtifact):
     """Container structure is not a readable RIFF/WAVE file."""
 
 
-class UnsupportedEncoding(ValueError):
+class UnsupportedEncoding(MalformedArtifact):
     """Valid RIFF, but not 16-bit integer PCM."""
 
 
-class TruncatedData(ValueError):
+class TruncatedData(MalformedArtifact):
     """data chunk declares more bytes than the file holds."""
 
 
@@ -123,7 +125,7 @@ def write_wav(path, samples, sample_rate: int, channels: int = 2) -> None:
     fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, sample_rate,
                                 sample_rate * block_align, block_align, 16)
     data = b"data" + struct.pack("<I", len(payload))
-    Path(path).write_bytes(header + fmt + data + payload)
+    write_bytes(path, header + fmt + data + payload)
 
 
 def synthesize_speech(f0: float, formants, duration_s: float,

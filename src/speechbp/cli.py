@@ -14,7 +14,6 @@ usable in the input.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -24,19 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import (InvalidFrequency, MalformedRiff, TruncatedData,
-                       UnsupportedEncoding, load_wav)
+from .artifacts import (MalformedArtifact, read_json, write_bytes, write_csv,
+                        write_json)
+from .audio_io import load_wav
 from .dataset import (Scaler, TooFewExamples, apply_scaler, build_examples,
                       correlation_matrix, fit_scaler, read_manifest,
                       scaler_from_dict, scaler_to_dict, split,
                       synthesize_cohort, write_manifest)
 from .dsp import ClipTooShort
 from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
-                       MalformedArtifact, NoSegments, ZeroVariance,
-                       extract_recording, read_features_csv,
-                       write_features_csv)
-from .model import (ChecksumMismatch, EncoderConfig, VersionMismatch,
-                    init_params, load_params, save_params)
+                       NoSegments, ZeroVariance, extract_recording,
+                       read_features_csv, write_features_csv)
+from .model import EncoderConfig, init_params, load_params, save_params
 from .relieff import (DEFAULT_FOLDS, DEFAULT_K_GRID, ClassTooSmall,
                       cross_validated_selection, write_selection_manifest,
                       write_weights_report)
@@ -45,8 +43,8 @@ from .textcodec import (DEFAULT_DECIMALS, build_vocabulary,
 from .training import (LabeledSequence, TrainConfig, TrainingDiverged,
                        confusion_matrix, evaluate, label_prediction,
                        predict_pressures, read_history_csv, train,
-                       validation_split, write_confusion_json,
-                       write_history_csv, write_metrics_json)
+                       validation_split, write_history_csv,
+                       write_metrics_json)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -290,9 +288,9 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
 
     The vocabulary is not stored: it follows from the kept features and
     must have the size the weights were trained with.  Any damage raises
-    MalformedArtifact (or the weight file's checksum or version error).
+    MalformedArtifact.
     """
-    pipe = json.loads(cfg.pipeline_path.read_text())
+    pipe = read_json(cfg.pipeline_path)
     enc, params = load_params(cfg.params_path)
     try:
         kept = tuple(pipe["kept_features"])
@@ -370,8 +368,7 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     examples, names, fman = _read_examples(cfg)
-    selection = json.loads(cfg.selection_json.read_text())
-    kept = tuple(selection["kept"])
+    kept = tuple(read_json(cfg.selection_json, ("kept",))["kept"])
 
     train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
     X = np.array([ex.features.values for ex in train_ex])
@@ -410,8 +407,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
             "test": [ex.participant_id for ex in test_ex],
         },
     }
-    cfg.pipeline_path.write_text(
-        json.dumps(pipeline, indent=2, sort_keys=True) + "\n")
+    write_json(cfg.pipeline_path, pipeline)
     write_history_csv(cfg.loss_curve_csv, history)
     print(f"epoch {len(history.train_loss)}: "
           f"train loss {history.train_loss[-1]:.6f}, "
@@ -441,7 +437,7 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     counts = confusion_matrix(preds[:, 0], preds[:, 1],
                               [ex.hypertension for ex in test_ex])
     write_metrics_json(cfg.metrics_path, metrics)
-    write_confusion_json(cfg.confusion_path, counts)
+    write_json(cfg.confusion_path, counts)
     print(f"test n={metrics.n}  SBP mae {metrics.sbp_mae:.2f} "
           f"r2 {metrics.sbp_r2:.3f}  DBP mae {metrics.dbp_mae:.2f} "
           f"r2 {metrics.dbp_r2:.3f}")
@@ -484,11 +480,8 @@ def cmd_report(cfg: PipelineConfig) -> int:
     columns["DBP"] = [ex.dbp_target for ex in examples]
     corr_names, matrix = correlation_matrix(columns)
 
-    with open(cfg.correlation_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature"] + corr_names)
-        for name, rowvals in zip(corr_names, matrix):
-            writer.writerow([name] + [f"{v:.17g}" for v in rowvals])
+    write_csv(cfg.correlation_csv, ["feature"] + corr_names,
+              [[name, *rowvals] for name, rowvals in zip(corr_names, matrix)])
     _write_heatmap_svg(cfg.correlation_svg, corr_names, matrix)
     made = [cfg.correlation_csv.name, cfg.correlation_svg.name]
 
@@ -570,7 +563,7 @@ def _write_line_chart_svg(path, history) -> None:
                      'font-family="monospace" '
                      f'font-size="11">{label}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_bytes(path, ("\n".join(parts) + "\n").encode("utf-8"))
 
 
 def _diverging_rgb(r: float) -> str:
@@ -612,7 +605,7 @@ def _write_heatmap_svg(path, names, matrix) -> None:
                          f'<title>{names[i]} / {names[j]}: '
                          f'{matrix[i][j]:.3f}</title></rect>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_bytes(path, ("\n".join(parts) + "\n").encode("utf-8"))
 
 
 # --- argument handling ------------------------------------------------------
@@ -672,16 +665,9 @@ def main(argv=None) -> int:
         return _fail(EXIT_DATA, err)
     except (NoSegments, ClipTooShort) as err:
         return _fail(EXIT_DEGENERATE, err)
-    # a malformed WAV or a damaged artifact (a model file that does not
-    # parse, fails its checks or disagrees with the other; a manifest or
-    # features table that is ragged or holds a non-number) is file trouble,
-    # checked before the ValueError catch-all below
-    except (MalformedRiff, UnsupportedEncoding, TruncatedData,
-            InvalidFrequency, ChecksumMismatch, VersionMismatch,
-            json.JSONDecodeError, UnicodeDecodeError,
-            MalformedArtifact) as err:
-        return _fail(EXIT_IO, err)
-    except OSError as err:
+    # a damaged artifact (a malformed WAV included) or a config file that
+    # is not UTF-8 is file trouble, checked before the ValueError catch-all
+    except (MalformedArtifact, OSError, UnicodeDecodeError) as err:
         return _fail(EXIT_IO, err)
     except (ValueError, KeyError) as err:
         return _fail(EXIT_CONFIG, err)

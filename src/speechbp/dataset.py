@@ -8,15 +8,15 @@ acoustics (f0 tracks systolic, first formant tracks diastolic).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import MalformedArtifact, read_csv, write_csv
 from .audio_io import synthesize_speech, write_wav
-from .features import FeatureVector, MalformedArtifact, ZeroVariance
+from .features import FeatureVector, ZeroVariance
 
 SBP_RANGE = (60.0, 260.0)
 DBP_RANGE = (30.0, 160.0)
@@ -66,10 +66,6 @@ class DuplicateId(ValueError):
 
 
 class TooFewExamples(ValueError):
-    pass
-
-
-class InvalidProfile(ValueError):
     pass
 
 
@@ -256,19 +252,6 @@ def split(examples: Sequence[LabeledExample], test_fraction: float,
 
 # --- synthetic cohort ---
 
-def _check_profile(profile: dict) -> None:
-    for sex in ("F", "M"):
-        if sex not in profile:
-            raise InvalidProfile(f"profile missing sex {sex!r}")
-        for key in ("sbp", "dbp"):
-            if key not in profile[sex]:
-                raise InvalidProfile(f"profile[{sex!r}] missing {key!r}")
-            lo, hi, mean, std = profile[sex][key]
-            if not (lo < hi and lo <= mean <= hi and std > 0):
-                raise InvalidProfile(
-                    f"profile[{sex!r}][{key!r}] = {(lo, hi, mean, std)}")
-
-
 def _bounded_pair(rng, sbp_stats, dbp_stats):
     """Correlated (sbp, dbp) base values, clipped into the profile bounds."""
     s_lo, s_hi, s_mean, s_std = sbp_stats
@@ -300,16 +283,13 @@ def planted_voice(profile: dict, sbp_target: float, dbp_target: float):
     return f0, [(f1, 1.0), SECOND_FORMANT]
 
 
-def synthesize_cohort(stats_profile: dict | None = None, n_female: int = 45,
-                      n_male: int = 50, seed: int = 0,
+def synthesize_cohort(n_female: int = 45, n_male: int = 50, seed: int = 0,
                       wav_dir: str | Path | None = None):
     """Deterministic synthetic participant list, optionally with WAV files.
 
     All random draws happen in a fixed order that does not depend on
     wav_dir, so the records are identical whether or not audio is written.
     """
-    profile = DEFAULT_PROFILE if stats_profile is None else stats_profile
-    _check_profile(profile)
     if n_female < 0 or n_male < 0:
         raise ValueError("cohort sizes must be non-negative")
 
@@ -318,8 +298,8 @@ def synthesize_cohort(stats_profile: dict | None = None, n_female: int = 45,
     ordinal = 0
     for sex, count in (("F", n_female), ("M", n_male)):
         for j in range(count):
-            sbp, dbp = _bounded_pair(rng, profile[sex]["sbp"],
-                                     profile[sex]["dbp"])
+            sbp, dbp = _bounded_pair(rng, DEFAULT_PROFILE[sex]["sbp"],
+                                     DEFAULT_PROFILE[sex]["dbp"])
             jitter_s = float(np.clip(rng.normal(0.0, 2.0), -4.0, 4.0))
             jitter_d = float(np.clip(rng.normal(0.0, 2.0), -4.0, 4.0))
             age = int(rng.integers(AGE_RANGE[0], AGE_RANGE[1] + 1))
@@ -335,7 +315,7 @@ def synthesize_cohort(stats_profile: dict | None = None, n_female: int = 45,
         wav_paths: tuple = ()
         if wav_dir is not None:
             wav_paths = (str(Path(wav_dir) / f"{pid}.wav"),)
-            _write_cohort_wav(Path(wav_paths[0]), profile, sbp, dbp,
+            _write_cohort_wav(Path(wav_paths[0]), sbp, dbp,
                               seed * 1_000_003 + idx)
         records.append(ParticipantRecord(
             id=pid, sex=sex, age=age,
@@ -346,9 +326,9 @@ def synthesize_cohort(stats_profile: dict | None = None, n_female: int = 45,
     return records
 
 
-def _write_cohort_wav(path: Path, profile: dict, sbp: float, dbp: float,
+def _write_cohort_wav(path: Path, sbp: float, dbp: float,
                       wav_seed: int) -> None:
-    f0, formants = planted_voice(profile, sbp, dbp)
+    f0, formants = planted_voice(DEFAULT_PROFILE, sbp, dbp)
     vowel = synthesize_speech(f0, formants, VOWEL_SECONDS,
                               COHORT_SAMPLE_RATE, seed=wav_seed)
     noise_rng = np.random.default_rng((wav_seed, 1))
@@ -362,44 +342,28 @@ def _write_cohort_wav(path: Path, profile: dict, sbp: float, dbp: float,
 
 # --- manifest I/O ---
 
-def _float_text(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def write_manifest(path, records: Sequence[ParticipantRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.id, r.sex, r.age,
-                _float_text(r.sbp_initial), _float_text(r.sbp_final),
-                _float_text(r.dbp_initial), _float_text(r.dbp_final),
-                "" if r.heart_rate is None else _float_text(r.heart_rate),
-                ";".join(r.wav_paths),
-            ])
+    write_csv(path, MANIFEST_COLUMNS, [
+        (r.id, r.sex, r.age, r.sbp_initial, r.sbp_final, r.dbp_initial,
+         r.dbp_final, r.heart_rate, ";".join(r.wav_paths))
+        for r in records])
 
 
 def read_manifest(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != MANIFEST_COLUMNS:
-            raise ValueError(f"unexpected manifest header {header}")
-        records = []
-        for row in reader:
-            if len(row) != len(header):
-                raise MalformedArtifact(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, "
-                    f"the header {len(header)}")
-            (pid, sex, age, sbp_i, sbp_f, dbp_i, dbp_f, hr, wavs) = row
-            records.append(ParticipantRecord(
-                id=pid, sex=sex, age=int(age),
-                sbp_initial=float(sbp_i), sbp_final=float(sbp_f),
-                dbp_initial=float(dbp_i), dbp_final=float(dbp_f),
-                heart_rate=None if hr == "" else float(hr),
-                wav_paths=tuple(p for p in wavs.split(";") if p),
-            ))
+    header, rows = read_csv(path)
+    if header != MANIFEST_COLUMNS:
+        raise ValueError(f"unexpected manifest header {header}")
+    records = []
+    for line, (pid, sex, age, sbp_i, sbp_f, dbp_i, dbp_f, hr,
+               wavs) in enumerate(rows, start=2):
+        try:
+            numbers = (int(age), float(sbp_i), float(sbp_f), float(dbp_i),
+                       float(dbp_f), None if hr == "" else float(hr))
+        except ValueError as err:
+            raise MalformedArtifact(f"{path}: line {line}: {err}") from None
+        records.append(ParticipantRecord(
+            pid, sex, *numbers,
+            wav_paths=tuple(p for p in wavs.split(";") if p)))
     return records
 
 

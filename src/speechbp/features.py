@@ -8,14 +8,13 @@ over its segments, laid out under a fixed schema so downstream CSVs line up.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import (MalformedArtifact, read_csv, read_json, require_keys,
+                        write_csv, write_json)
 from .dsp import (DEFAULT_WINDOW_SIGMA, EmptyFrame, SEGMENT_SECONDS,
                   DegenerateSpectrum, Segment, Spectrum,
                   detect_voiced_regions, fft_magnitude, flatness_ratio,
@@ -53,13 +52,6 @@ class TooFewSamples(ValueError):
 
 class ZeroVariance(ValueError):
     pass
-
-
-class MalformedArtifact(ValueError):
-    """A damaged artifact: a manifest or features table whose rows are
-    ragged, a features table with a cell that is no finite number or that
-    disagrees with its manifest, or model files that do not describe a
-    model or disagree with each other."""
 
 
 class NoSegments(ValueError):
@@ -346,8 +338,7 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
     """One CSV row per recording plus a JSON manifest with ids and settings.
 
     The CSV header is exactly the feature names; row order matches the
-    manifest's recording list.  Values carry 17 significant digits so they
-    parse back to the identical float64.
+    manifest's recording list.
     """
     if len(recording_ids) != len(vectors):
         raise ValueError("one id per feature vector required")
@@ -358,38 +349,24 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
         if v.names != names:
             raise ValueError("feature vectors disagree on schema layout")
 
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for v in vectors:
-            writer.writerow([f"{x:.17g}" for x in v.values])
-
+    write_csv(csv_path, names, [v.values for v in vectors])
     merged = default_parameters()
     if parameters:
         merged.update(parameters)
-    manifest = {
+    write_json(manifest_path, {
         "schema_id": vectors[0].schema_id,
         "feature_names": list(names),
         "parameters": merged,
         "recordings": [{"id": str(rid), "n_segments": v.n_segments}
                        for rid, v in zip(recording_ids, vectors)],
-    }
-    Path(manifest_path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def read_features_csv(csv_path, manifest_path):
     """Returns (ids, names, value matrix, manifest dict)."""
-    manifest = json.loads(Path(manifest_path).read_text())
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = tuple(next(reader, ()))
-        rows = list(reader)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(names):
-            raise MalformedArtifact(f"{csv_path}: line {line} has "
-                                    f"{len(row)} cells, the header "
-                                    f"{len(names)}")
+    manifest = read_json(manifest_path,
+                         ("schema_id", "feature_names", "recordings"))
+    names, rows = read_csv(csv_path)
     try:
         matrix = np.array([[float(cell) for cell in row] for row in rows],
                           dtype=np.float64).reshape(len(rows), len(names))
@@ -397,7 +374,8 @@ def read_features_csv(csv_path, manifest_path):
         raise MalformedArtifact(f"{csv_path}: {err}") from None
     if not np.all(np.isfinite(matrix)):
         raise MalformedArtifact(f"{csv_path}: a cell is not finite")
-    ids = [rec["id"] for rec in manifest["recordings"]]
+    ids = [require_keys(rec, ("id", "n_segments"), manifest_path)["id"]
+           for rec in manifest["recordings"]]
     if len(ids) != len(matrix):
         raise MalformedArtifact("manifest and CSV row counts disagree")
     if tuple(manifest["feature_names"]) != names:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import MalformedArtifact
+from .artifacts import MalformedArtifact, parse_json, write_bytes
 from .textcodec import TokenSequence
 
 FORMAT_VERSION = 1
@@ -50,11 +50,11 @@ class MissingCache(ValueError):
     pass
 
 
-class VersionMismatch(ValueError):
+class VersionMismatch(MalformedArtifact):
     pass
 
 
-class ChecksumMismatch(ValueError):
+class ChecksumMismatch(MalformedArtifact):
     pass
 
 
@@ -397,7 +397,6 @@ def _flat(x):
 
 def save_params(path, config: EncoderConfig, params: dict) -> None:
     """Container: u64 header length, JSON header, little-endian f8 payload."""
-    path = Path(path)
     names = list(param_shapes(config))
     index = []
     chunks = []
@@ -417,10 +416,7 @@ def save_params(path, config: EncoderConfig, params: dict) -> None:
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    write_bytes(path, struct.pack("<Q", len(blob)) + blob + payload)
 
 
 def load_params(path):
@@ -432,10 +428,7 @@ def load_params(path):
     (header_len,) = struct.unpack_from("<Q", raw, 0)
     if len(raw) < 8 + header_len:
         raise ChecksumMismatch("truncated header")
-    header = json.loads(raw[8:8 + header_len].decode("utf-8"))
-    if not isinstance(header, dict):
-        raise MalformedArtifact(f"{path}: header is not a JSON object")
-
+    header = parse_json(raw[8:8 + header_len], f"{path} header")
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"container version {header.get('format_version')!r}, "

@@ -9,13 +9,12 @@ time, so memory stays at one n x d block of diffs whatever n is.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .artifacts import write_csv, write_json
 
 DEFAULT_K_GRID = (3, 5, 10)
 DEFAULT_FOLDS = 10
@@ -184,20 +183,17 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
 def write_weights_report(path, weights: FeatureWeights,
                          kept: Sequence[str]) -> None:
     kept_set = set(kept)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("feature", "weight", "kept"))
-        for name, w in zip(weights.names, weights.weights):
-            writer.writerow((name, f"{w:.17g}", int(name in kept_set)))
+    write_csv(path, ("feature", "weight", "kept"),
+              [(name, w, int(name in kept_set))
+               for name, w in zip(weights.names, weights.weights)])
 
 
 def write_selection_manifest(path, result: SelectionResult, folds: int,
                              seed: int) -> None:
-    payload = {
+    write_json(path, {
         "chosen_k": result.chosen_k,
         "folds": folds,
         "seed": seed,
         "fold_accuracies": [float(a) for a in result.fold_accuracies],
         "kept": list(result.kept),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })

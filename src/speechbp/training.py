@@ -8,15 +8,13 @@ per (seed, epoch, batch), and Adam runs in plain float64.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import MalformedArtifact, read_csv, write_csv, write_json
 from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, TooFewExamples,
                       apply_scaler, invert_scaler, label_hypertension)
 from .features import ZeroVariance
@@ -339,35 +337,32 @@ def confusion_matrix(pred_sbp, pred_dbp, true_class) -> dict:
 
 # --- report files -----------------------------------------------------------
 
+HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss")
+
+
 def write_history_csv(path, history: TrainHistory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for i, (tr, vl) in enumerate(zip(history.train_loss,
-                                         history.val_loss), start=1):
-            writer.writerow([i, f"{tr:.17g}", f"{vl:.17g}"])
+    write_csv(path, HISTORY_COLUMNS,
+              [(i, float(tr), float(vl)) for i, (tr, vl) in enumerate(
+                  zip(history.train_loss, history.val_loss), start=1)])
 
 
 def read_history_csv(path) -> TrainHistory:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return TrainHistory(
-        train_loss=tuple(float(r["train_loss"]) for r in rows),
-        val_loss=tuple(float(r["val_loss"]) for r in rows))
+    header, rows = read_csv(path)
+    if header != HISTORY_COLUMNS or not rows:
+        raise MalformedArtifact(f"{path}: not a loss curve")
+    try:
+        losses = [(float(tr), float(vl)) for _, tr, vl in rows]
+    except ValueError as err:
+        raise MalformedArtifact(f"{path}: {err}") from None
+    return TrainHistory(train_loss=tuple(tr for tr, _ in losses),
+                        val_loss=tuple(vl for _, vl in losses))
 
 
 def write_metrics_json(path, metrics: Metrics) -> None:
-    payload = {
+    write_json(path, {
         "n": metrics.n,
         "sbp": {"mae": metrics.sbp_mae, "mse": metrics.sbp_mse,
                 "r2": metrics.sbp_r2},
         "dbp": {"mae": metrics.dbp_mae, "mse": metrics.dbp_mse,
                 "r2": metrics.dbp_r2},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
-
-
-def write_confusion_json(path, counts: dict) -> None:
-    Path(path).write_text(json.dumps(counts, indent=2, sort_keys=True)
-                          + "\n")
+    })

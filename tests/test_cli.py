@@ -125,6 +125,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(p)
 
+    def test_non_utf8_config_exits_io(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_bytes(b'{"seed": 1\xff}')
+        assert main(["synth", "--config", str(p), "--workdir",
+                     str(tmp_path / "w")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "w").exists()
+
     @pytest.mark.parametrize("payload", [{"schema": "mel"},
                                          {"decimals": -1},
                                          {"decimals": 13},
@@ -277,6 +285,10 @@ class TestExtract:
                      str(tmp_path / "empty")]) == EXIT_IO
 
 
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
 def _edit_first_row(text: str, edit) -> str:
     header, first, rest = text.split("\n", 2)
     return "\n".join([header, edit(first), rest])
@@ -321,6 +333,27 @@ class TestSelect:
         assert not (clone / "weights.csv").exists()
         assert not (clone / "selection.json").exists()
 
+    @pytest.mark.parametrize("damage", [
+        _without("schema_id"), _without("feature_names"),
+        _without("recordings"),
+        lambda m: {**m, "recordings": [_without("id")(m["recordings"][0])]
+                   + m["recordings"][1:]},
+        lambda m: {**m, "recordings": [_without("n_segments")(
+            m["recordings"][0])] + m["recordings"][1:]},
+    ], ids=["schema_id", "feature_names", "recordings", "recording-id",
+            "recording-n_segments"])
+    def test_features_json_missing_key_exits_io(self, pipeline, tmp_path,
+                                                capsys, damage):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        manifest = clone / "features.json"
+        manifest.write_text(json.dumps(damage(json.loads(
+            manifest.read_text()))))
+        assert main(["select", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "features.json" in err
+        assert not (clone / "selection.json").exists()
+
 
 class TestTrain:
     def test_artifacts(self, pipeline):
@@ -354,6 +387,37 @@ class TestTrain:
         bad = tmp_path / "div.json"
         bad.write_text(json.dumps(payload))
         assert main(["train", "--config", str(bad)]) == EXIT_DIVERGED
+
+    def test_selection_without_kept_exits_io(self, pipeline, tmp_path,
+                                             capsys):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        selection = clone / "selection.json"
+        selection.write_text(json.dumps(_without("kept")(json.loads(
+            selection.read_text()))))
+        assert main(["train", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "selection.json" in err
+        assert not (clone / "model").exists()
+
+    def test_failed_write_keeps_old_model(self, pipeline, tmp_path,
+                                          monkeypatch, capsys):
+        # every file is renamed into place whole, so a write that fails
+        # (here: the rename itself) leaves the old model as it was
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json",
+                             "model")
+        before = snapshot(clone)
+        config = write_config(tmp_path / "c.json", clone,
+                              encoder=FUZZ_ENCODER,
+                              training={**TRAINING, "epochs": 1})
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["train", "--config", str(config)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: cannot rename")
+        assert snapshot(clone) == before
 
     def test_missing_selection(self, tmp_path):
         workdir = tmp_path / "w"
@@ -523,10 +587,6 @@ def _edit_json(edit):
     return lambda data: json.dumps(edit(json.loads(data))).encode("utf-8")
 
 
-def _without(key):
-    return lambda d: {k: v for k, v in d.items() if k != key}
-
-
 def _truncate(data: bytes) -> bytes:
     return data[:len(data) // 2]
 
@@ -610,6 +670,7 @@ class TestConstantSbp:
 # (damaged file, extra files its command needs, the command)
 FUZZ_TARGETS = [
     ("manifest.csv", (), ["report"]),
+    ("loss_curve.csv", ("loss_curve.csv",), ["report"]),
     ("features.csv", (), ["select"]),
     ("features.json", (), ["select"]),
     ("selection.json", ("selection.json",), ["train"]),
@@ -676,6 +737,39 @@ class TestParserFuzz:
         (clone / "manifest.csv").write_text(text[:cut(text)])
         assert main(["report", "--workdir", str(clone)]) == code
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("column", ["age", "sbp_initial", "dbp_final",
+                                        "heart_rate"])
+    def test_manifest_non_number_exits_io(self, pipeline, tmp_path, capsys,
+                                          column):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        path = clone / "manifest.csv"
+        header, first, rest = path.read_text().split("\n", 2)
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = "13;.1"
+        path.write_text("\n".join([header, ",".join(cells), rest]))
+        assert main(["report", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "manifest.csv: line 2" in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:text.index("\n", text.index("\n") + 1) + 4],
+        lambda text: text.replace("\n1,", "\n1,x", 1),
+        lambda text: "epoch,loss\n" + text.split("\n", 1)[1],
+        lambda text: text.split("\n", 1)[0] + "\n",
+    ], ids=["mid-row-cut", "non-number", "wrong-header", "no-epochs"])
+    def test_damaged_loss_curve_exits_io(self, pipeline, tmp_path, capsys,
+                                         damage):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "loss_curve.csv")
+        path = clone / "loss_curve.csv"
+        path.write_text(damage(path.read_text()))
+        assert main(["report", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "loss_curve.csv" in err
+        assert not (clone / "loss_curve.svg").exists()
 
 
 class TestReport:

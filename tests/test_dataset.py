@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from speechbp import dataset as D
+from speechbp.artifacts import MalformedArtifact
 from speechbp.dataset import (DuplicateId, LabeledExample, MissingFeatures,
                               OutOfPhysiologicRange, ParticipantRecord,
                               Scaler, TooFewExamples, apply_scaler,
@@ -12,7 +13,7 @@ from speechbp.dataset import (DuplicateId, LabeledExample, MissingFeatures,
                               invert_scaler, label_hypertension, read_manifest,
                               scaler_from_dict, scaler_to_dict, split,
                               synthesize_cohort, write_manifest)
-from speechbp.features import FeatureVector, MalformedArtifact, ZeroVariance
+from speechbp.features import FeatureVector, ZeroVariance
 
 
 def make_record(pid="P001", sbp=(120.0, 110.0), dbp=(80.0, 70.0), sex="F",
@@ -269,15 +270,6 @@ class TestCohort:
             _, R = correlation_matrix({"sbp": sbp, "dbp": dbp})
             rs.append(R[0, 1])
         assert all(0.7 <= r <= 0.9 for r in rs)
-
-    def test_invalid_profile(self):
-        with pytest.raises(D.InvalidProfile):
-            synthesize_cohort(stats_profile={"F": {"sbp": (1, 2, 3, 4)}})
-        bad = {"F": {"sbp": (153.0, 91.0, 114.0, 15.0),
-                     "dbp": (35.0, 98.0, 77.0, 13.0)},
-               "M": D.DEFAULT_PROFILE["M"]}
-        with pytest.raises(D.InvalidProfile):
-            synthesize_cohort(stats_profile=bad)
 
     def test_empty_cohort_allowed(self):
         assert synthesize_cohort(n_female=0, n_male=0, seed=0) == []

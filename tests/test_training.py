@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from speechbp.artifacts import write_json
 from speechbp.dataset import TooFewExamples, fit_scaler
 from speechbp.features import BASE_NAMES, FeatureVector, ZeroVariance
 from speechbp.model import (EncoderConfig, ShapeMismatch, forward,
@@ -18,7 +19,7 @@ from speechbp.training import (DIVERGENCE_LIMIT, LabeledSequence,
                                label_prediction, mae, mse, predict_pressures, r2,
                                read_history_csv, total_loss,
                                total_loss_gradients, train, validation_split,
-                               write_confusion_json, write_history_csv,
+                               write_history_csv,
                                write_metrics_json)
 
 VOCAB = build_vocabulary(BASE_NAMES)
@@ -468,7 +469,6 @@ class TestWriters:
 
     def test_confusion_json(self, tmp_path):
         path = tmp_path / "confusion.json"
-        write_confusion_json(path, {"tp": 1, "fp": 2, "fn": 3, "tn": 4})
-        import json
-        assert json.loads(path.read_text()) == {"tp": 1, "fp": 2, "fn": 3,
-                                                "tn": 4}
+        write_json(path, {"tp": 1, "fp": 2, "fn": 3, "tn": 4})
+        assert path.read_text() == ('{\n  "fn": 3,\n  "fp": 2,\n  "tn": 4,\n'
+                                    '  "tp": 1\n}\n')
