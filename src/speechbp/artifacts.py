@@ -48,17 +48,23 @@ def write_csv(path, header, rows) -> None:
     write_bytes(path, out.getvalue().encode("utf-8"))
 
 
-def require_keys(payload, keys, where):
-    """payload, checked to be a JSON object that holds every key."""
+def require_keys(payload, keys: dict, where):
+    """payload, checked to be a JSON object that holds every key of `keys`
+    with a value of the type it maps to."""
     if not isinstance(payload, dict):
         raise MalformedArtifact(f"{where}: not a JSON object")
     missing = [k for k in keys if k not in payload]
     if missing:
         raise MalformedArtifact(f"{where}: lacks {missing}")
+    for key, kind in keys.items():
+        if not isinstance(payload[key], kind):
+            raise MalformedArtifact(f"{where}: {key} is "
+                                    f"{type(payload[key]).__name__}, "
+                                    f"expected {kind.__name__}")
     return payload
 
 
-def parse_json(raw: bytes, where, keys=()) -> dict:
+def parse_json(raw: bytes, where, keys: dict) -> dict:
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -66,7 +72,7 @@ def parse_json(raw: bytes, where, keys=()) -> dict:
     return require_keys(payload, keys, where)
 
 
-def read_json(path, keys=()) -> dict:
+def read_json(path, keys: dict) -> dict:
     return parse_json(Path(path).read_bytes(), path, keys)
 
 

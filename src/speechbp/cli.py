@@ -132,10 +132,6 @@ class PipelineConfig:
         return self.model_dir / "params.bin"
 
     @property
-    def pipeline_path(self) -> Path:
-        return self.model_dir / "pipeline.json"
-
-    @property
     def loss_curve_csv(self) -> Path:
         return self.workdir / "loss_curve.csv"
 
@@ -284,14 +280,13 @@ class ModelBundle:
 
 
 def _load_model(cfg: PipelineConfig) -> ModelBundle:
-    """The weight file and pipeline.json, checked against each other.
+    """The model file, its pipeline record checked against its weights.
 
     The vocabulary is not stored: it follows from the kept features and
     must have the size the weights were trained with.  Any damage raises
     MalformedArtifact.
     """
-    pipe = read_json(cfg.pipeline_path)
-    enc, params = load_params(cfg.params_path)
+    enc, params, pipe = load_params(cfg.params_path)
     try:
         kept = tuple(pipe["kept_features"])
         model = ModelBundle(
@@ -302,17 +297,17 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
             schema_id=pipe["schema_id"], test_ids=tuple(pipe["split"]["test"]))
         vocab_size = len(build_vocabulary(kept))
     except (KeyError, TypeError, ValueError) as err:
-        raise MalformedArtifact(f"{cfg.pipeline_path}: not a model pipeline "
+        raise MalformedArtifact(f"{cfg.params_path}: not a model pipeline "
                                 f"({type(err).__name__}: {err})") from None
     if vocab_size != enc.vocab_size:
         raise MalformedArtifact(
-            f"{cfg.pipeline_path}: the kept features make a vocabulary of "
+            f"{cfg.params_path}: the kept features make a vocabulary of "
             f"{vocab_size}, the weights expect {enc.vocab_size}")
     for what, scaler, size in (("feature", model.feature_scaler, len(kept)),
                                ("target", model.target_scaler, 2)):
         if scaler.center.shape != (size,) or scaler.scale.shape != (size,):
             raise MalformedArtifact(
-                f"{cfg.pipeline_path}: {what} scaler holds "
+                f"{cfg.params_path}: {what} scaler holds "
                 f"{scaler.center.shape} centers and {scaler.scale.shape} "
                 f"scales, expected {size} each")
     return model
@@ -368,7 +363,7 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     examples, names, fman = _read_examples(cfg)
-    kept = tuple(read_json(cfg.selection_json, ("kept",))["kept"])
+    kept = tuple(read_json(cfg.selection_json, {"kept": list})["kept"])
 
     train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
     X = np.array([ex.features.values for ex in train_ex])
@@ -393,8 +388,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
                             train_cfg)
 
     cfg.model_dir.mkdir(parents=True, exist_ok=True)
-    save_params(cfg.params_path, enc, params)
-    pipeline = {
+    save_params(cfg.params_path, enc, params, {
         "schema_id": fman["schema_id"],
         "decimals": cfg.decimals,
         "kept_features": list(kept),
@@ -406,8 +400,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
             "val": [s.participant_id for s in val_part],
             "test": [ex.participant_id for ex in test_ex],
         },
-    }
-    write_json(cfg.pipeline_path, pipeline)
+    })
     write_history_csv(cfg.loss_curve_csv, history)
     print(f"epoch {len(history.train_loss)}: "
           f"train loss {history.train_loss[-1]:.6f}, "

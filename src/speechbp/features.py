@@ -364,8 +364,9 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
 
 def read_features_csv(csv_path, manifest_path):
     """Returns (ids, names, value matrix, manifest dict)."""
-    manifest = read_json(manifest_path,
-                         ("schema_id", "feature_names", "recordings"))
+    manifest = read_json(manifest_path, {"schema_id": str,
+                                         "feature_names": list,
+                                         "recordings": list})
     names, rows = read_csv(csv_path)
     try:
         matrix = np.array([[float(cell) for cell in row] for row in rows],
@@ -374,7 +375,8 @@ def read_features_csv(csv_path, manifest_path):
         raise MalformedArtifact(f"{csv_path}: {err}") from None
     if not np.all(np.isfinite(matrix)):
         raise MalformedArtifact(f"{csv_path}: a cell is not finite")
-    ids = [require_keys(rec, ("id", "n_segments"), manifest_path)["id"]
+    ids = [require_keys(rec, {"id": str, "n_segments": int},
+                        manifest_path)["id"]
            for rec in manifest["recordings"]]
     if len(ids) != len(matrix):
         raise MalformedArtifact("manifest and CSV row counts disagree")

@@ -13,6 +13,15 @@ and the feed-forward run on row 0, in forward and in backward.
 
 Weights live in a flat dict keyed by the names `param_shapes` defines, which
 is also the serialization order of the on-disk container.
+
+A trained model is one file: a little-endian u64 header length, a JSON
+header, then every array as little-endian float64.  The header holds the
+format version, the encoder config, the array index, the payload length,
+the pipeline record (how a feature row becomes model input: kept features,
+scalers, decimals, schema, split) and a sha256 over the header less that
+field (sorted-key JSON) followed by the payload.  So an edit to the weights,
+the config or the record that leaves the header parseable is a
+ChecksumMismatch.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import numpy as np
 from .artifacts import MalformedArtifact, parse_json, write_bytes
 from .textcodec import TokenSequence
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 INIT_STD = 0.02
 MASK_BIAS = -1e9
 
@@ -115,7 +124,7 @@ def param_shapes(config: EncoderConfig) -> dict:
         p = f"layer{i}."
         for mat in ("wq", "wk", "wv", "wo"):
             shapes[p + mat] = (h, h)
-        for vec in ("bq", "bk", "bv", "bo"):
+        for vec in ("bq", "bv", "bo"):
             shapes[p + vec] = (h,)
         shapes[p + "attn_gain"] = (h,)
         shapes[p + "attn_bias"] = (h,)
@@ -151,7 +160,7 @@ def init_params(config: EncoderConfig) -> dict:
     for name, shape in param_shapes(config).items():
         if name.endswith(("_gain",)):
             params[name] = np.ones(shape)
-        elif name.endswith(("_bias", "b1", "b2", "bq", "bk", "bv", "bo")):
+        elif name.endswith(("_bias", "b1", "b2", "bq", "bv", "bo")):
             params[name] = np.zeros(shape)
         else:
             params[name] = _truncated_normal(rng, shape, INIT_STD)
@@ -259,8 +268,8 @@ def forward(config: EncoderConfig, params: dict,
         xq = x[:, :1] if i == config.n_layers - 1 else x
         q = _split_heads(xq @ params[p + "wq"] + params[p + "bq"],
                          config.n_heads)
-        k = _split_heads(x @ params[p + "wk"] + params[p + "bk"],
-                         config.n_heads)
+        # no key bias: the softmax cancels the q . b_k it would add
+        k = _split_heads(x @ params[p + "wk"], config.n_heads)
         v = _split_heads(x @ params[p + "wv"] + params[p + "bv"],
                          config.n_heads)
         scores = q @ k.transpose(0, 1, 3, 2) * scale + key_bias
@@ -376,11 +385,12 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
         d_xq = d_x[:, :xq.shape[1]]
         d_xq += d_res1
         for mat, vec, dh, src, dst in (("wq", "bq", d_q, xq, d_xq),
-                                       ("wk", "bk", d_k, x_in, d_x),
+                                       ("wk", None, d_k, x_in, d_x),
                                        ("wv", "bv", d_v, x_in, d_x)):
             d_m = _merge_heads(dh)
             grads[p + mat] = _flat(src).T @ _flat(d_m)
-            grads[p + vec] = d_m.sum(axis=(0, 1))
+            if vec:
+                grads[p + vec] = d_m.sum(axis=(0, 1))
             dst += d_m @ params[p + mat].T
 
     np.add.at(grads["token_embedding"], cache["ids"].ravel(),
@@ -395,8 +405,15 @@ def _flat(x):
 
 # --- persistence ------------------------------------------------------------
 
-def save_params(path, config: EncoderConfig, params: dict) -> None:
-    """Container: u64 header length, JSON header, little-endian f8 payload."""
+def _digest(header: dict, payload: bytes) -> str:
+    signed = {k: v for k, v in header.items() if k != "sha256"}
+    return hashlib.sha256(json.dumps(signed, sort_keys=True).encode("utf-8")
+                          + payload).hexdigest()
+
+
+def save_params(path, config: EncoderConfig, params: dict,
+                pipeline: dict) -> None:
+    """The whole trained model as one file, written once."""
     names = list(param_shapes(config))
     index = []
     chunks = []
@@ -413,25 +430,26 @@ def save_params(path, config: EncoderConfig, params: dict) -> None:
         "config": asdict(config),
         "arrays": index,
         "payload_bytes": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "pipeline": pipeline,
     }
+    header["sha256"] = _digest(header, payload)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     write_bytes(path, struct.pack("<Q", len(blob)) + blob + payload)
 
 
 def load_params(path):
-    """Read a weight container back into (config, params); verifies layout
-    against the declared config and the payload against its checksum."""
+    """Read a model file back into (config, params, pipeline); verifies the
+    layout against the declared config, header and payload by checksum."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise ChecksumMismatch("file shorter than its own header length")
     (header_len,) = struct.unpack_from("<Q", raw, 0)
     if len(raw) < 8 + header_len:
         raise ChecksumMismatch("truncated header")
-    header = parse_json(raw[8:8 + header_len], f"{path} header")
+    header = parse_json(raw[8:8 + header_len], f"{path} header", {})
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
-            f"container version {header.get('format_version')!r}, "
+            f"{path}: container version {header.get('format_version')!r}, "
             f"expected {FORMAT_VERSION}")
 
     try:
@@ -439,9 +457,10 @@ def load_params(path):
         index = [(e["name"], tuple(e["shape"]), e["offset"], e["nbytes"])
                  for e in header["arrays"]]
         payload_bytes, digest = header["payload_bytes"], header["sha256"]
+        pipeline = header["pipeline"]
     except (KeyError, TypeError, InvalidConfig) as err:
         raise MalformedArtifact(
-            f"{path}: header does not describe a weight file "
+            f"{path}: header does not describe a model "
             f"({type(err).__name__}: {err})") from None
     expected = param_shapes(config)
     if [name for name, *_ in index] != list(expected):
@@ -458,12 +477,12 @@ def load_params(path):
     payload = raw[8 + header_len:]
     if len(payload) != payload_bytes or offset != len(payload):
         raise ChecksumMismatch("payload length does not match header")
-    if hashlib.sha256(payload).hexdigest() != digest:
-        raise ChecksumMismatch("payload checksum mismatch")
+    if _digest(header, payload) != digest:
+        raise ChecksumMismatch(f"{path}: checksum mismatch")
 
     params = {}
     for name, shape, start, nbytes in index:
         arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8,
                             offset=start)
         params[name] = arr.reshape(shape).astype(np.float64)
-    return config, params
+    return config, params, pipeline

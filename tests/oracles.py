@@ -392,8 +392,7 @@ def encoder_forward_oracle(config, params, sequences):
         p = f"layer{i}."
         q = _full_split_heads(x @ params[p + "wq"] + params[p + "bq"],
                               config.n_heads)
-        k = _full_split_heads(x @ params[p + "wk"] + params[p + "bk"],
-                              config.n_heads)
+        k = _full_split_heads(x @ params[p + "wk"], config.n_heads)
         v = _full_split_heads(x @ params[p + "wv"] + params[p + "bv"],
                               config.n_heads)
         scores = q @ k.transpose(0, 1, 3, 2) * scale + key_bias

@@ -42,17 +42,18 @@ class TestRead:
         (b'{"a": 1', "Expecting"),
         (b"[1, 2]", "not a JSON object"),
         (b'{"b": 1}', r"lacks \['a'\]"),
-    ], ids=["not-utf8", "cut", "not-object", "missing-key"])
+        (b'{"a": "1"}', "a is str, expected int"),
+    ], ids=["not-utf8", "cut", "not-object", "missing-key", "wrong-type"])
     def test_json_damage(self, tmp_path, raw, match):
         path = tmp_path / "a.json"
         path.write_bytes(raw)
         with pytest.raises(MalformedArtifact, match=match):
-            read_json(path, ("a",))
+            read_json(path, {"a": int})
 
     def test_json_keys(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_bytes(b'{"a": 1, "b": 2}')
-        assert read_json(path, ("a", "b")) == {"a": 1, "b": 2}
+        assert read_json(path, {"a": int, "b": int}) == {"a": 1, "b": 2}
 
     @pytest.mark.parametrize("raw, match", [
         (b"a,b\n1,2\n3\n", "line 3 has 1 cells"),

@@ -354,6 +354,19 @@ class TestSelect:
         assert err.startswith("error: ") and "features.json" in err
         assert not (clone / "selection.json").exists()
 
+    @pytest.mark.parametrize("key", ["recordings", "feature_names"])
+    def test_features_json_wrong_type_exits_io(self, pipeline, tmp_path,
+                                               capsys, key):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        manifest = clone / "features.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        key: 5}))
+        assert main(["select", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "features.json" in err
+        assert f"{key} is int, expected list" in err
+
 
 class TestTrain:
     def test_artifacts(self, pipeline):
@@ -362,10 +375,10 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss"]
         assert len(rows) - 1 == TRAINING["epochs"]
-        # the vocabulary is derived from kept_features, never stored
+        # the model is one file; the vocabulary follows from kept_features
         assert sorted(p.name for p in (workdir / "model").iterdir()) == [
-            "params.bin", "pipeline.json"]
-        pipe = json.loads((workdir / "model" / "pipeline.json").read_text())
+            "params.bin"]
+        _, _, pipe = load_params(workdir / "model" / "params.bin")
         kept = json.loads((workdir / "selection.json").read_text())["kept"]
         assert pipe["kept_features"] == kept
         split_ids = pipe["split"]
@@ -399,6 +412,36 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "selection.json" in err
         assert not (clone / "model").exists()
+
+    def test_selection_kept_not_a_list_exits_io(self, pipeline, tmp_path,
+                                                capsys):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        (clone / "selection.json").write_text(json.dumps({"kept": 5}))
+        assert main(["train", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "selection.json" in err
+        assert "kept is int, expected list" in err
+        assert not (clone / "model").exists()
+
+    def test_model_is_one_write(self, pipeline, tmp_path, monkeypatch):
+        # artifacts.write_bytes renames each file into place with
+        # os.replace, so its targets are the files a stage writes
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        config = write_config(tmp_path / "c.json", clone,
+                              encoder=FUZZ_ENCODER,
+                              training={**TRAINING, "epochs": 1})
+        targets = []
+        real = os.replace
+
+        def record(src, dst):
+            targets.append(Path(dst))
+            real(src, dst)
+        monkeypatch.setattr(os, "replace", record)
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        assert [t for t in targets if clone / "model" in t.parents] == [
+            clone / "model" / "params.bin"]
 
     def test_failed_write_keeps_old_model(self, pipeline, tmp_path,
                                           monkeypatch, capsys):
@@ -434,7 +477,7 @@ class TestEval:
         metrics = json.loads((workdir / "metrics.json").read_text())
         assert set(metrics) == {"n", "sbp", "dbp"}
         assert set(metrics["sbp"]) == {"mae", "mse", "r2"}
-        pipe = json.loads((workdir / "model" / "pipeline.json").read_text())
+        _, _, pipe = load_params(workdir / "model" / "params.bin")
         assert metrics["n"] == len(pipe["split"]["test"])
 
     def test_confusion_counts_cover_test_set(self, pipeline):
@@ -460,9 +503,9 @@ class TestEval:
                                                   capsys, argv):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
-        enc, params = load_params(clone / "model" / "params.bin")
+        enc, params, pipe = load_params(clone / "model" / "params.bin")
         params["sbp_bias"] = np.full(1, np.nan)
-        save_params(clone / "model" / "params.bin", enc, params)
+        save_params(clone / "model" / "params.bin", enc, params, pipe)
         assert main(argv + ["--workdir", str(clone)]) == EXIT_DIVERGED
         out = capsys.readouterr()
         assert out.out == ""
@@ -549,8 +592,7 @@ class TestPredict:
         # the feature table lacks a column the model keeps
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
-        kept = json.loads((clone / "model" / "pipeline.json").read_text())[
-            "kept_features"]
+        kept = load_params(clone / "model" / "params.bin")[2]["kept_features"]
         with open(clone / "features.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         col = rows[0].index(kept[0])
@@ -582,70 +624,120 @@ def _edit_header(edit):
     return damage
 
 
-def _edit_json(edit):
-    """Damage that rewrites a JSON file through `edit`."""
-    return lambda data: json.dumps(edit(json.loads(data))).encode("utf-8")
-
-
 def _truncate(data: bytes) -> bytes:
     return data[:len(data) // 2]
+
+
+def _on_bytes(damage):
+    """Damage to the model file's raw bytes."""
+    return lambda path: path.write_bytes(damage(path.read_bytes()))
+
+
+def _signed_record(edit):
+    """Damage that rewrites the model's pipeline record through `edit` and
+    saves it with save_params, so the file stays signed and the load
+    reaches the record checks."""
+    def damage(path):
+        enc, params, pipe = load_params(path)
+        save_params(path, enc, params, edit(pipe))
+    return damage
+
+
+def _shift_center(header):
+    header["pipeline"]["feature_scaler"]["center"][0] += 5.0
+    return header
+
+
+def _signed_v1(data: bytes) -> bytes:
+    """The model file as a format-1 writer made it: no pipeline record, and
+    a checksum over the payload alone."""
+    (n,) = struct.unpack_from("<Q", data, 0)
+    header, payload = json.loads(data[8:8 + n]), data[8 + n:]
+    del header["pipeline"]
+    header.update(format_version=1,
+                  sha256=hashlib.sha256(payload).hexdigest())
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return struct.pack("<Q", len(blob)) + blob + payload
 
 
 class TestDamagedModel:
     """A damaged model file is a malformed file: exit 3, not a config error."""
 
-    @pytest.mark.parametrize("name, damage", [
-        ("params.bin", _flip_payload_byte),
-        ("params.bin", lambda d: _replace_header(d, b"#")),
-        ("params.bin", lambda d: _replace_header(d, b"\xff")),
-        ("params.bin", _edit_header(
+    @pytest.mark.parametrize("damage", [
+        _on_bytes(_flip_payload_byte),
+        _on_bytes(lambda d: _replace_header(d, b"#")),
+        _on_bytes(lambda d: _replace_header(d, b"\xff")),
+        _on_bytes(_edit_header(
             lambda h: {**h, "format_version": h["format_version"] + 1})),
-        ("params.bin", _edit_header(lambda h: {**h, "arrays": [
+        _on_bytes(_edit_header(lambda h: {**h, "arrays": [
             {**h["arrays"][0], "shape": [1, 1]}] + h["arrays"][1:]})),
-        ("params.bin", _edit_header(_without("arrays"))),
-        ("params.bin", _edit_header(
+        _on_bytes(_edit_header(_without("arrays"))),
+        _on_bytes(_edit_header(
             lambda h: {**h, "config": {**h["config"], "colour": 1}})),
-        ("params.bin", _edit_header(
+        _on_bytes(_edit_header(
             lambda h: {**h, "config": {**h["config"], "n_heads": 3}})),
-        ("params.bin", _edit_header(lambda h: [])),
-        ("pipeline.json", _truncate),
-        ("pipeline.json", lambda d: b"[1]\n"),
-        ("pipeline.json", _edit_json(_without("kept_features"))),
-        ("pipeline.json", _edit_json(
-            lambda p: {**p, "kept_features": p["kept_features"][:-1]})),
-        ("pipeline.json", _edit_json(lambda p: {**p, "feature_scaler": {
-            **p["feature_scaler"], "center": [0.0]}})),
-        ("pipeline.json", _edit_json(lambda p: {**p, "target_scaler": {
-            **p["target_scaler"], "scale": [1.0, 1.0, 1.0]}})),
+        _on_bytes(_edit_header(lambda h: [])),
+        _on_bytes(_truncate),
+        # the checksum covers the header, so an edit that passes every
+        # other check is caught unless the file is signed again
+        _on_bytes(_edit_header(_shift_center)),
+        _signed_record(lambda p: [1]),
+        _signed_record(_without("kept_features")),
+        _signed_record(
+            lambda p: {**p, "kept_features": p["kept_features"][:-1]}),
+        _signed_record(lambda p: {**p, "feature_scaler": {
+            **p["feature_scaler"], "center": [0.0]}}),
+        _signed_record(lambda p: {**p, "target_scaler": {
+            **p["target_scaler"], "scale": [1.0, 1.0, 1.0]}}),
     ], ids=["payload-byte", "header-garbage", "header-not-utf8",
             "header-version", "array-shape", "header-no-arrays",
             "config-unknown-key", "config-n_heads-3", "header-not-object",
-            "pipeline-truncated", "pipeline-not-object", "pipeline-no-kept",
-            "kept-one-short", "feature-scaler-length-1",
+            "truncated", "header-edit-unsigned", "pipeline-not-object",
+            "pipeline-no-kept", "kept-one-short", "feature-scaler-length-1",
             "target-scaler-length-3"])
-    def test_exits_io(self, pipeline, tmp_path, capsys, name, damage):
+    def test_exits_io(self, pipeline, tmp_path, capsys, damage):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
-        target = clone / "model" / name
-        target.write_bytes(damage(target.read_bytes()))
+        damage(clone / "model" / "params.bin")
         assert main(["predict", "--workdir", str(clone), "--row",
                      "F001"]) == EXIT_IO
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ")
 
-    def test_stale_vocab_file_ignored(self, pipeline, tmp_path, capsys):
-        # the vocabulary follows from pipeline.json; a vocab.json left by an
-        # older version is never read
+    def test_format_1_file_exits_io(self, pipeline, tmp_path, capsys):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
+        _on_bytes(_signed_v1)(clone / "model" / "params.bin")
+        for argv in (["predict", "--row", "F001"], ["eval"]):
+            assert main(argv + ["--workdir", str(clone)]) == EXIT_IO
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "container version 1, expected 2" in out.err
+        assert not (clone / "metrics.json").exists()
+
+    def _predict_ignores(self, pipeline, tmp_path, capsys, name, stale):
         workdir, config = pipeline
         assert main(["predict", "--config", str(config), "--row",
                      "F001"]) == EXIT_OK
         want = capsys.readouterr().out
         clone = clone_inputs(workdir, tmp_path / "w", "model")
-        (clone / "model" / "vocab.json").write_text("[]\n")
+        (clone / "model" / name).write_bytes(stale)
         assert main(["predict", "--workdir", str(clone), "--row",
                      "F001"]) == EXIT_OK
         assert capsys.readouterr().out == want
+
+    def test_stale_vocab_file_ignored(self, pipeline, tmp_path, capsys):
+        # the vocabulary follows from the model's kept features; a
+        # vocab.json left by an older version is never read
+        self._predict_ignores(pipeline, tmp_path, capsys, "vocab.json",
+                              b"[]\n")
+
+    def test_stale_pipeline_json_ignored(self, pipeline, tmp_path, capsys):
+        # the pipeline record lives in params.bin; a pipeline.json left by
+        # an older version is never read
+        self._predict_ignores(pipeline, tmp_path, capsys, "pipeline.json",
+                              b"[1]\n")
 
 
 class TestConstantSbp:
@@ -675,7 +767,6 @@ FUZZ_TARGETS = [
     ("features.json", (), ["select"]),
     ("selection.json", ("selection.json",), ["train"]),
     ("model/params.bin", ("model",), ["predict", "--row", "F001"]),
-    ("model/pipeline.json", ("model",), ["predict", "--row", "F001"]),
     ("wav/F001.wav", ("model",), ["predict", "--wav"]),
 ]
 # the README's exit codes, less 1: no damaged input is a partial extraction

@@ -23,6 +23,9 @@ from speechbp.model import (ChecksumMismatch, EncoderConfig, ForwardOutput,
 from speechbp.textcodec import TokenSequence
 
 VOCAB = 12
+# a stand-in for the record `bp train` stores beside the weights
+PIPELINE = {"kept_features": ["mfcc_1"], "decimals": 4,
+            "feature_scaler": {"center": [0.5], "scale": [2.0]}}
 
 
 def toy_config(**kw):
@@ -84,8 +87,8 @@ class TestConfig:
                             n_heads=12, ff_dim=3072, max_len=512)
         shapes = param_shapes(cfg)
         total = sum(int(np.prod(s)) for s in shapes.values())
-        assert total == 109_480_706
-        assert len(shapes) == 200
+        assert total == 109_471_490
+        assert len(shapes) == 188
 
 
 class TestInit:
@@ -445,17 +448,18 @@ class TestPersistence:
     def test_round_trip_bit_exact(self, toy, tmp_path):
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
-        cfg2, params2 = load_params(p)
+        save_params(p, cfg, params, PIPELINE)
+        cfg2, params2, pipeline = load_params(p)
         assert cfg2 == cfg
+        assert pipeline == PIPELINE
         for name in params:
             np.testing.assert_array_equal(params[name], params2[name])
 
     def test_predictions_survive_round_trip(self, toy, tmp_path):
         cfg, params, batch = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
-        cfg2, params2 = load_params(p)
+        save_params(p, cfg, params, PIPELINE)
+        cfg2, params2, _ = load_params(p)
         a = forward(cfg, params, batch)
         b = forward(cfg2, params2, batch)
         assert np.array_equal(a.sbp_pred, b.sbp_pred)
@@ -464,7 +468,7 @@ class TestPersistence:
     def test_truncated_payload(self, toy, tmp_path):
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
+        save_params(p, cfg, params, PIPELINE)
         raw = p.read_bytes()
         p.write_bytes(raw[:-16])
         with pytest.raises(ChecksumMismatch):
@@ -473,7 +477,7 @@ class TestPersistence:
     def test_payload_bit_flip(self, toy, tmp_path):
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
+        save_params(p, cfg, params, PIPELINE)
         raw = bytearray(p.read_bytes())
         raw[-5] ^= 0x40
         p.write_bytes(bytes(raw))
@@ -498,7 +502,7 @@ class TestPersistence:
     def test_version_mismatch(self, toy, tmp_path):
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
+        save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(p, lambda h: h.update(format_version=99))
         with pytest.raises(VersionMismatch):
             load_params(p)
@@ -507,16 +511,31 @@ class TestPersistence:
         # header claims a wider model than the payload was written for
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
+        save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(
             p, lambda h: h["config"].update(hidden_dim=16, n_heads=2))
         with pytest.raises(ShapeMismatch):
             load_params(p)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h["pipeline"].update(feature_scaler={
+            "center": [5.5], "scale": [2.0]}),
+        lambda h: h["pipeline"].update(kept_features=["mfcc_2"]),
+        lambda h: h["config"].update(dropout_p=0.5),
+    ], ids=["scaler", "kept-name", "config"])
+    def test_header_edit_without_resigning(self, toy, tmp_path, mutate):
+        # the checksum covers the header less its own field, then the payload
+        cfg, params, _ = toy
+        p = tmp_path / "weights.bin"
+        save_params(p, cfg, params, PIPELINE)
+        self._rewrite_header(p, mutate)
+        with pytest.raises(ChecksumMismatch):
+            load_params(p)
+
     def test_reordered_index(self, toy, tmp_path):
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
-        save_params(p, cfg, params)
+        save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(
             p, lambda h: h["arrays"].insert(0, h["arrays"].pop()))
         with pytest.raises(ShapeMismatch):

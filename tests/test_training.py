@@ -381,8 +381,8 @@ class TestEvaluate:
                                       target_scaler=scaler))
         before = evaluate(enc, params, examples, scaler)
         path = tmp_path / "weights.bin"
-        save_params(path, enc, params)
-        enc2, params2 = load_params(path)
+        save_params(path, enc, params, {})
+        enc2, params2, _ = load_params(path)
         after = evaluate(enc2, params2, examples, scaler)
         assert before == after
 
