@@ -14,11 +14,7 @@ import json
 import os
 from pathlib import Path
 
-
-class MalformedArtifact(ValueError):
-    """A damaged artifact: bytes that are not UTF-8, JSON that does not
-    parse or lacks a key, CSV rows that are ragged or hold a bad cell, or
-    model files that do not describe a model or disagree with each other."""
+from .errors import MalformedArtifact
 
 
 def write_bytes(path, data: bytes) -> None:

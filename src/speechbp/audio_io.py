@@ -13,29 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import MalformedArtifact, write_bytes
+from .artifacts import write_bytes
+from .errors import MalformedArtifact
 
 # -32768 maps to -1.0 exactly with this divisor
 INT16_FULL_SCALE = 32768.0
 
 F0_MIN_HZ = 60.0
 F0_MAX_HZ = 400.0
-
-
-class MalformedRiff(MalformedArtifact):
-    """Container structure is not a readable RIFF/WAVE file."""
-
-
-class UnsupportedEncoding(MalformedArtifact):
-    """Valid RIFF, but not 16-bit integer PCM."""
-
-
-class TruncatedData(MalformedArtifact):
-    """data chunk declares more bytes than the file holds."""
-
-
-class InvalidFrequency(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -57,12 +42,13 @@ def load_wav(path) -> AudioClip:
     Stereo input is downmixed by averaging the two channels.  Samples are
     scaled by 1/32768.
 
-    Raises MalformedRiff, UnsupportedEncoding, or TruncatedData depending on
-    what is wrong with the container.
+    Raises MalformedArtifact for a container that is not RIFF/WAVE, is cut
+    short, or is not 16-bit integer PCM.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedRiff(f"{path}: not a little-endian RIFF/WAVE container")
+        raise MalformedArtifact(
+            f"{path}: not a little-endian RIFF/WAVE container")
 
     fmt = None
     pcm = None
@@ -73,11 +59,12 @@ def load_wav(path) -> AudioClip:
         body = data[pos + 8:pos + 8 + declared]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise MalformedRiff(f"{path}: fmt chunk shorter than 16 bytes")
+                raise MalformedArtifact(
+                    f"{path}: fmt chunk shorter than 16 bytes")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < declared:
-                raise TruncatedData(
+                raise MalformedArtifact(
                     f"{path}: data chunk declares {declared} bytes, "
                     f"only {len(body)} present")
             pcm = body
@@ -85,18 +72,20 @@ def load_wav(path) -> AudioClip:
         pos += 8 + declared + (declared & 1)
 
     if fmt is None or pcm is None:
-        raise MalformedRiff(f"{path}: missing fmt or data chunk")
+        raise MalformedArtifact(f"{path}: missing fmt or data chunk")
 
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if audio_format != 1:
-        raise UnsupportedEncoding(
+        raise MalformedArtifact(
             f"{path}: PCM format code 1 required, got {audio_format}")
     if bits != 16:
-        raise UnsupportedEncoding(f"{path}: 16-bit samples required, got {bits}")
+        raise MalformedArtifact(f"{path}: 16-bit samples required, got {bits}")
     if channels not in (1, 2):
-        raise UnsupportedEncoding(f"{path}: expected 1 or 2 channels, got {channels}")
+        raise MalformedArtifact(
+            f"{path}: expected 1 or 2 channels, got {channels}")
     if sample_rate <= 0:
-        raise MalformedRiff(f"{path}: nonpositive sample rate in fmt chunk")
+        raise MalformedArtifact(
+            f"{path}: nonpositive sample rate in fmt chunk")
 
     usable = len(pcm) - len(pcm) % (2 * channels)
     ints = np.frombuffer(pcm[:usable], dtype="<i2")
@@ -114,7 +103,7 @@ def write_wav(path, samples, sample_rate: int, channels: int = 2) -> None:
     step (1/32768).
     """
     if channels not in (1, 2):
-        raise UnsupportedEncoding(f"can only write 1 or 2 channels, got {channels}")
+        raise ValueError(f"can only write 1 or 2 channels, got {channels}")
     x = np.asarray(samples, dtype=np.float64)
     q = np.clip(np.round(x * INT16_FULL_SCALE), -32768, 32767).astype("<i2")
     if channels == 2:
@@ -138,7 +127,7 @@ def synthesize_speech(f0: float, formants, duration_s: float,
     for identical arguments and seed.
     """
     if not (F0_MIN_HZ <= f0 <= F0_MAX_HZ):
-        raise InvalidFrequency(f"f0 {f0} Hz outside [{F0_MIN_HZ}, {F0_MAX_HZ}]")
+        raise ValueError(f"f0 {f0} Hz outside [{F0_MIN_HZ}, {F0_MAX_HZ}]")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
 

@@ -23,28 +23,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (MalformedArtifact, read_json, write_bytes, write_csv,
-                        write_json)
+from .artifacts import read_json, write_bytes, write_csv, write_json
 from .audio_io import load_wav
-from .dataset import (Scaler, TooFewExamples, apply_scaler, build_examples,
+from .dataset import (Scaler, apply_scaler, build_examples,
                       correlation_matrix, fit_scaler, read_manifest,
                       scaler_from_dict, scaler_to_dict, split,
                       synthesize_cohort, write_manifest)
-from .dsp import ClipTooShort
+from .errors import (ConfigError, DegenerateInput, InsufficientData,
+                     MalformedArtifact, TrainingDiverged)
 from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
-                       NoSegments, ZeroVariance, extract_recording,
-                       read_features_csv, write_features_csv)
+                       extract_recording, read_features_csv,
+                       write_features_csv)
 from .model import EncoderConfig, init_params, load_params, save_params
-from .relieff import (DEFAULT_FOLDS, DEFAULT_K_GRID, ClassTooSmall,
+from .relieff import (DEFAULT_FOLDS, DEFAULT_K_GRID,
                       cross_validated_selection, write_selection_manifest,
                       write_weights_report)
 from .textcodec import (DEFAULT_DECIMALS, build_vocabulary,
                         serialize_features, tokenize)
-from .training import (LabeledSequence, TrainConfig, TrainingDiverged,
-                       confusion_matrix, evaluate, label_prediction,
-                       predict_pressures, read_history_csv, train,
-                       validation_split, write_history_csv,
-                       write_metrics_json)
+from .training import (LabeledSequence, TrainConfig, confusion_matrix,
+                       evaluate, label_prediction, predict_pressures,
+                       read_history_csv, train, validation_split,
+                       write_history_csv, write_metrics_json)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -77,14 +76,6 @@ CONFIG_DEFAULTS = {
     "encoder": _field_defaults(EncoderConfig),
     "training": _field_defaults(TrainConfig),
 }
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class SchemaMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -214,6 +205,8 @@ def resolve_config(config_path, seed_override=None,
     if not k_grid or not all(type(k) is int and k >= 1 for k in k_grid):
         raise ConfigError(
             "selection.k_grid must be a non-empty list of integers >= 1")
+    if not 0.0 <= merged["split"]["val_fraction"] < 1.0:
+        raise ConfigError("split.val_fraction must lie in [0, 1)")
     return PipelineConfig(
         workdir=Path(workdir), seed=seed, schema=merged["schema"],
         decimals=merged["decimals"], cohort=merged["cohort"],
@@ -236,8 +229,8 @@ def _read_examples(cfg: PipelineConfig):
     by_id = dict(zip(ids, X))
     have = [r for r in records if r.id in by_id]
     if not have:
-        raise TooFewExamples("no participant has both a manifest row and "
-                             "a features row")
+        raise InsufficientData("no participant has both a manifest row "
+                               "and a features row")
     vectors = {r.id: FeatureVector(names=tuple(names), values=by_id[r.id],
                                    n_segments=nseg[r.id],
                                    schema_id=fman["schema_id"])
@@ -250,7 +243,7 @@ def _kept_columns(names, X, kept) -> np.ndarray:
     keeps, in kept order."""
     missing = [k for k in kept if k not in names]
     if missing:
-        raise SchemaMismatch(f"input features lack {missing}")
+        raise ConfigError(f"input features lack {missing}")
     # take, not X[:, cols]: the result stays row-major, so column means sum
     # in the same order as over the full table
     return X.take([names.index(k) for k in kept], axis=1)
@@ -414,7 +407,7 @@ def cmd_eval(cfg: PipelineConfig) -> int:
     by_id = {ex.participant_id: ex for ex in examples}
     missing = [i for i in model.test_ids if i not in by_id]
     if missing:
-        raise TooFewExamples(f"test participants {missing} have no features")
+        raise InsufficientData(f"test participants {missing} have no features")
     test_ex = [by_id[i] for i in model.test_ids]
     seqs = _encode(names, np.array([ex.features.values for ex in test_ex]),
                    model.kept, model.feature_scaler, model.decimals,
@@ -466,7 +459,7 @@ def cmd_predict(cfg: PipelineConfig, wav=None, row=None) -> int:
 def cmd_report(cfg: PipelineConfig) -> int:
     examples, names, _ = _read_examples(cfg)
     if len(examples) < 3:
-        raise TooFewExamples("correlation needs at least 3 participants")
+        raise InsufficientData("correlation needs at least 3 participants")
     columns = {name: [ex.features.values[j] for ex in examples]
                for j, name in enumerate(names)}
     columns["SBP"] = [ex.sbp_target for ex in examples]
@@ -652,16 +645,18 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, wav=args.wav, row=args.row)
         return cmd_report(cfg)
+    # one class of `errors` per code; all but TrainingDiverged are
+    # ValueErrors, so each is caught before the catch-all
     except TrainingDiverged as err:
         return _fail(EXIT_DIVERGED, err)
-    except (ClassTooSmall, TooFewExamples, ZeroVariance) as err:
+    except InsufficientData as err:
         return _fail(EXIT_DATA, err)
-    except (NoSegments, ClipTooShort) as err:
+    except DegenerateInput as err:
         return _fail(EXIT_DEGENERATE, err)
-    # a damaged artifact (a malformed WAV included) or a config file that
-    # is not UTF-8 is file trouble, checked before the ValueError catch-all
+    # a config file that is not UTF-8 is file trouble too
     except (MalformedArtifact, OSError, UnicodeDecodeError) as err:
         return _fail(EXIT_IO, err)
+    # ConfigError, and any argument a stage rejects with a plain ValueError
     except (ValueError, KeyError) as err:
         return _fail(EXIT_CONFIG, err)
 

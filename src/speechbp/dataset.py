@@ -14,9 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import MalformedArtifact, read_csv, write_csv
+from .artifacts import read_csv, write_csv
 from .audio_io import synthesize_speech, write_wav
-from .features import FeatureVector, ZeroVariance
+from .errors import InsufficientData, MalformedArtifact
+from .features import FeatureVector
 
 SBP_RANGE = (60.0, 260.0)
 DBP_RANGE = (30.0, 160.0)
@@ -53,32 +54,16 @@ MANIFEST_COLUMNS = ("id", "sex", "age", "sbp_initial", "sbp_final",
                     "dbp_initial", "dbp_final", "heart_rate", "wav_path")
 
 
-class OutOfPhysiologicRange(ValueError):
-    pass
-
-
-class MissingFeatures(KeyError):
-    pass
-
-
-class DuplicateId(ValueError):
-    pass
-
-
-class TooFewExamples(ValueError):
-    pass
-
-
 def _reject_constant(stds: np.ndarray, names) -> None:
     flat = np.flatnonzero(stds == 0.0)
     if flat.size:
-        raise ZeroVariance("constant column "
-                           + ", ".join(str(names[i]) for i in flat))
+        raise InsufficientData("constant column "
+                               + ", ".join(str(names[i]) for i in flat))
 
 
 def _check_bp(value: float, lo: float, hi: float, what: str) -> None:
     if not lo <= value <= hi:
-        raise OutOfPhysiologicRange(f"{what} {value} outside [{lo}, {hi}]")
+        raise ValueError(f"{what} {value} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -105,9 +90,9 @@ class ParticipantRecord:
                         (self.dbp_final, "final DBP")):
             _check_bp(v, *DBP_RANGE, what)
         if self.dbp_initial >= self.sbp_initial:
-            raise OutOfPhysiologicRange("initial DBP must stay below SBP")
+            raise ValueError("initial DBP must stay below SBP")
         if self.dbp_final >= self.sbp_final:
-            raise OutOfPhysiologicRange("final DBP must stay below SBP")
+            raise ValueError("final DBP must stay below SBP")
 
 
 @dataclass(frozen=True)
@@ -135,13 +120,9 @@ def build_examples(records: Sequence[ParticipantRecord],
                    feature_vectors: dict):
     """Pair each participant with their feature vector and BP targets."""
     examples = []
-    seen = set()
     for record in records:
-        if record.id in seen:
-            raise DuplicateId(record.id)
-        seen.add(record.id)
         if record.id not in feature_vectors:
-            raise MissingFeatures(record.id)
+            raise ValueError(f"participant {record.id} has no feature vector")
         sbp, dbp = mean_of_measurements(record)
         examples.append(LabeledExample(
             participant_id=record.id,
@@ -164,7 +145,7 @@ class Scaler:
 
 def fit_scaler(train_features, kind: str, on_constant: str = "reject",
                names=None) -> Scaler:
-    """Per-column mean and std.  A constant column raises ZeroVariance,
+    """Per-column mean and std.  A constant column raises InsufficientData,
     named from `names` (else by index), unless on_constant is "center"."""
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -222,7 +203,7 @@ def split(examples: Sequence[LabeledExample], test_fraction: float,
         by_class.setdefault(ex.hypertension, []).append(i)
     for label, members in sorted(by_class.items()):
         if len(members) < 2:
-            raise TooFewExamples(
+            raise InsufficientData(
                 f"class {label} has {len(members)} example(s); need >= 2")
 
     total_test = int(round(len(examples) * test_fraction))
@@ -350,20 +331,29 @@ def write_manifest(path, records: Sequence[ParticipantRecord]) -> None:
 
 
 def read_manifest(path):
+    """The participant records, in file order.  A wrong header, a cell that
+    is not a number, a record out of range or a repeated id is a damaged
+    manifest: MalformedArtifact, naming the file and the line."""
     header, rows = read_csv(path)
     if header != MANIFEST_COLUMNS:
-        raise ValueError(f"unexpected manifest header {header}")
+        raise MalformedArtifact(
+            f"{path}: line 1: unexpected manifest header {header}")
     records = []
+    first_line: dict = {}
     for line, (pid, sex, age, sbp_i, sbp_f, dbp_i, dbp_f, hr,
                wavs) in enumerate(rows, start=2):
         try:
-            numbers = (int(age), float(sbp_i), float(sbp_f), float(dbp_i),
-                       float(dbp_f), None if hr == "" else float(hr))
+            records.append(ParticipantRecord(
+                pid, sex, int(age), float(sbp_i), float(sbp_f),
+                float(dbp_i), float(dbp_f), None if hr == "" else float(hr),
+                wav_paths=tuple(p for p in wavs.split(";") if p)))
         except ValueError as err:
             raise MalformedArtifact(f"{path}: line {line}: {err}") from None
-        records.append(ParticipantRecord(
-            pid, sex, *numbers,
-            wav_paths=tuple(p for p in wavs.split(";") if p)))
+        if pid in first_line:
+            raise MalformedArtifact(
+                f"{path}: line {line}: id {pid} repeats line "
+                f"{first_line[pid]}")
+        first_line[pid] = line
     return records
 
 

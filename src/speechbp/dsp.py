@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioClip
+from .errors import DegenerateInput
 
 SEGMENT_SECONDS = 0.050
 MAX_SEGMENTS = 2400
@@ -29,26 +30,6 @@ MIN_REGION_SECONDS = 0.100
 GATE_STACK = 16
 
 FLATNESS_FLOOR = 1e-12
-
-
-class InvalidLength(ValueError):
-    pass
-
-
-class InvalidSigma(ValueError):
-    pass
-
-
-class EmptyFrame(ValueError):
-    pass
-
-
-class ClipTooShort(ValueError):
-    pass
-
-
-class DegenerateSpectrum(ValueError):
-    """All magnitudes zero; no spectral descriptors exist."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +66,9 @@ def segment_length(sample_rate: int) -> int:
 def gaussian_window(n: int, sigma: float = DEFAULT_WINDOW_SIGMA) -> np.ndarray:
     """w[i] = exp(-0.5 * ((i - (n-1)/2) / (sigma * (n-1)/2))^2), peak 1 at center."""
     if n < 2:
-        raise InvalidLength(f"window needs n >= 2, got {n}")
+        raise ValueError(f"window needs n >= 2, got {n}")
     if not (0.0 < sigma <= 1.0):
-        raise InvalidSigma(f"sigma must lie in (0, 1], got {sigma}")
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     half = (n - 1) / 2.0
     i = np.arange(n)
     return np.exp(-0.5 * ((i - half) / (sigma * half)) ** 2)
@@ -122,7 +103,7 @@ def fft_radix2(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
-        raise InvalidLength(f"radix-2 length must be a power of two, got {n}")
+        raise ValueError(f"radix-2 length must be a power of two, got {n}")
     if n == 1:
         return x.copy()
 
@@ -173,7 +154,7 @@ def fft_magnitude(samples, sample_rate: int) -> Spectrum:
     x = np.asarray(samples, dtype=np.float64)
     length = x.shape[-1]
     if length == 0:
-        raise EmptyFrame("cannot transform an empty frame")
+        raise ValueError("cannot transform an empty frame")
     if not np.all(np.isfinite(x)):
         raise ValueError("frame contains non-finite samples")
     nfft = 1
@@ -212,7 +193,7 @@ def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
     """
     sr = clip.sample_rate
     if clip.duration_s < MIN_REGION_SECONDS:
-        raise ClipTooShort(
+        raise DegenerateInput(
             f"need at least {MIN_REGION_SECONDS * 1000:.0f} ms, "
             f"got {clip.duration_s * 1000:.1f} ms")
 

@@ -13,13 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import (MalformedArtifact, read_csv, read_json, require_keys,
-                        write_csv, write_json)
-from .dsp import (DEFAULT_WINDOW_SIGMA, EmptyFrame, SEGMENT_SECONDS,
-                  DegenerateSpectrum, Segment, Spectrum,
+from .artifacts import (read_csv, read_json, require_keys, write_csv,
+                        write_json)
+from .dsp import (DEFAULT_WINDOW_SIGMA, SEGMENT_SECONDS, Segment, Spectrum,
                   detect_voiced_regions, fft_magnitude, flatness_ratio,
                   gaussian_window, real_fft, segment_length, segment_regions)
 from .audio_io import AudioClip
+from .errors import DegenerateInput, InsufficientData, MalformedArtifact
 
 PREEMPHASIS = 0.97
 N_MEL_FILTERS = 26
@@ -40,22 +40,6 @@ BASE_NAMES = tuple(f"mfcc{i}" for i in range(1, N_MFCC + 1)) + (
     "skewness", "kurtosis", "poly_area", "amp_max", "amp_min")
 EXTRA_NAMES = ("zcr", "energy", "centroid_hz", "bandwidth_hz", "flatness")
 PITCH_NAME = "pitch_hz"
-
-
-class WrongFrameLength(ValueError):
-    pass
-
-
-class TooFewSamples(ValueError):
-    pass
-
-
-class ZeroVariance(ValueError):
-    pass
-
-
-class NoSegments(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -138,8 +122,7 @@ def mfcc_12(segment: Segment) -> np.ndarray:
     x = np.asarray(segment.samples, dtype=np.float64)
     expected = segment_length(segment.sample_rate)
     if len(x) != expected:
-        raise WrongFrameLength(
-            f"segment has {len(x)} samples, expected {expected}")
+        raise ValueError(f"segment has {len(x)} samples, expected {expected}")
     emphasized = np.empty_like(x)
     emphasized[0] = x[0]
     emphasized[1:] = x[1:] - PREEMPHASIS * x[:-1]
@@ -154,12 +137,12 @@ def mfcc_12(segment: Segment) -> np.ndarray:
 def skewness(samples) -> float:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 3:
-        raise TooFewSamples("skewness needs at least 3 samples")
+        raise ValueError("skewness needs at least 3 samples")
     centered = x - x.mean()
     squared = centered * centered
     m2 = float(np.mean(squared))
     if m2 == 0.0:
-        raise ZeroVariance("constant signal has no skewness")
+        raise InsufficientData("constant signal has no skewness")
     return float(np.mean(squared * centered)) / m2 ** 1.5
 
 
@@ -167,12 +150,12 @@ def kurtosis(samples) -> float:
     """Excess kurtosis: 0 for a normal distribution, -2 for a two-level one."""
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 4:
-        raise TooFewSamples("kurtosis needs at least 4 samples")
+        raise ValueError("kurtosis needs at least 4 samples")
     centered = x - x.mean()
     squared = centered * centered
     m2 = float(np.mean(squared))
     if m2 == 0.0:
-        raise ZeroVariance("constant signal has no kurtosis")
+        raise InsufficientData("constant signal has no kurtosis")
     return float(np.mean(squared * squared)) / m2 ** 2 - 3.0
 
 
@@ -180,21 +163,21 @@ def poly_area(segment: Segment) -> float:
     """Trapezoidal integral of |x(t)| over the segment, in amplitude-seconds."""
     x = np.abs(np.asarray(segment.samples, dtype=np.float64))
     if len(x) < 2:
-        raise TooFewSamples("area needs at least 2 samples")
+        raise ValueError("area needs at least 2 samples")
     return float(np.sum(x[1:] + x[:-1])) * 0.5 / segment.sample_rate
 
 
 def amplitude_extrema(segment: Segment):
     x = np.asarray(segment.samples, dtype=np.float64)
     if len(x) == 0:
-        raise EmptyFrame("empty segment has no extrema")
+        raise ValueError("empty segment has no extrema")
     return float(np.max(x)), float(np.min(x))
 
 
 def zero_crossing_rate(samples) -> float:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 2:
-        raise TooFewSamples("zero-crossing rate needs at least 2 samples")
+        raise ValueError("zero-crossing rate needs at least 2 samples")
     signs = np.where(x >= 0.0, 1, -1)  # zero counts as positive
     return float(np.count_nonzero(signs[1:] != signs[:-1])) / (len(x) - 1)
 
@@ -204,7 +187,7 @@ def spectral_descriptors(spectrum: Spectrum):
     m = np.asarray(spectrum.magnitudes, dtype=np.float64)
     total = float(np.sum(m))
     if not np.any(m > 0.0):
-        raise DegenerateSpectrum("all magnitudes zero")
+        raise ValueError("all magnitudes zero")
     freqs = np.arange(len(m)) * spectrum.bin_hz
     centroid = float(np.sum(freqs * m)) / total
     bandwidth = float(np.sqrt(np.sum((freqs - centroid) ** 2 * m) / total))
@@ -281,7 +264,7 @@ def aggregate_recording(per_segment: Sequence[SegmentFeatures],
     if schema not in (BASE_SCHEMA, EXTENDED_SCHEMA):
         raise ValueError(f"unknown schema {schema!r}")
     if not per_segment:
-        raise NoSegments("no voiced audio in input")
+        raise DegenerateInput("no voiced audio in input")
 
     rows = np.array([
         list(f.mfcc) + [f.skewness, f.kurtosis, f.poly_area, f.amp_max,
@@ -311,7 +294,7 @@ def extract_recording(clips: Sequence[AudioClip],
 
     Each clip is segmented on its own, so the segment cap applies per clip;
     the features are then averaged over the segments of all clips.  Raises
-    NoSegments when no clip holds a voiced segment.
+    DegenerateInput when no clip holds a voiced segment.
     """
     segments = []
     for clip in clips:

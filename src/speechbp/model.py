@@ -20,8 +20,8 @@ format version, the encoder config, the array index, the payload length,
 the pipeline record (how a feature row becomes model input: kept features,
 scalers, decimals, schema, split) and a sha256 over the header less that
 field (sorted-key JSON) followed by the payload.  So an edit to the weights,
-the config or the record that leaves the header parseable is a
-ChecksumMismatch.
+the config or the record that leaves the header parseable fails the
+checksum.
 """
 
 from __future__ import annotations
@@ -35,41 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import MalformedArtifact, parse_json, write_bytes
+from .artifacts import parse_json, write_bytes
+from .errors import MalformedArtifact
 from .textcodec import TokenSequence
 
 FORMAT_VERSION = 2
 INIT_STD = 0.02
 MASK_BIAS = -1e9
-
-
-class InvalidConfig(ValueError):
-    pass
-
-
-class IdOutOfRange(ValueError):
-    pass
-
-
-class LengthExceedsMax(ValueError):
-    pass
-
-
-class MissingCache(ValueError):
-    pass
-
-
-class VersionMismatch(MalformedArtifact):
-    pass
-
-
-class ChecksumMismatch(MalformedArtifact):
-    pass
-
-
-class ShapeMismatch(MalformedArtifact):
-    """Arrays whose layout disagrees: a weight file's index against its
-    config, or gradients against parameters."""
 
 
 @dataclass(frozen=True)
@@ -86,19 +58,19 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.vocab_size < 4:
-            raise InvalidConfig("vocab_size must cover the four special ids")
+            raise ValueError("vocab_size must cover the four special ids")
         if min(self.hidden_dim, self.n_layers, self.n_heads, self.ff_dim) < 1:
-            raise InvalidConfig("dimensions must be positive")
+            raise ValueError("dimensions must be positive")
         if self.hidden_dim % self.n_heads != 0:
-            raise InvalidConfig(
+            raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by "
                 f"n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidConfig("dropout_p must lie in [0, 1)")
+            raise ValueError("dropout_p must lie in [0, 1)")
         if self.max_len < 2:
-            raise InvalidConfig("max_len must admit [CLS] and [SEP]")
+            raise ValueError("max_len must admit [CLS] and [SEP]")
         if self.layernorm_epsilon <= 0.0:
-            raise InvalidConfig("layernorm_epsilon must be positive")
+            raise ValueError("layernorm_epsilon must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -179,7 +151,7 @@ def _batch_arrays(config, sequences):
         raise ValueError("empty batch")
     t_max = max(s.true_length for s in sequences)
     if t_max > config.max_len:
-        raise LengthExceedsMax(
+        raise ValueError(
             f"sequence length {t_max} exceeds max_len {config.max_len}")
     # trimming to the longest real prefix is exact: trailing positions are
     # masked everywhere and nothing downstream of the mask reads them
@@ -187,8 +159,7 @@ def _batch_arrays(config, sequences):
     mask = np.stack([np.asarray(s.attention_mask[:t_max])
                      for s in sequences]).astype(np.float64)
     if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise IdOutOfRange(
-            f"token ids must lie in [0, {config.vocab_size})")
+        raise ValueError(f"token ids must lie in [0, {config.vocab_size})")
     return ids, mask
 
 
@@ -322,7 +293,7 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
     """Exact reverse sweep; upstream grads are d loss / d head outputs."""
     cache = output.cache
     if cache is None:
-        raise MissingCache("backward needs a train-mode forward cache")
+        raise ValueError("backward needs a train-mode forward cache")
     grad_sbp = np.asarray(grad_sbp, dtype=np.float64).reshape(-1, 1)
     grad_dbp = np.asarray(grad_dbp, dtype=np.float64).reshape(-1, 1)
     grads = zero_gradients(config)
@@ -442,13 +413,14 @@ def load_params(path):
     layout against the declared config, header and payload by checksum."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
-        raise ChecksumMismatch("file shorter than its own header length")
+        raise MalformedArtifact(
+            f"{path}: file shorter than its own header length")
     (header_len,) = struct.unpack_from("<Q", raw, 0)
     if len(raw) < 8 + header_len:
-        raise ChecksumMismatch("truncated header")
+        raise MalformedArtifact(f"{path}: truncated header")
     header = parse_json(raw[8:8 + header_len], f"{path} header", {})
     if header.get("format_version") != FORMAT_VERSION:
-        raise VersionMismatch(
+        raise MalformedArtifact(
             f"{path}: container version {header.get('format_version')!r}, "
             f"expected {FORMAT_VERSION}")
 
@@ -458,27 +430,29 @@ def load_params(path):
                  for e in header["arrays"]]
         payload_bytes, digest = header["payload_bytes"], header["sha256"]
         pipeline = header["pipeline"]
-    except (KeyError, TypeError, InvalidConfig) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(
             f"{path}: header does not describe a model "
             f"({type(err).__name__}: {err})") from None
     expected = param_shapes(config)
     if [name for name, *_ in index] != list(expected):
-        raise ShapeMismatch("array index does not match the config layout")
+        raise MalformedArtifact(
+            f"{path}: array index does not match the config layout")
     offset = 0
     for name, shape, start, nbytes in index:
         if shape != expected[name]:
-            raise ShapeMismatch(f"{name}: header shape {shape}, "
-                                f"config expects {expected[name]}")
+            raise MalformedArtifact(f"{path}: {name}: header shape {shape}, "
+                                    f"config expects {expected[name]}")
         if start != offset or nbytes != 8 * int(np.prod(shape)):
-            raise ShapeMismatch(f"{name}: inconsistent extent")
+            raise MalformedArtifact(f"{path}: {name}: inconsistent extent")
         offset += nbytes
 
     payload = raw[8 + header_len:]
     if len(payload) != payload_bytes or offset != len(payload):
-        raise ChecksumMismatch("payload length does not match header")
+        raise MalformedArtifact(
+            f"{path}: payload length does not match header")
     if _digest(header, payload) != digest:
-        raise ChecksumMismatch(f"{path}: checksum mismatch")
+        raise MalformedArtifact(f"{path}: checksum mismatch")
 
     params = {}
     for name, shape, start, nbytes in index:

@@ -15,17 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import write_csv, write_json
+from .errors import InsufficientData
 
 DEFAULT_K_GRID = (3, 5, 10)
 DEFAULT_FOLDS = 10
-
-
-class ClassTooSmall(ValueError):
-    pass
-
-
-class EmptyFeatureSet(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,13 +55,13 @@ def _relieff_pass(X, y, ks: Sequence[int]) -> np.ndarray:
         raise ValueError("X must be 2-d with one label per row")
     n, d = X.shape
     if d == 0:
-        raise EmptyFeatureSet("no feature columns")
+        raise ValueError("no feature columns")
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2 or np.min(counts) < 2:
-        raise ClassTooSmall("need at least 2 examples in each of 2 classes")
+        raise InsufficientData("need at least 2 examples in each of 2 classes")
     for k in (ks[0], ks[-1]):
         if k < 1 or k > np.min(counts) - 1:
-            raise ClassTooSmall(
+            raise InsufficientData(
                 f"k={k} exceeds smallest class size {int(np.min(counts))} - 1")
 
     count_of = {int(c): int(cnt) for c, cnt in zip(labels, counts)}
@@ -152,7 +145,7 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
         raise ValueError("cross-validation needs at least 2 folds")
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2 or np.min(counts) < folds:
-        raise ClassTooSmall(
+        raise InsufficientData(
             f"every class needs at least {folds} examples for {folds}-fold CV")
 
     fold_of = _fold_assignment(y, folds, seed)
@@ -162,7 +155,7 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
     ks = [k for k in sorted(set(int(k) for k in k_grid))
           if 1 <= k <= smallest - 1]
     if not ks:
-        raise ClassTooSmall("no candidate k fits the smallest class")
+        raise InsufficientData("no candidate k fits the smallest class")
 
     per_k: dict = {k: [] for k in ks}
     for f in range(folds):

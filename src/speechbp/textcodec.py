@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .features import FeatureVector
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -22,10 +23,6 @@ CHAR_TOKENS = tuple("0123456789") + (".", "-")
 
 DEFAULT_MAX_LEN = 512
 DEFAULT_DECIMALS = 2
-
-
-class NonFiniteValue(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,7 @@ def serialize_features(vector: FeatureVector,
     """Space-joined "name value" pairs, fixed-point, no exponent notation."""
     values = np.asarray(vector.values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
-        raise NonFiniteValue("feature vector contains NaN or infinity")
+        raise ValueError("feature vector contains NaN or infinity")
     words = []
     negative_zero = "-" + f"{0.0:.{decimals}f}"
     for name, value in zip(vector.names, values):
@@ -88,12 +85,16 @@ def _word_ids(word: str, vocab: Vocabulary) -> list:
 
 def tokenize(text: str, vocab: Vocabulary,
              max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
+    """[CLS], the text's tokens, [SEP], padded to max_len.  Text that does
+    not fit is a ConfigError: the encoder would never see its tail."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     content: list = []
     for word in text.split():
         content.extend(_word_ids(word, vocab))
-    content = content[:max_len - 2]
+    if len(content) + 2 > max_len:
+        raise ConfigError(f"feature text needs {len(content) + 2} tokens, "
+                          f"encoder.max_len is {max_len}")
 
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     ids[0] = CLS_ID

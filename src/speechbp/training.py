@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import MalformedArtifact, read_csv, write_csv, write_json
-from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, TooFewExamples,
-                      apply_scaler, invert_scaler, label_hypertension)
-from .features import ZeroVariance
-from .model import (EncoderConfig, ShapeMismatch, backward, forward)
+from .artifacts import read_csv, write_csv, write_json
+from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, apply_scaler,
+                      invert_scaler, label_hypertension)
+from .errors import InsufficientData, MalformedArtifact, TrainingDiverged
+from .model import EncoderConfig, backward, forward
 from .textcodec import TokenSequence
 
 EVAL_BATCH = 32
@@ -26,14 +26,6 @@ EVAL_BATCH = 32
 # limit for the divergence guard, in standardized-target loss units where a
 # constant-zero predictor scores exactly 2.0
 DIVERGENCE_LIMIT = 1000.0
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,9 @@ def _paired(y, yhat):
     a = np.asarray(y, dtype=np.float64).ravel()
     b = np.asarray(yhat, dtype=np.float64).ravel()
     if a.shape != b.shape:
-        raise LengthMismatch(f"{a.shape[0]} targets vs {b.shape[0]} predictions")
+        raise ValueError(f"{a.shape[0]} targets vs {b.shape[0]} predictions")
     if a.size == 0:
-        raise TooFewExamples("no examples")
+        raise InsufficientData("no examples")
     return a, b
 
 
@@ -110,7 +102,7 @@ def r2(y, yhat) -> float:
     a, b = _paired(y, yhat)
     tss = float(np.sum((a - np.mean(a)) ** 2))
     if tss == 0.0:
-        raise ZeroVariance("targets carry no variance")
+        raise InsufficientData("targets carry no variance")
     rss = float(np.sum((a - b) ** 2))
     return 1.0 - rss / tss
 
@@ -141,11 +133,11 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
     if t < 1:
         raise ValueError("step index starts at 1")
     if set(grads) != set(params):
-        raise ShapeMismatch("gradient keys do not match parameters")
+        raise ValueError("gradient keys do not match parameters")
     for name, g in grads.items():
         if g.shape != params[name].shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs "
-                                f"param {params[name].shape}")
+            raise ValueError(f"{name}: grad {g.shape} vs "
+                             f"param {params[name].shape}")
     b1, b2 = config.beta1, config.beta2
     for name, g in grads.items():
         m, v = state["m"][name], state["v"][name]
@@ -219,7 +211,7 @@ def train(enc_config: EncoderConfig, params: dict,
     TrainingDiverged rather than writing garbage onward.
     """
     if not train_set:
-        raise TooFewExamples("no training examples")
+        raise InsufficientData("no training examples")
     if config.target_scaler is None:
         raise ValueError("config.target_scaler must be fitted first")
     scaler = config.target_scaler
@@ -271,7 +263,7 @@ def evaluate(enc_config: EncoderConfig, params: dict,
     them from `predict_pressures`; without it they are computed here.
     """
     if not test_set:
-        raise TooFewExamples("no evaluation examples")
+        raise InsufficientData("no evaluation examples")
     if preds is None:
         preds = predict_pressures(enc_config, params,
                                   [ex.sequence for ex in test_set],
@@ -319,7 +311,7 @@ def confusion_matrix(pred_sbp, pred_dbp, true_class) -> dict:
     pd = np.asarray(pred_dbp, dtype=np.float64).ravel()
     tc = np.asarray(true_class).ravel()
     if not ps.shape == pd.shape == tc.shape:
-        raise LengthMismatch("prediction and label lengths differ")
+        raise ValueError("prediction and label lengths differ")
     counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     for s, d, t in zip(ps, pd, tc):
         predicted = label_prediction(s, d)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from speechbp.artifacts import (MalformedArtifact, read_csv, read_json,
-                                write_bytes, write_csv, write_json)
+from speechbp.artifacts import (read_csv, read_json, write_bytes, write_csv,
+                                write_json)
+from speechbp.errors import MalformedArtifact
 
 
 class TestWrite:

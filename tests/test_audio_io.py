@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from speechbp import audio_io
-from speechbp.audio_io import (AudioClip, InvalidFrequency, MalformedRiff,
-                               TruncatedData, UnsupportedEncoding, load_wav,
-                               synthesize_speech, write_wav)
+from speechbp.audio_io import (AudioClip, load_wav, synthesize_speech,
+                               write_wav)
 from speechbp.dsp import fft_magnitude, gaussian_window
+from speechbp.errors import MalformedArtifact
 
 
 def wav_bytes(samples_int16, sample_rate=48000, channels=1, audio_format=1,
@@ -51,19 +51,20 @@ class TestLoadWav:
     def test_rifx_rejected(self, tmp_path):
         p = tmp_path / "x.wav"
         p.write_bytes(wav_bytes([0, 1], magic=b"RIFX"))
-        with pytest.raises(MalformedRiff):
+        with pytest.raises(MalformedArtifact, match="not a little-endian"):
             load_wav(p)
 
     def test_not_wave_rejected(self, tmp_path):
         p = tmp_path / "x.wav"
         p.write_bytes(wav_bytes([0, 1], wave_id=b"AVI "))
-        with pytest.raises(MalformedRiff):
+        with pytest.raises(MalformedArtifact, match="not a little-endian"):
             load_wav(p)
 
     def test_truncated_data_chunk(self, tmp_path):
         p = tmp_path / "t.wav"
         p.write_bytes(wav_bytes([1, 2, 3], data_size=4096))
-        with pytest.raises(TruncatedData):
+        with pytest.raises(MalformedArtifact,
+                           match="declares 4096 bytes, only 6 present"):
             load_wav(p)
 
     @pytest.mark.parametrize("kwargs", [
@@ -72,13 +73,17 @@ class TestLoadWav:
     def test_unsupported_encodings(self, tmp_path, kwargs):
         p = tmp_path / "u.wav"
         p.write_bytes(wav_bytes([0, 1], **kwargs))
-        with pytest.raises(UnsupportedEncoding):
+        match = {"bits": "16-bit samples required",
+                 "audio_format": "PCM format code 1 required",
+                 "channels": "expected 1 or 2 channels"}[next(iter(kwargs))]
+        with pytest.raises(MalformedArtifact, match=match):
             load_wav(p)
 
     def test_missing_chunks(self, tmp_path):
         p = tmp_path / "m.wav"
         p.write_bytes(b"RIFF" + struct.pack("<I", 4) + b"WAVE")
-        with pytest.raises(MalformedRiff):
+        with pytest.raises(MalformedArtifact,
+                           match="missing fmt or data chunk"):
             load_wav(p)
 
     def test_skips_unknown_chunks(self, tmp_path):
@@ -140,7 +145,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("f0", [10.0, 59.9, 400.1, 2000.0])
     def test_invalid_f0(self, f0):
-        with pytest.raises(InvalidFrequency):
+        with pytest.raises(ValueError, match=r"outside \[60.0, 400.0\]"):
             synthesize_speech(f0, self.FORMANTS, 1.0, 48000, seed=0)
 
     def test_invalid_duration(self):

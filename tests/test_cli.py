@@ -26,11 +26,11 @@ from hypothesis import given, settings, strategies as st
 
 from speechbp import training
 from speechbp.audio_io import write_wav
-from speechbp.cli import (CONFIG_DEFAULTS, ConfigError, EXIT_CONFIG,
-                          EXIT_DATA, EXIT_DEGENERATE, EXIT_DIVERGED,
-                          EXIT_IO, EXIT_OK, EXIT_PARTIAL, main,
-                          resolve_config)
+from speechbp.cli import (CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DATA,
+                          EXIT_DEGENERATE, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
+                          EXIT_PARTIAL, main, resolve_config)
 from speechbp.dataset import label_hypertension, read_manifest, write_manifest
+from speechbp.errors import ConfigError
 from speechbp.features import BASE_NAMES
 from speechbp.model import load_params, save_params
 
@@ -155,8 +155,11 @@ class TestConfigResolution:
         ("select", {"selection": {"k_grid": 3}}),
         ("train", {"training": {"epochs": "5"}}),
         ("train", {"split": {"test_fraction": "0.2"}}),
+        ("train", {"split": {"val_fraction": -0.5}}),
+        ("train", {"split": {"val_fraction": 1.0}}),
     ], ids=["folds-0", "folds-1", "k_grid-empty", "k_grid-0", "folds-float",
-            "k_grid-int", "epochs-string", "test_fraction-string"])
+            "k_grid-int", "epochs-string", "test_fraction-string",
+            "val_fraction-negative", "val_fraction-1"])
     def test_bad_value_exits_config_and_writes_nothing(
             self, pipeline, tmp_path, capsys, command, overrides):
         workdir, _ = pipeline
@@ -462,6 +465,20 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: cannot rename")
         assert snapshot(clone) == before
 
+    def test_max_len_too_short_exits_config(self, pipeline, tmp_path,
+                                            capsys):
+        # a row's feature text takes at least 7 tokens; the encoder would
+        # see only a prefix of it
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        config = write_config(tmp_path / "c.json", clone,
+                              encoder={**FUZZ_ENCODER, "max_len": 6})
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature text needs ")
+        assert "tokens, encoder.max_len is 6" in err
+        assert not (clone / "model" / "params.bin").exists()
+
     def test_missing_selection(self, tmp_path):
         workdir = tmp_path / "w"
         config = write_config(tmp_path / "c.json", workdir,
@@ -741,8 +758,8 @@ class TestDamagedModel:
 
 
 class TestConstantSbp:
-    """A constant column is ZeroVariance (exit 4) wherever it is found, and
-    the message names it."""
+    """A constant column is InsufficientData (exit 4) wherever it is found,
+    and the message names it."""
 
     @pytest.mark.parametrize("command", ["train", "report"])
     def test_constant_sbp_exits_data(self, pipeline, tmp_path, capsys,
@@ -816,12 +833,12 @@ class TestParserFuzz:
             assert err.getvalue().startswith("error: ")
 
     @pytest.mark.parametrize("cut, code", [
-        (lambda text: 0, EXIT_CONFIG),
+        (lambda text: 0, EXIT_IO),
         (lambda text: text.index("\n") + 10, EXIT_IO),
     ], ids=["empty", "mid-row"])
     def test_truncated_manifest(self, pipeline, tmp_path, capsys, cut, code):
-        # an empty manifest has no header (exit 2); a cut inside a row
-        # leaves it ragged, a malformed file (exit 3)
+        # an empty manifest has no header and a cut inside a row leaves it
+        # ragged: either is a malformed file (exit 3)
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w")
         text = (clone / "manifest.csv").read_text()
@@ -844,6 +861,27 @@ class TestParserFuzz:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "manifest.csv: line 2" in err
+
+    @pytest.mark.parametrize("line, column, value, message", [
+        (2, "age", "200", "line 2: age 200 outside (20, 70)"),
+        (4, "id", "F001", "line 4: id F001 repeats line 2"),
+    ], ids=["age-200", "repeated-id"])
+    def test_manifest_invalid_record_exits_io(self, pipeline, tmp_path,
+                                              capsys, line, column, value,
+                                              message):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        path = clone / "manifest.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[line - 1][rows[0].index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        for command in ("extract", "report"):
+            assert main([command, "--workdir", str(clone)]) == EXIT_IO
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"manifest.csv: {message}" in err
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:text.index("\n", text.index("\n") + 1) + 4],

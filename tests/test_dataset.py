@@ -1,19 +1,20 @@
 """Tests for labeling, example construction, scaling, splits, and the cohort."""
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from speechbp import dataset as D
-from speechbp.artifacts import MalformedArtifact
-from speechbp.dataset import (DuplicateId, LabeledExample, MissingFeatures,
-                              OutOfPhysiologicRange, ParticipantRecord,
-                              Scaler, TooFewExamples, apply_scaler,
-                              build_examples, correlation_matrix, fit_scaler,
-                              invert_scaler, label_hypertension, read_manifest,
+from speechbp.dataset import (LabeledExample, ParticipantRecord, Scaler,
+                              apply_scaler, build_examples,
+                              correlation_matrix, fit_scaler, invert_scaler,
+                              label_hypertension, read_manifest,
                               scaler_from_dict, scaler_to_dict, split,
                               synthesize_cohort, write_manifest)
-from speechbp.features import FeatureVector, ZeroVariance
+from speechbp.errors import InsufficientData, MalformedArtifact
+from speechbp.features import FeatureVector
 
 
 def make_record(pid="P001", sbp=(120.0, 110.0), dbp=(80.0, 70.0), sex="F",
@@ -52,7 +53,7 @@ class TestLabeling:
     @pytest.mark.parametrize("sbp,dbp", [(59.0, 50.0), (261.0, 80.0),
                                          (120.0, 29.0), (120.0, 161.0)])
     def test_out_of_range(self, sbp, dbp):
-        with pytest.raises(OutOfPhysiologicRange):
+        with pytest.raises(ValueError, match=r"BP \S+ outside \["):
             label_hypertension(sbp, dbp)
 
     def test_agrees_with_oracle(self):
@@ -70,7 +71,8 @@ class TestRecords:
         assert r.id == "P001"
 
     def test_dbp_must_stay_below_sbp(self):
-        with pytest.raises(OutOfPhysiologicRange):
+        with pytest.raises(ValueError,
+                           match="final DBP must stay below SBP"):
             make_record(sbp=(120.0, 110.0), dbp=(80.0, 115.0))
 
     def test_age_bounds(self):
@@ -90,13 +92,18 @@ class TestBuildExamples:
         assert ex[0].dbp_target == 75.0
         assert ex[0].hypertension == 1  # dbp 75 > 72
 
-    def test_duplicate_id(self):
-        records = [make_record("A"), make_record("A")]
-        with pytest.raises(DuplicateId):
-            build_examples(records, {"A": make_vector()})
+    def test_duplicate_id(self, tmp_path):
+        # a repeated id is a damaged manifest, caught where it is read
+        p = tmp_path / "manifest.csv"
+        write_manifest(p, [make_record("A"), make_record("B"),
+                           make_record("A")])
+        want = re.escape(f"{p}: line 4: id A repeats line 2")
+        with pytest.raises(MalformedArtifact, match=want):
+            read_manifest(p)
 
     def test_missing_features(self):
-        with pytest.raises(MissingFeatures):
+        with pytest.raises(ValueError,
+                           match="participant A has no feature vector"):
             build_examples([make_record("A")], {})
 
     def test_95_records(self):
@@ -116,9 +123,9 @@ class TestScaler:
                                     1.2247448713915890], rtol=1e-12)
 
     def test_standard_rejects_constant_by_default(self):
-        with pytest.raises(ZeroVariance, match="constant column 1"):
+        with pytest.raises(InsufficientData, match="constant column 1"):
             fit_scaler(np.array([[1.0, 5.0], [2.0, 5.0]]), "standard")
-        with pytest.raises(ZeroVariance, match="constant column DBP"):
+        with pytest.raises(InsufficientData, match="constant column DBP"):
             fit_scaler(np.array([[1.0, 5.0], [2.0, 5.0]]), "standard",
                        names=("SBP", "DBP"))
 
@@ -208,7 +215,8 @@ class TestSplit:
         assert test_pos == sorted(test_pos)
 
     def test_tiny_class_rejected(self):
-        with pytest.raises(TooFewExamples):
+        with pytest.raises(InsufficientData,
+                           match="class 1 has 1 example"):
             split(fake_examples(9, 1), 0.2, seed=0)
 
     def test_bad_fraction(self):
@@ -293,14 +301,35 @@ class TestManifest:
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "manifest.csv"
         p.write_text("id,sex\nA,F\n")
-        with pytest.raises(ValueError):
+        want = re.escape(f"{p}: line 1: unexpected manifest header")
+        with pytest.raises(MalformedArtifact, match=want):
             read_manifest(p)
 
     @pytest.mark.parametrize("text", ["", "id,sex\n"], ids=["empty", "short"])
     def test_empty_or_short_header_rejected(self, tmp_path, text):
         p = tmp_path / "manifest.csv"
         p.write_text(text)
-        with pytest.raises(ValueError, match="unexpected manifest header"):
+        want = re.escape(f"{p}: line 1: unexpected manifest header")
+        with pytest.raises(MalformedArtifact, match=want):
+            read_manifest(p)
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("age", "200", r"age 200 outside \(20, 70\)"),
+        ("sex", "X", "sex must be F or M"),
+        ("sbp_final", "300", r"final SBP 300.0 outside \[60.0, 260.0\]"),
+        ("dbp_initial", "159", "initial DBP must stay below SBP"),
+    ], ids=["age", "sex", "sbp", "dbp-above-sbp"])
+    def test_invalid_record_is_malformed(self, tmp_path, column, value,
+                                         message):
+        p = tmp_path / "manifest.csv"
+        write_manifest(p, synthesize_cohort(n_female=2, n_male=2, seed=1))
+        lines = p.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedArtifact,
+                           match=re.escape(f"{p}: line 4: ") + message):
             read_manifest(p)
 
     @pytest.mark.parametrize("cut", [-1, 1], ids=["cell-short", "cell-extra"])
@@ -357,7 +386,7 @@ class TestCorrelation:
         assert np.min(np.linalg.eigvalsh(R)) > -1e-9
 
     def test_constant_column(self):
-        with pytest.raises(ZeroVariance, match="constant column a"):
+        with pytest.raises(InsufficientData, match="constant column a"):
             correlation_matrix({"a": [1.0, 1.0, 1.0], "b": [1.0, 2.0, 3.0]})
 
     def test_too_few_rows(self):

@@ -6,6 +6,7 @@ sampled and compared against the hand-derived backward pass.
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,10 +14,9 @@ import pytest
 
 from oracles import (central_difference, encoder_forward_oracle,
                      gelu_backward_pow_oracle, gelu_pow_oracle)
-from speechbp.model import (ChecksumMismatch, EncoderConfig, ForwardOutput,
-                            IdOutOfRange, InvalidConfig, LengthExceedsMax,
-                            MissingCache, ShapeMismatch, VersionMismatch,
-                            _gelu, _gelu_backward, _layer_norm,
+from speechbp.errors import MalformedArtifact
+from speechbp.model import (EncoderConfig, ForwardOutput, _gelu,
+                            _gelu_backward, _layer_norm,
                             _layer_norm_backward, backward, forward,
                             init_params, load_params, param_shapes,
                             save_params, zero_gradients)
@@ -78,7 +78,14 @@ class TestConfig:
         base = dict(vocab_size=VOCAB, hidden_dim=8, n_layers=1, n_heads=2,
                     ff_dim=16, max_len=8)
         base.update(kw)
-        with pytest.raises(InvalidConfig):
+        match = {"hidden_dim": "not divisible by n_heads",
+                 "dropout_p": r"dropout_p must lie in \[0, 1\)",
+                 "max_len": "max_len must admit",
+                 "vocab_size": "vocab_size must cover",
+                 "n_layers": "dimensions must be positive",
+                 "layernorm_epsilon": "layernorm_epsilon must be positive",
+                 }[next(iter(kw))]
+        with pytest.raises(ValueError, match=match):
             EncoderConfig(**base)
 
     def test_full_scale_geometry_constructible(self):
@@ -196,20 +203,21 @@ class TestForward:
 
     def test_id_out_of_range(self, toy):
         cfg, params, _ = toy
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(ValueError, match=r"token ids must lie in \[0, "):
             forward(cfg, params, [make_seq([2, VOCAB, 3])])
 
     def test_negative_id(self, toy):
         cfg, params, _ = toy
         bad = make_seq([2, 5, 3])
         bad.input_ids[1] = -1
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(ValueError, match=r"token ids must lie in \[0, "):
             forward(cfg, params, [bad])
 
     def test_length_exceeds_max(self, toy):
         cfg, params, _ = toy
         ids = [2] + [5] * 9 + [3]       # 11 tokens > max_len 8
-        with pytest.raises(LengthExceedsMax):
+        with pytest.raises(ValueError,
+                           match="sequence length 11 exceeds max_len 8"):
             forward(cfg, params, [make_seq(ids, width=11)])
 
     def test_pad_perturbation_bit_identical(self):
@@ -377,7 +385,7 @@ class TestBackward:
     def test_missing_cache(self, toy):
         cfg, params, batch = toy
         out = forward(cfg, params, batch, mode="eval")
-        with pytest.raises(MissingCache):
+        with pytest.raises(ValueError, match="needs a train-mode forward"):
             backward(cfg, params, out, np.ones((2, 1)), np.ones((2, 1)))
 
     def test_gradient_shapes(self, toy):
@@ -444,6 +452,18 @@ class TestLayerNormDegenerate:
             assert rel < 1e-4
 
 
+def header_edit(mutate):
+    """Damage to a model file: its JSON header rewritten through `mutate`,
+    and not signed again."""
+    def damage(raw: bytes) -> bytes:
+        (hlen,) = struct.unpack_from("<Q", raw, 0)
+        header = json.loads(raw[8:8 + hlen])
+        mutate(header)
+        blob = json.dumps(header, sort_keys=True).encode()
+        return struct.pack("<Q", len(blob)) + blob + raw[8 + hlen:]
+    return damage
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, toy, tmp_path):
         cfg, params, _ = toy
@@ -471,7 +491,8 @@ class TestPersistence:
         save_params(p, cfg, params, PIPELINE)
         raw = p.read_bytes()
         p.write_bytes(raw[:-16])
-        with pytest.raises(ChecksumMismatch):
+        with pytest.raises(MalformedArtifact,
+                           match="payload length does not match header"):
             load_params(p)
 
     def test_payload_bit_flip(self, toy, tmp_path):
@@ -481,30 +502,26 @@ class TestPersistence:
         raw = bytearray(p.read_bytes())
         raw[-5] ^= 0x40
         p.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumMismatch):
+        with pytest.raises(MalformedArtifact, match="checksum mismatch"):
             load_params(p)
 
     def test_tiny_file(self, tmp_path):
         p = tmp_path / "weights.bin"
         p.write_bytes(b"\x01\x02")
-        with pytest.raises(ChecksumMismatch):
+        with pytest.raises(MalformedArtifact,
+                           match="file shorter than its own header length"):
             load_params(p)
 
     def _rewrite_header(self, path, mutate):
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack_from("<Q", raw, 0)
-        header = json.loads(raw[8:8 + hlen])
-        payload = raw[8 + hlen:]
-        mutate(header)
-        blob = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+        path.write_bytes(header_edit(mutate)(path.read_bytes()))
 
     def test_version_mismatch(self, toy, tmp_path):
         cfg, params, _ = toy
         p = tmp_path / "weights.bin"
         save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(p, lambda h: h.update(format_version=99))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(MalformedArtifact,
+                           match="container version 99, expected 2"):
             load_params(p)
 
     def test_hidden_dim_mismatch(self, toy, tmp_path):
@@ -514,7 +531,9 @@ class TestPersistence:
         save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(
             p, lambda h: h["config"].update(hidden_dim=16, n_heads=2))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(MalformedArtifact, match=re.escape(
+                "token_embedding: header shape (12, 8), "
+                "config expects (12, 16)")):
             load_params(p)
 
     @pytest.mark.parametrize("mutate", [
@@ -529,7 +548,7 @@ class TestPersistence:
         p = tmp_path / "weights.bin"
         save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(p, mutate)
-        with pytest.raises(ChecksumMismatch):
+        with pytest.raises(MalformedArtifact, match="checksum mismatch"):
             load_params(p)
 
     def test_reordered_index(self, toy, tmp_path):
@@ -538,5 +557,28 @@ class TestPersistence:
         save_params(p, cfg, params, PIPELINE)
         self._rewrite_header(
             p, lambda h: h["arrays"].insert(0, h["arrays"].pop()))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(MalformedArtifact,
+                           match="array index does not match"):
+            load_params(p)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw[:2], "file shorter than its own header length"),
+        (lambda raw: raw[:100], "truncated header"),
+        (header_edit(lambda h: h["arrays"].reverse()),
+         "array index does not match the config layout"),
+        (header_edit(lambda h: h["arrays"][0].update(shape=[1, 1])),
+         "token_embedding: header shape (1, 1), config expects (12, 8)"),
+        (header_edit(lambda h: h["arrays"][1].update(offset=8)),
+         "position_embedding: inconsistent extent"),
+        (lambda raw: raw[:-8], "payload length does not match header"),
+    ], ids=["short-file", "truncated-header", "index", "shape", "extent",
+            "payload-length"])
+    def test_layout_damage_names_the_file(self, toy, tmp_path, damage,
+                                          message):
+        cfg, params, _ = toy
+        p = tmp_path / "weights.bin"
+        save_params(p, cfg, params, PIPELINE)
+        p.write_bytes(damage(p.read_bytes()))
+        with pytest.raises(MalformedArtifact,
+                           match=re.escape(f"{p}: {message}")):
             load_params(p)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from speechbp.relieff import (ClassTooSmall, EmptyFeatureSet,
-                              FeatureWeights, _fold_assignment,
+from speechbp.errors import InsufficientData
+from speechbp.relieff import (FeatureWeights, _fold_assignment,
                               _nearest_neighbor_accuracy, _relieff_pass,
                               cross_validated_selection, relieff_weights,
                               select_features, write_selection_manifest,
@@ -147,15 +147,17 @@ class TestWeights:
 
     def test_k_too_large(self):
         y = np.array([0, 0, 0, 1, 1, 1])
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(InsufficientData,
+                           match="k=3 exceeds smallest class size 3 - 1"):
             relieff_weights(np.zeros((6, 2)), y, k=3)
 
     def test_single_class(self):
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(InsufficientData,
+                           match="at least 2 examples in each of 2 classes"):
             relieff_weights(np.zeros((6, 2)), np.zeros(6, dtype=int), k=1)
 
     def test_no_features(self):
-        with pytest.raises(EmptyFeatureSet):
+        with pytest.raises(ValueError, match="no feature columns"):
             relieff_weights(np.zeros((6, 0)), np.array([0, 1] * 3), k=1)
 
 
@@ -250,7 +252,7 @@ class TestCrossValidation:
                 try:
                     fits = [relieff_weights(X[fold_of != f], y[fold_of != f],
                                             k=k) for f in range(5)]
-                except ClassTooSmall:
+                except InsufficientData:
                     continue
                 per_k[k] = []
                 for f, w in enumerate(fits):
@@ -269,7 +271,8 @@ class TestCrossValidation:
     def test_small_class_rejected(self):
         y = np.array([0] * 9 + [1] * 20)
         X = np.random.default_rng(0).normal(size=(29, 2))
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(InsufficientData,
+                           match="at least 10 examples for 10-fold CV"):
             cross_validated_selection(X, y, folds=10, seed=0)
 
     def test_fold_count_matches(self):

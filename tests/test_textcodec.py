@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from speechbp.errors import ConfigError
 from speechbp.features import BASE_NAMES, FeatureVector
-from speechbp.textcodec import (CLS_ID, NonFiniteValue, PAD_ID, SEP_ID,
-                                UNK_ID, build_vocabulary, serialize_features,
+from speechbp.textcodec import (CLS_ID, PAD_ID, SEP_ID, UNK_ID,
+                                build_vocabulary, serialize_features,
                                 tokenize)
 
 
@@ -81,7 +82,7 @@ class TestSerialize:
     def test_non_finite_rejected(self, bad):
         vec = FeatureVector(names=("a",), values=np.array([bad]),
                             n_segments=1, schema_id="base")
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(ValueError, match="contains NaN or infinity"):
             serialize_features(vec)
 
 
@@ -131,11 +132,14 @@ class TestTokenize:
             assert seq.true_length == want
             assert seq.true_length < 512
 
-    def test_truncation_from_right(self, vocab):
-        seq = tokenize("mfcc1 " * 600, vocab, max_len=16)
+    def test_overlong_text_is_config_error(self, vocab):
+        # 14 tokens and the two specials fit in 16; one more does not
+        seq = tokenize("mfcc1 " * 14, vocab, max_len=16)
         assert seq.true_length == 16
         assert seq.input_ids[15] == SEP_ID
-        assert np.all(seq.input_ids[1:15] == vocab.token_to_id["mfcc1"])
+        with pytest.raises(ConfigError,
+                           match="needs 17 tokens, encoder.max_len is 16"):
+            tokenize("mfcc1 " * 15, vocab, max_len=16)
 
     def test_min_max_len(self, vocab):
         with pytest.raises(ValueError):
