@@ -31,7 +31,7 @@ from .dataset import (Scaler, apply_scaler, build_examples,
                       synthesize_cohort, write_manifest)
 from .errors import (ConfigError, DegenerateInput, InsufficientData,
                      MalformedArtifact, TrainingDiverged)
-from .features import (BASE_SCHEMA, EXTENDED_SCHEMA, FeatureVector,
+from .features import (BASE_SCHEMA, SCHEMAS, FeatureVector,
                        extract_recording, read_features_csv,
                        write_features_csv)
 from .model import EncoderConfig, init_params, load_params, save_params
@@ -195,7 +195,7 @@ def resolve_config(config_path, seed_override=None,
     workdir = (workdir_override or merged["workdir"]
                or os.environ.get(WORKDIR_ENV) or DEFAULT_WORKDIR)
     seed = merged["seed"] if seed_override is None else seed_override
-    if merged["schema"] not in (BASE_SCHEMA, EXTENDED_SCHEMA):
+    if merged["schema"] not in SCHEMAS:
         raise ConfigError(f"unknown feature schema {merged['schema']!r}")
     if not 0 <= merged["decimals"] <= 12:
         raise ConfigError("decimals must lie in [0, 12]")

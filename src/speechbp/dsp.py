@@ -189,9 +189,14 @@ def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
     A frame qualifies when its RMS exceeds VOICED_RMS_FACTOR times the clip's
     median frame RMS and its spectral flatness over 100-4000 Hz is below
     VOICED_FLATNESS_MAX.  Qualifying frames are merged into regions; regions
-    shorter than 100 ms are dropped.
+    shorter than 100 ms are dropped.  A clip shorter than 100 ms, or sampled
+    too slowly for any frame to reach the flatness band, is DegenerateInput.
     """
     sr = clip.sample_rate
+    if sr < 2 * FLATNESS_BAND_HZ[0]:
+        raise DegenerateInput(
+            f"sample rate {sr} Hz is below {2 * FLATNESS_BAND_HZ[0]:.0f} Hz, "
+            f"so no frame reaches the voiced gate's flatness band")
     if clip.duration_s < MIN_REGION_SECONDS:
         raise DegenerateInput(
             f"need at least {MIN_REGION_SECONDS * 1000:.0f} ms, "

@@ -1,9 +1,10 @@
 """Per-segment acoustic features and their per-recording aggregation.
 
-Each 50 ms segment yields 12 MFCCs, amplitude-shape statistics (skewness,
-excess kurtosis, rectified area, extrema) and a handful of spectral/temporal
-descriptors.  A recording is summarized by the arithmetic mean of each feature
-over its segments, laid out under a fixed schema so downstream CSVs line up.
+Each 50 ms segment yields one row: 12 MFCCs, amplitude-shape statistics
+(skewness, excess kurtosis, rectified area, extrema), a handful of
+spectral/temporal descriptors and pitch, in SEGMENT_NAMES order.  A recording
+is summarized by the arithmetic mean of each of its schema's columns over its
+segments, so downstream CSVs line up.
 """
 
 from __future__ import annotations
@@ -29,33 +30,20 @@ N_MFCC = 12
 PITCH_MIN_HZ = 60.0
 PITCH_MAX_HZ = 400.0
 PITCH_MIN_CORRELATION = 0.3
-# pitch joins the extended schema only when at least this fraction of
+# pitch joins a recording's vector only when at least this fraction of
 # segments comes back voiced
 PITCH_VOICED_FRACTION = 0.5
-
-BASE_SCHEMA = "base"
-EXTENDED_SCHEMA = "extended"
 
 BASE_NAMES = tuple(f"mfcc{i}" for i in range(1, N_MFCC + 1)) + (
     "skewness", "kurtosis", "poly_area", "amp_max", "amp_min")
 EXTRA_NAMES = ("zcr", "energy", "centroid_hz", "bandwidth_hz", "flatness")
 PITCH_NAME = "pitch_hz"
+# the columns of a segment_features row, in order
+SEGMENT_NAMES = BASE_NAMES + EXTRA_NAMES + (PITCH_NAME,)
 
-
-@dataclass(frozen=True)
-class SegmentFeatures:
-    mfcc: np.ndarray
-    skewness: float
-    kurtosis: float
-    poly_area: float
-    amp_max: float
-    amp_min: float
-    zcr: float
-    energy: float
-    centroid_hz: float
-    bandwidth_hz: float
-    flatness: float
-    pitch_hz: float
+BASE_SCHEMA = "base"
+# schema id -> the columns a recording's vector averages
+SCHEMAS = {BASE_SCHEMA: BASE_NAMES, "extended": SEGMENT_NAMES}
 
 
 @dataclass(frozen=True)
@@ -231,61 +219,43 @@ def pitch(segment: Segment) -> float:
     return segment.sample_rate / (lag_lo + best)
 
 
-def segment_features(segment: Segment) -> SegmentFeatures:
-    """All per-segment features in one pass."""
+def segment_features(segment: Segment) -> np.ndarray:
+    """All per-segment features in one pass: one row, in SEGMENT_NAMES order."""
     x = np.asarray(segment.samples, dtype=np.float64)
-    amp_max, amp_min = amplitude_extrema(segment)
     spec = fft_magnitude(x * gaussian_window(len(x)), segment.sample_rate)
-    centroid, bandwidth, flat = spectral_descriptors(spec)
-    return SegmentFeatures(
-        mfcc=mfcc_12(segment),
-        skewness=skewness(x),
-        kurtosis=kurtosis(x),
-        poly_area=poly_area(segment),
-        amp_max=amp_max,
-        amp_min=amp_min,
-        zcr=zero_crossing_rate(x),
-        energy=float(np.mean(x ** 2)),
-        centroid_hz=centroid,
-        bandwidth_hz=bandwidth,
-        flatness=flat,
-        pitch_hz=pitch(segment),
-    )
+    return np.concatenate([
+        mfcc_12(segment),
+        [skewness(x), kurtosis(x), poly_area(segment),
+         *amplitude_extrema(segment), zero_crossing_rate(x),
+         float(np.mean(x ** 2)), *spectral_descriptors(spec), pitch(segment)],
+    ])
 
 
-def aggregate_recording(per_segment: Sequence[SegmentFeatures],
-                        schema: str = BASE_SCHEMA) -> FeatureVector:
-    """Mean of each feature over segments, in fixed schema order.
+def aggregate_recording(rows, schema: str = BASE_SCHEMA) -> FeatureVector:
+    """Mean of each of the schema's columns over the segment rows.
 
-    The extended schema appends the spectral/temporal descriptors; pitch is
-    appended after those only when at least half the segments are voiced,
-    and its mean runs over the voiced segments alone.
+    Pitch joins only when at least PITCH_VOICED_FRACTION of the rows are
+    voiced (pitch above 0), and its mean runs over the voiced rows alone.
     """
-    if schema not in (BASE_SCHEMA, EXTENDED_SCHEMA):
+    if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
-    if not per_segment:
+    rows = np.asarray(rows, dtype=np.float64)
+    if len(rows) == 0:
         raise DegenerateInput("no voiced audio in input")
 
-    rows = np.array([
-        list(f.mfcc) + [f.skewness, f.kurtosis, f.poly_area, f.amp_max,
-                        f.amp_min, f.zcr, f.energy, f.centroid_hz,
-                        f.bandwidth_hz, f.flatness]
-        for f in per_segment
-    ], dtype=np.float64)
-    means = rows.mean(axis=0)
-
-    names = list(BASE_NAMES)
-    values = list(means[:len(BASE_NAMES)])
-    if schema == EXTENDED_SCHEMA:
-        names += list(EXTRA_NAMES)
-        values += list(means[len(BASE_NAMES):])
-        voiced = [f.pitch_hz for f in per_segment if f.pitch_hz > 0.0]
-        if len(voiced) * 2 >= len(per_segment):
+    names = [n for n in SCHEMAS[schema] if n != PITCH_NAME]
+    # take keeps the copy row-major, so each column sums its rows in order
+    values = list(rows.take([SEGMENT_NAMES.index(n) for n in names],
+                            axis=1).mean(axis=0))
+    if PITCH_NAME in SCHEMAS[schema]:
+        hz = rows[:, SEGMENT_NAMES.index(PITCH_NAME)]
+        voiced = hz[hz > 0.0]
+        if len(voiced) >= PITCH_VOICED_FRACTION * len(rows):
             names.append(PITCH_NAME)
-            values.append(float(np.mean(voiced)))
+            values.append(voiced.mean())
     return FeatureVector(names=tuple(names),
                          values=np.array(values, dtype=np.float64),
-                         n_segments=len(per_segment), schema_id=schema)
+                         n_segments=len(rows), schema_id=schema)
 
 
 def extract_recording(clips: Sequence[AudioClip],
@@ -346,7 +316,11 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
 
 
 def read_features_csv(csv_path, manifest_path):
-    """Returns (ids, names, value matrix, manifest dict)."""
+    """Returns (ids, names, value matrix, manifest dict).
+
+    A bad cell, an unknown schema id, a repeated recording id, or a manifest
+    that disagrees with the CSV is MalformedArtifact, naming the file.
+    """
     manifest = read_json(manifest_path, {"schema_id": str,
                                          "feature_names": list,
                                          "recordings": list})
@@ -358,11 +332,23 @@ def read_features_csv(csv_path, manifest_path):
         raise MalformedArtifact(f"{csv_path}: {err}") from None
     if not np.all(np.isfinite(matrix)):
         raise MalformedArtifact(f"{csv_path}: a cell is not finite")
+    if manifest["schema_id"] not in SCHEMAS:
+        raise MalformedArtifact(f"{manifest_path}: unknown schema_id "
+                                f"{manifest['schema_id']!r}")
     ids = [require_keys(rec, {"id": str, "n_segments": int},
                         manifest_path)["id"]
            for rec in manifest["recordings"]]
+    first: dict = {}
+    for pos, rid in enumerate(ids):
+        if first.setdefault(rid, pos) != pos:
+            raise MalformedArtifact(
+                f"{manifest_path}: recording id {rid!r} repeats at "
+                f"recordings[{first[rid]}] and recordings[{pos}]")
     if len(ids) != len(matrix):
-        raise MalformedArtifact("manifest and CSV row counts disagree")
+        raise MalformedArtifact(f"{manifest_path} lists {len(ids)} "
+                                f"recordings, {csv_path} has {len(matrix)} "
+                                f"rows")
     if tuple(manifest["feature_names"]) != names:
-        raise MalformedArtifact("manifest and CSV header disagree")
+        raise MalformedArtifact(f"{manifest_path} feature_names disagree "
+                                f"with the header of {csv_path}")
     return ids, names, matrix, manifest

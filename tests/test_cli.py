@@ -283,6 +283,20 @@ class TestExtract:
         with open(workdir / "features.csv") as fh:
             assert sum(1 for _ in fh) - 1 == 7
 
+    def test_slow_rate_recording_partial_failure(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        config = write_config(tmp_path / "c.json", workdir,
+                              cohort={"n_female": 4, "n_male": 4})
+        assert main(["synth", "--config", str(config)]) == EXIT_OK
+        write_wav(workdir / "wav" / "F002.wav", np.full(24, 0.25), 8,
+                  channels=1)
+        assert main(["extract", "--config", str(config)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "failed F002: sample rate 8 Hz is below 200 Hz" in err
+        ids = [r["id"] for r in json.loads(
+            (workdir / "features.json").read_text())["recordings"]]
+        assert len(ids) == 7 and "F002" not in ids
+
     def test_missing_manifest(self, tmp_path):
         assert main(["extract", "--workdir",
                      str(tmp_path / "empty")]) == EXIT_IO
@@ -369,6 +383,33 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "features.json" in err
         assert f"{key} is int, expected list" in err
+
+
+    @pytest.mark.parametrize("command,extra", [
+        ("select", ()), ("train", ("selection.json",)), ("eval", ("model",)),
+        ("report", ()),
+    ])
+    @pytest.mark.parametrize("damage,message", [
+        (lambda m: {**m, "recordings": [m["recordings"][0], {
+            **m["recordings"][1], "id": m["recordings"][0]["id"]}]
+            + m["recordings"][2:]},
+         "recording id 'F001' repeats at recordings[0] and recordings[1]"),
+        (lambda m: {**m, "schema_id": "bogus"}, "unknown schema_id 'bogus'"),
+    ], ids=["repeated-id", "unknown-schema"])
+    def test_features_json_bad_value_exits_io(self, pipeline, tmp_path,
+                                              capsys, command, extra, damage,
+                                              message):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", *extra)
+        manifest = clone / "features.json"
+        manifest.write_text(json.dumps(damage(json.loads(
+            manifest.read_text()))))
+        before = snapshot(clone)
+        assert main([command, "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error: {manifest}: {message}"
+        assert snapshot(clone) == before
 
 
 class TestTrain:
@@ -593,6 +634,22 @@ class TestPredict:
         assert main(["predict", "--config", str(config), "--wav",
                      str(short)]) == EXIT_DEGENERATE
         assert "need at least 100 ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample_rate", [8, 20])
+    def test_rate_below_flatness_band(self, pipeline, tmp_path, capsys,
+                                      sample_rate):
+        _, config = pipeline
+        slow = tmp_path / "slow.wav"
+        t = np.arange(3 * sample_rate) / sample_rate
+        write_wav(slow, 0.5 * np.sin(2 * np.pi * 1.5 * t), sample_rate,
+                  channels=1)
+        assert main(["predict", "--config", str(config), "--wav",
+                     str(slow)]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: sample rate {sample_rate} Hz is "
+                                "below 200 Hz, so no frame reaches the "
+                                "voiced gate's flatness band\n")
 
     def test_requires_exactly_one_input(self, pipeline):
         workdir, config = pipeline

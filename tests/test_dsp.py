@@ -180,6 +180,19 @@ class TestVoicedRegions:
         with pytest.raises(DegenerateInput, match="need at least 100 ms"):
             detect_voiced_regions(clip)
 
+    @pytest.mark.parametrize("sample_rate", [8, 20, 199])
+    def test_rate_below_flatness_band_rejected(self, sample_rate):
+        clip = AudioClip(np.ones(3 * sample_rate), sample_rate, 1)
+        with pytest.raises(DegenerateInput,
+                           match=f"sample rate {sample_rate} Hz is below "
+                                 "200 Hz"):
+            detect_voiced_regions(clip)
+
+    def test_rate_at_flatness_band_accepted(self):
+        # Nyquist sits on the band's lower edge: one bin, so the gate runs
+        clip = AudioClip(np.random.default_rng(0).normal(size=600), 200, 1)
+        assert detect_voiced_regions(clip) == []
+
     def test_regions_sorted_and_disjoint(self):
         sr = 48000
         vowel = synthesize_speech(140.0, [(700.0, 1.0)], 0.6, sr, seed=3)

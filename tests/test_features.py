@@ -1,7 +1,7 @@
 """Tests for per-segment features, aggregation, and the feature CSV format."""
 
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,13 @@ import pytest
 import oracles
 from speechbp.audio_io import AudioClip, synthesize_speech
 from speechbp.dsp import (Segment, Spectrum, detect_voiced_regions,
-                          segment_regions)
-from speechbp.errors import DegenerateInput, InsufficientData
+                          fft_magnitude, gaussian_window, segment_regions)
+from speechbp.errors import DegenerateInput, InsufficientData, MalformedArtifact
 from speechbp import features as F
-from speechbp.features import (FeatureVector, SegmentFeatures,
-                               aggregate_recording, amplitude_extrema,
-                               extract_recording, kurtosis, mfcc_12, pitch,
+from speechbp.features import (BASE_NAMES, SCHEMAS, SEGMENT_NAMES,
+                               FeatureVector, aggregate_recording,
+                               amplitude_extrema, extract_recording,
+                               kurtosis, mfcc_12, pitch,
                                poly_area, read_features_csv, segment_features,
                                skewness, spectral_descriptors,
                                write_features_csv, zero_crossing_rate)
@@ -303,20 +304,22 @@ class TestPitch:
 
 
 def fake_features(rng):
-    return SegmentFeatures(
-        mfcc=rng.normal(size=12),
-        skewness=float(rng.normal()),
-        kurtosis=float(rng.normal()),
-        poly_area=float(rng.uniform(0, 1)),
-        amp_max=float(rng.uniform(0.5, 1)),
-        amp_min=float(rng.uniform(-1, -0.5)),
-        zcr=float(rng.uniform(0, 1)),
-        energy=float(rng.uniform(0, 1)),
-        centroid_hz=float(rng.uniform(100, 4000)),
-        bandwidth_hz=float(rng.uniform(10, 2000)),
-        flatness=float(rng.uniform(0, 1)),
-        pitch_hz=float(rng.uniform(60, 400)),
-    )
+    """One segment row with plausible values in every column."""
+    return np.concatenate([rng.normal(size=12), [
+        rng.normal(), rng.normal(), rng.uniform(0, 1), rng.uniform(0.5, 1),
+        rng.uniform(-1, -0.5), rng.uniform(0, 1), rng.uniform(0, 1),
+        rng.uniform(100, 4000), rng.uniform(10, 2000), rng.uniform(0, 1),
+        rng.uniform(60, 400)]])
+
+
+def col(name):
+    return SEGMENT_NAMES.index(name)
+
+
+def unvoiced(row):
+    out = row.copy()
+    out[col("pitch_hz")] = 0.0
+    return out
 
 
 class TestAggregate:
@@ -326,15 +329,15 @@ class TestAggregate:
         assert vec.schema_id == "base"
         assert vec.n_segments == 1
         assert len(vec.names) == 17
-        np.testing.assert_allclose(vec.values[:12], f.mfcc, rtol=1e-15)
-        assert vec.values[12] == pytest.approx(f.skewness)
-        assert vec.values[16] == pytest.approx(f.amp_min)
+        np.testing.assert_allclose(vec.values[:12], f[:12], rtol=1e-15)
+        assert vec.values[12] == pytest.approx(f[col("skewness")])
+        assert vec.values[16] == pytest.approx(f[col("amp_min")])
 
     def test_mean_of_two(self):
         rng = np.random.default_rng(2)
         a, b = fake_features(rng), fake_features(rng)
-        a = replace(a, mfcc=np.array([1.0] + [0.0] * 11))
-        b = replace(b, mfcc=np.array([3.0] + [0.0] * 11))
+        a[:12] = [1.0] + [0.0] * 11
+        b[:12] = [3.0] + [0.0] * 11
         vec = aggregate_recording([a, b], schema="base")
         assert vec.values[0] == 2.0
 
@@ -343,13 +346,9 @@ class TestAggregate:
         feats = [fake_features(rng) for _ in range(2400)]
         vec = aggregate_recording(feats, schema="extended")
         for j, name in enumerate(vec.names):
+            column = [f[col(name)] for f in feats]
             if name == "pitch_hz":
-                column = [f.pitch_hz for f in feats if f.pitch_hz > 0]
-            elif name.startswith("mfcc"):
-                k = int(name[4:]) - 1
-                column = [f.mfcc[k] for f in feats]
-            else:
-                column = [getattr(f, name) for f in feats]
+                column = [hz for hz in column if hz > 0]
             want = math.fsum(column) / len(column)
             assert vec.values[j] == pytest.approx(want, rel=1e-12)
 
@@ -373,15 +372,13 @@ class TestAggregate:
     def test_pitch_gate_at_half(self):
         rng = np.random.default_rng(6)
         feats = [fake_features(rng) for _ in range(4)]
-        half_voiced = feats[:2] + [replace(f, pitch_hz=0.0)
-                                   for f in feats[2:]]
+        half_voiced = feats[:2] + [unvoiced(f) for f in feats[2:]]
         vec = aggregate_recording(half_voiced, schema="extended")
         assert "pitch_hz" in vec.names
-        want = (half_voiced[0].pitch_hz + half_voiced[1].pitch_hz) / 2
+        want = (feats[0][col("pitch_hz")] + feats[1][col("pitch_hz")]) / 2
         assert vec.values[-1] == pytest.approx(want)
 
-        mostly_unvoiced = feats[:1] + [replace(f, pitch_hz=0.0)
-                                       for f in feats[1:]]
+        mostly_unvoiced = feats[:1] + [unvoiced(f) for f in feats[1:]]
         vec2 = aggregate_recording(mostly_unvoiced, schema="extended")
         assert "pitch_hz" not in vec2.names
         assert len(vec2.names) == 22
@@ -483,6 +480,40 @@ class TestCsvRoundTrip:
             write_features_csv(tmp_path / "f.csv", tmp_path / "f.json",
                                ids, [vecs[0], odd])
 
+    def test_repeated_id_rejected(self, tmp_path):
+        _, vecs = self.make_vectors(3)
+        csv_p, man_p = tmp_path / "f.csv", tmp_path / "features.json"
+        write_features_csv(csv_p, man_p, ["P000", "P001", "P000"], vecs)
+        with pytest.raises(MalformedArtifact,
+                           match=r"features\.json: recording id 'P000' "
+                                 r"repeats at recordings\[0\] and "
+                                 r"recordings\[2\]"):
+            read_features_csv(csv_p, man_p)
+
+    def test_unknown_schema_id_rejected(self, tmp_path):
+        vec = FeatureVector(names=("a",), values=np.array([1.0]),
+                            n_segments=1, schema_id="bogus")
+        csv_p, man_p = tmp_path / "f.csv", tmp_path / "features.json"
+        write_features_csv(csv_p, man_p, ["P000"], [vec])
+        with pytest.raises(MalformedArtifact,
+                           match=r"features\.json: unknown schema_id "
+                                 r"'bogus'"):
+            read_features_csv(csv_p, man_p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {**m, "recordings": m["recordings"][:1]},
+        lambda m: {**m, "feature_names": m["feature_names"][::-1]},
+    ], ids=["row-count", "header"])
+    def test_cross_file_damage_names_both_files(self, tmp_path, edit):
+        ids, vecs = self.make_vectors(2)
+        csv_p, man_p = tmp_path / "table.csv", tmp_path / "features.json"
+        write_features_csv(csv_p, man_p, ids, vecs)
+        man_p.write_text(json.dumps(edit(json.loads(man_p.read_text()))))
+        with pytest.raises(MalformedArtifact) as info:
+            read_features_csv(csv_p, man_p)
+        assert str(man_p) in str(info.value)
+        assert str(csv_p) in str(info.value)
+
     def test_id_count_mismatch(self, tmp_path):
         ids, vecs = self.make_vectors(2)
         with pytest.raises(ValueError):
@@ -492,11 +523,48 @@ class TestCsvRoundTrip:
 
 class TestSegmentFeaturesGlue:
     def test_invariants_on_synthetic_vowel(self):
-        f = segment_features(vowel_segment())
-        assert f.amp_min <= f.amp_max
-        assert 0.0 <= f.zcr <= 1.0
-        assert 0.0 <= f.flatness <= 1.0
-        assert f.energy >= 0.0
-        assert f.poly_area >= 0.0
-        assert abs(f.pitch_hz - 120.0) <= 2.0
-        assert len(f.mfcc) == 12
+        f = dict(zip(SEGMENT_NAMES, segment_features(vowel_segment())))
+        assert f["amp_min"] <= f["amp_max"]
+        assert 0.0 <= f["zcr"] <= 1.0
+        assert 0.0 <= f["flatness"] <= 1.0
+        assert f["energy"] >= 0.0
+        assert f["poly_area"] >= 0.0
+        assert abs(f["pitch_hz"] - 120.0) <= 2.0
+
+
+class TestSegmentLayout:
+    def test_names_in_order(self):
+        assert SEGMENT_NAMES == (
+            "mfcc1", "mfcc2", "mfcc3", "mfcc4", "mfcc5", "mfcc6", "mfcc7",
+            "mfcc8", "mfcc9", "mfcc10", "mfcc11", "mfcc12", "skewness",
+            "kurtosis", "poly_area", "amp_max", "amp_min", "zcr", "energy",
+            "centroid_hz", "bandwidth_hz", "flatness", "pitch_hz")
+
+    def test_schemas_name_their_columns(self):
+        assert SCHEMAS == {"base": BASE_NAMES, "extended": SEGMENT_NAMES}
+        rng = np.random.default_rng(11)
+        for schema, names in SCHEMAS.items():
+            vec = aggregate_recording([fake_features(rng)], schema=schema)
+            assert vec.names == names
+
+    def test_one_finite_value_per_name(self):
+        row = segment_features(vowel_segment())
+        assert row.shape == (len(SEGMENT_NAMES),)
+        assert row.dtype == np.float64
+        assert np.all(np.isfinite(row))
+
+    def test_each_column_is_its_function(self):
+        seg = vowel_segment()
+        x = seg.samples
+        amp_max, amp_min = amplitude_extrema(seg)
+        centroid, bandwidth, flat = spectral_descriptors(
+            fft_magnitude(x * gaussian_window(len(x)), seg.sample_rate))
+        want = dict(zip(BASE_NAMES[:12], mfcc_12(seg)))
+        want.update(skewness=skewness(x), kurtosis=kurtosis(x),
+                    poly_area=poly_area(seg), amp_max=amp_max,
+                    amp_min=amp_min, zcr=zero_crossing_rate(x),
+                    energy=float(np.mean(x ** 2)), centroid_hz=centroid,
+                    bandwidth_hz=bandwidth, flatness=flat,
+                    pitch_hz=pitch(seg))
+        got = dict(zip(SEGMENT_NAMES, segment_features(seg)))
+        assert got == want
