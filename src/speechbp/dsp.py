@@ -1,12 +1,15 @@
 """Voiced-region detection, 50 ms segmentation, windowing, and the FFT.
 
-The FFT is an iterative radix-2 transform; frames are zero-padded to the next
-power of two (2400-sample frames at 48 kHz become 4096 points).  A real frame
-of N points goes through one N/2-point complex transform: even samples as the
-real part, odd samples as the imaginary part, then a split step that recovers
-bins 0..N/2 (Sorensen et al., Real-valued FFT algorithms, IEEE TASSP 1987).
-Pitch (in features) comes from an FFT autocorrelation built from two such
-packed transforms.
+The FFT takes power-of-two lengths; frames are zero-padded to the next power
+of two (2400-sample frames at 48 kHz become 4096 points).  It is Bailey's
+four-step transform (FFTs in external or hierarchical memory, J.
+Supercomputing 4, 1990): N = N1*N2 points become an N2-point DFT-matrix
+product, a twiddle multiply and an N1-point DFT-matrix product, with the
+matrices cached per length.  A real frame of N points goes through one
+N/2-point complex transform: even samples as the real part, odd samples as
+the imaginary part, then a split step that recovers bins 0..N/2 (Sorensen et
+al., Real-valued FFT algorithms, IEEE TASSP 1987).  Pitch (in features)
+comes from an FFT autocorrelation built from two such packed transforms.
 """
 
 from __future__ import annotations
@@ -63,42 +66,49 @@ def segment_length(sample_rate: int) -> int:
     return int(round(SEGMENT_SECONDS * sample_rate))
 
 
+_window_cache: dict = {}
+
+
 def gaussian_window(n: int, sigma: float = DEFAULT_WINDOW_SIGMA) -> np.ndarray:
-    """w[i] = exp(-0.5 * ((i - (n-1)/2) / (sigma * (n-1)/2))^2), peak 1 at center."""
-    if n < 2:
-        raise ValueError(f"window needs n >= 2, got {n}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    half = (n - 1) / 2.0
-    i = np.arange(n)
-    return np.exp(-0.5 * ((i - half) / (sigma * half)) ** 2)
+    """w[i] = exp(-0.5 * ((i - (n-1)/2) / (sigma * (n-1)/2))^2), peak 1 at center.
+
+    Built once per (n, sigma) and returned read-only, shared by every caller.
+    """
+    w = _window_cache.get((n, sigma))
+    if w is None:
+        if n < 2:
+            raise ValueError(f"window needs n >= 2, got {n}")
+        if not (0.0 < sigma <= 1.0):
+            raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+        half = (n - 1) / 2.0
+        i = np.arange(n)
+        w = np.exp(-0.5 * ((i - half) / (sigma * half)) ** 2)
+        w.flags.writeable = False
+        _window_cache[(n, sigma)] = w
+    return w
 
 
-# === radix-2 FFT ===
+# === four-step FFT ===
 
-_rev_cache: dict = {}
-_twiddle_cache: dict = {}
+# length N -> (N1-point DFT matrix, N2-point DFT matrix, twiddles [k2, n1])
+_plan_cache: dict = {}
 _split_cache: dict = {}
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    perm = _rev_cache.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        perm = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            perm = (perm << 1) | (idx & 1)
-            idx >>= 1
-        _rev_cache[n] = perm
-    return perm
+def _dft_matrix(n: int) -> np.ndarray:
+    # k*j is reduced mod n in integers, so every angle lies below 2*pi
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
 
 
 def fft_radix2(x) -> np.ndarray:
-    """In-order iterative Cooley-Tukey FFT along the last axis.
+    """In-order FFT along the last axis, as Bailey's four-step transform.
 
-    Length must be a power of two.  Butterfly stages are vectorized so large
-    frames stay affordable without importing a library transform.
+    Length must be a power of two.  N = N1*N2 with N1 = 2^floor(log2(N)/2);
+    the frame x[n1 + N1*n2] is an (N2, N1) matrix.  The N2-point DFT matrix
+    transforms its columns, the twiddles W_N^(n1*k2) scale the result, the
+    N1-point DFT matrix transforms its rows, and X[N2*k1 + k2] is read out.
+    Both products run batched over the leading axes.
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
@@ -107,20 +117,19 @@ def fft_radix2(x) -> np.ndarray:
     if n == 1:
         return x.copy()
 
+    plan = _plan_cache.get(n)
+    if plan is None:
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        n2 = n // n1
+        twiddles = np.exp(-2j * np.pi * np.outer(np.arange(n2),
+                                                 np.arange(n1)) / n)
+        plan = (_dft_matrix(n1), _dft_matrix(n2), twiddles)
+        _plan_cache[n] = plan
+    f1, f2, twiddles = plan
     lead = x.shape[:-1]
-    y = x[..., _bit_reversal(n)].reshape(-1, n)
-    m = 1
-    while m < n:
-        tw = _twiddle_cache.get(m)
-        if tw is None:
-            tw = np.exp(-1j * np.pi * np.arange(m) / m)
-            _twiddle_cache[m] = tw
-        pairs = y.reshape(-1, 2, m)
-        even = pairs[:, 0, :]
-        odd = pairs[:, 1, :] * tw
-        y = np.concatenate([even + odd, even - odd], axis=1)
-        m *= 2
-    return y.reshape(*lead, n)
+    a = x.reshape(*lead, len(f2), len(f1))
+    c = (f2 @ a * twiddles) @ f1
+    return c.swapaxes(-1, -2).reshape(*lead, n)
 
 
 def real_fft(x) -> np.ndarray:

@@ -318,8 +318,9 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
 def read_features_csv(csv_path, manifest_path):
     """Returns (ids, names, value matrix, manifest dict).
 
-    A bad cell, an unknown schema id, a repeated recording id, or a manifest
-    that disagrees with the CSV is MalformedArtifact, naming the file.
+    A bad cell, an unknown schema id, a header that is not that schema's
+    columns (pitch optional), a repeated recording id, or a manifest that
+    disagrees with the CSV is MalformedArtifact, naming the file.
     """
     manifest = read_json(manifest_path, {"schema_id": str,
                                          "feature_names": list,
@@ -332,9 +333,14 @@ def read_features_csv(csv_path, manifest_path):
         raise MalformedArtifact(f"{csv_path}: {err}") from None
     if not np.all(np.isfinite(matrix)):
         raise MalformedArtifact(f"{csv_path}: a cell is not finite")
-    if manifest["schema_id"] not in SCHEMAS:
+    schema_id = manifest["schema_id"]
+    if schema_id not in SCHEMAS:
         raise MalformedArtifact(f"{manifest_path}: unknown schema_id "
-                                f"{manifest['schema_id']!r}")
+                                f"{schema_id!r}")
+    columns = SCHEMAS[schema_id]
+    if names not in (columns, tuple(n for n in columns if n != PITCH_NAME)):
+        raise MalformedArtifact(f"{manifest_path}: schema_id {schema_id!r} "
+                                f"does not match the header of {csv_path}")
     ids = [require_keys(rec, {"id": str, "n_segments": int},
                         manifest_path)["id"]
            for rec in manifest["recordings"]]

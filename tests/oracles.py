@@ -29,8 +29,8 @@ def dft_matrix(x):
     """O(N^2) DFT through an explicit exponent table.
 
     numpy is used only to make the N^2 products affordable at N=4096; there
-    is no divide-and-conquer step anywhere, so this stays independent of any
-    radix-2 code under test.
+    is no divide-and-conquer step and no factoring of N anywhere, so this
+    stays independent of the FFT under test.
     """
     import numpy as np
 

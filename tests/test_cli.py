@@ -31,7 +31,7 @@ from speechbp.cli import (CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DATA,
                           EXIT_PARTIAL, main, resolve_config)
 from speechbp.dataset import label_hypertension, read_manifest, write_manifest
 from speechbp.errors import ConfigError
-from speechbp.features import BASE_NAMES
+from speechbp.features import BASE_NAMES, SEGMENT_NAMES
 from speechbp.model import load_params, save_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -411,6 +411,29 @@ class TestSelect:
         assert err[0] == f"error: {manifest}: {message}"
         assert snapshot(clone) == before
 
+    def test_extended_table_labelled_base_exits_io(self, pipeline, tmp_path,
+                                                   capsys):
+        # the base table grows the extended-only columns; features.json
+        # lists them but keeps schema_id "base"
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w")
+        extra = [n for n in SEGMENT_NAMES if n not in BASE_NAMES]
+        with open(clone / "features.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(clone / "features.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0] + extra] + [
+                r + ["0.5"] * len(extra) for r in rows[1:]])
+        manifest = clone / "features.json"
+        fman = json.loads(manifest.read_text())
+        fman["feature_names"] += extra
+        manifest.write_text(json.dumps(fman))
+        before = snapshot(clone)
+        assert main(["select", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {manifest}: schema_id 'base' does not match "
+                       f"the header of {clone / 'features.csv'}"]
+        assert snapshot(clone) == before
+
 
 class TestTrain:
     def test_artifacts(self, pipeline):
@@ -663,18 +686,15 @@ class TestPredict:
                      "Z999"]) == EXIT_CONFIG
 
     def test_schema_mismatch(self, pipeline, tmp_path, capsys):
-        # the feature table lacks a column the model keeps
+        # a valid base feature table, and a model of the extended schema
+        # that keeps an extended-only column
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
-        kept = load_params(clone / "model" / "params.bin")[2]["kept_features"]
-        with open(clone / "features.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        col = rows[0].index(kept[0])
-        with open(clone / "features.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(r[:col] + r[col + 1:] for r in rows)
-        fman = json.loads((clone / "features.json").read_text())
-        fman["feature_names"].remove(kept[0])
-        (clone / "features.json").write_text(json.dumps(fman))
+        params_path = clone / "model" / "params.bin"
+        enc, params, pipe = load_params(params_path)
+        kept = ["zcr"] + pipe["kept_features"][1:]
+        save_params(params_path, enc, params,
+                    {**pipe, "schema_id": "extended", "kept_features": kept})
         assert main(["predict", "--workdir", str(clone), "--row",
                      "F001"]) == EXIT_CONFIG
         assert f"input features lack ['{kept[0]}']" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for windowing, the radix-2 FFT, and voiced-region detection."""
+"""Tests for windowing, the FFT, and voiced-region detection."""
 
 import cmath
 import math
@@ -54,6 +54,18 @@ class TestGaussianWindow:
         with pytest.raises(ValueError, match=r"sigma must lie in \(0, 1\]"):
             gaussian_window(16, sigma)
 
+    def test_built_once_per_length_and_sigma(self):
+        w = gaussian_window(2400)
+        assert gaussian_window(2400) is w
+        assert gaussian_window(2400, 0.25) is not w
+        assert gaussian_window(2205) is not w
+
+    def test_cached_window_is_read_only(self):
+        w = gaussian_window(48)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 2.0
+        assert w[0] == gaussian_window(48)[-1] < 1.0
+
 
 class TestFFT:
     def test_impulse_flat_spectrum(self):
@@ -91,13 +103,33 @@ class TestFFT:
             fft_radix2(np.arange(3, dtype=float))
 
     def test_matches_loop_dft(self):
+        # every power of two to 64: odd log2 (2, 8, 32) splits N into
+        # N1 < N2, even log2 into N1 = N2
         rng = np.random.default_rng(17)
-        for n in (8, 64, 256):
+        for n in (2, 4, 8, 16, 32, 64, 256):
             x = rng.normal(size=n)
             got = fft_radix2(x)
             want = oracles.dft_loop(list(x))
             for k in range(n):
                 assert cmath.isclose(got[k], want[k], abs_tol=1e-9)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_non_square_split_matches_matrix_dft(self, n):
+        # 2048 is the complex length of every packed 48 kHz segment frame
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.max(np.abs(fft_radix2(x) - oracles.dft_matrix(x))) < 1e-9
+
+    def test_stacked_transform_equals_row_by_row(self):
+        rng = np.random.default_rng(41)
+        frames = rng.normal(size=(2, 3, 2048)) + 1j * rng.normal(
+            size=(2, 3, 2048))
+        stacked = fft_radix2(frames)
+        assert stacked.shape == frames.shape
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(stacked[i, j],
+                                              fft_radix2(frames[i, j]))
 
     def test_matches_matrix_dft_at_4096(self):
         rng = np.random.default_rng(23)

@@ -500,6 +500,31 @@ class TestCsvRoundTrip:
                                  r"'bogus'"):
             read_features_csv(csv_p, man_p)
 
+    @pytest.mark.parametrize("schema,label", [("extended", "base"),
+                                              ("base", "extended")])
+    def test_header_outside_schema_rejected(self, tmp_path, schema, label):
+        rng = np.random.default_rng(5)
+        vec = aggregate_recording([fake_features(rng) for _ in range(3)],
+                                  schema=schema)
+        csv_p, man_p = tmp_path / "table.csv", tmp_path / "features.json"
+        write_features_csv(csv_p, man_p, ["P000"], [FeatureVector(
+            names=vec.names, values=vec.values, n_segments=3,
+            schema_id=label)])
+        with pytest.raises(MalformedArtifact) as info:
+            read_features_csv(csv_p, man_p)
+        assert str(info.value).startswith(
+            f"{man_p}: schema_id {label!r} does not match the header of "
+            f"{csv_p}")
+
+    def test_extended_header_without_pitch_accepted(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vec = aggregate_recording([unvoiced(fake_features(rng))
+                                   for _ in range(3)], schema="extended")
+        assert vec.names == SEGMENT_NAMES[:-1]
+        csv_p, man_p = tmp_path / "f.csv", tmp_path / "features.json"
+        write_features_csv(csv_p, man_p, ["P000"], [vec])
+        assert read_features_csv(csv_p, man_p)[1] == vec.names
+
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "recordings": m["recordings"][:1]},
         lambda m: {**m, "feature_names": m["feature_names"][::-1]},
