@@ -3,10 +3,15 @@
 The corpus format is RIFF/WAVE, PCM format code 1, 16-bit little-endian,
 stereo at 48 kHz.  Loading downmixes to mono; other sample rates are accepted
 and passed through, downstream frame sizes are derived from the actual rate.
+
+The synthesizer evaluates its harmonic series as one complex matrix product
+over the sample index split as a*B + b (the factoring of Bailey's four-step
+FFT), not one sine per harmonic per sample.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,27 +130,48 @@ def synthesize_speech(f0: float, formants, duration_s: float,
     the given (center_hz, gain) formants, amplitude-modulated by a slow random
     envelope, dusted with low-level noise, and peak-normalized.  Bit-identical
     for identical arguments and seed.
+
+    The harmonic sum  sum_k A_k sin(k w t + phi_k)  is the imaginary part of
+    sum_k c_k e^{i k w t} with c_k = A_k e^{i phi_k}.  Splitting the sample
+    index as t = a B + b (B about sqrt(n)) turns it into one complex matrix
+    product: U[a, k] = c_k e^{i k w a B}, an A x K matrix, times
+    V[k, b] = e^{i k w b}, a K x B matrix, read out row by row.  That is
+    2 sqrt(n) K complex exponentials in place of n K sines.
+
+    Raises ValueError for an f0 outside [F0_MIN_HZ, F0_MAX_HZ], a sample rate
+    that is not positive, or a duration that rounds to no samples.
     """
     if not (F0_MIN_HZ <= f0 <= F0_MAX_HZ):
         raise ValueError(f"f0 {f0} Hz outside [{F0_MIN_HZ}, {F0_MAX_HZ}]")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
+    if sample_rate <= 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    n = int(round(duration_s * sample_rate))
+    if n == 0:
+        raise ValueError(f"duration_s {duration_s} s rounds to zero samples "
+                         f"at {sample_rate} Hz")
 
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
     formants = [(float(c), float(g)) for c, g in formants]
 
     bandwidth_hz = 90.0
-    y = np.zeros(n)
     n_harmonics = min(int((sample_rate / 2) / f0), 60)
-    for k in range(1, n_harmonics + 1):
-        f = k * f0
-        resonance = sum(g * np.exp(-0.5 * ((f - c) / bandwidth_hz) ** 2)
-                        for c, g in formants)
-        amplitude = (0.02 + resonance) / k ** 0.5
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        y += amplitude * np.sin(2.0 * np.pi * f * t + phase)
+    k = np.arange(1, n_harmonics + 1)
+    f = k * f0
+    resonance = sum(g * np.exp(-0.5 * ((f - c) / bandwidth_hz) ** 2)
+                    for c, g in formants)
+    amplitude = (0.02 + resonance) / k ** 0.5
+    phase = rng.uniform(0.0, 2.0 * np.pi, n_harmonics)
+
+    # sample a*block + b is row a of u (phases at t[a*block]) times
+    # column b of v (advanced by t[b])
+    block = math.isqrt(n)
+    omega = 2.0 * np.pi * f
+    u = amplitude * np.exp(1j * (np.outer(t[::block], omega) + phase))
+    v = np.exp(1j * np.outer(omega, t[:block]))
+    y = (u @ v).imag.ravel()[:n]
 
     # slow amplitude modulation decouples per-segment extrema from f0
     am_rate = rng.uniform(2.0, 4.0)

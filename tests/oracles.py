@@ -41,6 +41,51 @@ def dft_matrix(x):
     return table @ x
 
 
+# === the vowel synthesizer, one sine per harmonic ===
+
+def synthesize_speech_loop(f0, formants, duration_s, sample_rate=48000,
+                           seed=0):
+    """The samples of speechbp.audio_io.synthesize_speech, harmonic by
+    harmonic: one np.sin over every sample for each of up to 60 harmonics,
+    with the phases drawn one scalar at a time.  The argument checks are
+    left out."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sample_rate))
+    t = np.arange(n) / sample_rate
+    formants = [(float(c), float(g)) for c, g in formants]
+
+    bandwidth_hz = 90.0
+    y = np.zeros(n)
+    n_harmonics = min(int((sample_rate / 2) / f0), 60)
+    for k in range(1, n_harmonics + 1):
+        f = k * f0
+        resonance = sum(g * np.exp(-0.5 * ((f - c) / bandwidth_hz) ** 2)
+                        for c, g in formants)
+        amplitude = (0.02 + resonance) / k ** 0.5
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        y += amplitude * np.sin(2.0 * np.pi * f * t + phase)
+
+    am_rate = rng.uniform(2.0, 4.0)
+    am_phase = rng.uniform(0.0, 2.0 * np.pi)
+    am_depth = rng.uniform(0.15, 0.25)
+    y *= 1.0 + am_depth * np.sin(2.0 * np.pi * am_rate * t + am_phase)
+
+    ramp = min(int(round(0.060 * sample_rate)), n // 4)
+    if ramp > 0:
+        fade = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+        y[:ramp] *= fade
+        y[-ramp:] *= fade[::-1]
+
+    peak = np.max(np.abs(y))
+    if peak > 0:
+        y /= peak
+    y += 0.004 * rng.standard_normal(n)
+    y /= np.max(np.abs(y))
+    return y
+
+
 # === MFCC, every stage spelled out ===
 
 def mel_from_hz(f):

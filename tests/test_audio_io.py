@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from speechbp import audio_io
 from speechbp.audio_io import (AudioClip, load_wav, synthesize_speech,
                                write_wav)
@@ -151,6 +152,39 @@ class TestSynthesize:
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
             synthesize_speech(120.0, self.FORMANTS, 0.0, 48000, seed=0)
+
+    @pytest.mark.parametrize("sample_rate", [0, -48000])
+    def test_invalid_sample_rate(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            synthesize_speech(150.0, [], 0.01, sample_rate)
+
+    def test_duration_of_no_samples(self):
+        with pytest.raises(ValueError, match="rounds to zero samples"):
+            synthesize_speech(150.0, [], 1e-6)
+
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, 48000])
+    @pytest.mark.parametrize("f0", [60.0, 118.0, 250.0, 400.0])
+    def test_matches_per_harmonic_loop(self, tmp_path, f0, sample_rate):
+        for i, duration_s in enumerate([0.05, 0.37, 1.5, 4.0]):
+            seed = int(f0) * 10 + i
+            got = synthesize_speech(f0, self.FORMANTS, duration_s,
+                                    sample_rate, seed=seed).samples
+            want = oracles.synthesize_speech_loop(
+                f0, self.FORMANTS, duration_s, sample_rate, seed=seed)
+            assert len(got) == len(want)
+            assert np.max(np.abs(got - want)) <= 1e-10
+            write_wav(tmp_path / "got.wav", got, sample_rate, channels=1)
+            write_wav(tmp_path / "want.wav", want, sample_rate, channels=1)
+            assert ((tmp_path / "got.wav").read_bytes()
+                    == (tmp_path / "want.wav").read_bytes())
+
+    def test_no_harmonic_below_nyquist(self):
+        # 400 Hz sampling leaves no room for a 300 Hz fundamental, so the
+        # harmonic part is zero and the clip is the normalized noise alone
+        got = synthesize_speech(300.0, self.FORMANTS, 1.0, 400, seed=2)
+        want = oracles.synthesize_speech_loop(300.0, self.FORMANTS, 1.0, 400,
+                                              seed=2)
+        np.testing.assert_array_equal(got.samples, want)
 
     @pytest.mark.parametrize("seed", [0, 3, 6])
     def test_formants_recovered_from_synthesis(self, seed):

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from speechbp import dataset as D
+from speechbp.audio_io import AudioClip
 from speechbp.dataset import (LabeledExample, ParticipantRecord, Scaler,
                               apply_scaler, build_examples,
                               correlation_matrix, fit_scaler, invert_scaler,
@@ -268,6 +269,28 @@ class TestCohort:
         for r in with_wavs:
             assert len(r.wav_paths) == 1
             assert (tmp_path / f"{r.id}.wav").exists()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_wavs_match_per_harmonic_loop(self, tmp_path, monkeypatch, seed):
+        # the same cohort, its vowels synthesized once by synthesize_speech
+        # and once by the loop oracle from the same (f0, formants, seed)
+        synthesize_cohort(n_female=3, n_male=3, seed=seed,
+                          wav_dir=tmp_path / "fast")
+        calls = []
+
+        def loop_synth(f0, formants, duration_s, sample_rate, seed):
+            calls.append(f0)
+            return AudioClip(oracles.synthesize_speech_loop(
+                f0, formants, duration_s, sample_rate, seed), sample_rate)
+
+        monkeypatch.setattr(D, "synthesize_speech", loop_synth)
+        records = synthesize_cohort(n_female=3, n_male=3, seed=seed,
+                                    wav_dir=tmp_path / "loop")
+        assert len(calls) == 6
+        for r in records:
+            fast = (tmp_path / "fast" / f"{r.id}.wav").read_bytes()
+            loop = (tmp_path / "loop" / f"{r.id}.wav").read_bytes()
+            assert fast == loop, r.id
 
     def test_planted_correlation(self):
         rs = []
