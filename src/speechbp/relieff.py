@@ -2,9 +2,10 @@
 
 Exhaustive variant: every instance serves as a query in index order, so there
 is no sampling randomness anywhere in the weights.  Distances are Manhattan
-on range-normalized features; neighbor ties go to the lower index so results
-are reproducible across implementations.  Query rows are walked one at a
-time, so memory stays at one n x d block of diffs whatever n is.
+on range-normalized features, summed over the features in column order;
+neighbor ties go to the lower index so results are reproducible across
+implementations.  Query rows go in blocks of at most BLOCK_ELEMENTS diffs,
+so memory stays bounded whatever n is.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import InsufficientData
 
 DEFAULT_K_GRID = (3, 5, 10)
 DEFAULT_FOLDS = 10
+BLOCK_ELEMENTS = 2**18  # values in one block of diffs: 2 MB of float64
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,12 @@ class FeatureWeights:
 class SelectionResult:
     chosen_k: int
     kept: tuple
-    fold_accuracies: tuple
+    fold_accuracies_by_k: dict  # k -> per-fold 1-NN accuracies
     weights: FeatureWeights
+
+    @property
+    def fold_accuracies(self) -> tuple:
+        return self.fold_accuracies_by_k[self.chosen_k]
 
 
 def _range_scale(X: np.ndarray) -> np.ndarray:
@@ -42,12 +48,56 @@ def _range_scale(X: np.ndarray) -> np.ndarray:
     return np.where(ranges == 0.0, np.inf, ranges)
 
 
+def _check_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X holds a NaN or infinite value")
+
+
+def _distance_blocks(X: np.ndarray, Q: np.ndarray, scale: np.ndarray):
+    """Manhattan distances on range-normalized features from blocks of
+    query rows Q to the rows of X, as (start, dist) with dist of shape
+    (B, len(X)).
+
+    Each block's diffs fill one preallocated feature-major (B, d, n) buffer
+    of at most BLOCK_ELEMENTS values, so memory is bounded whatever n is.
+    Distances are summed over the features one after another, in column
+    order.
+    """
+    XT = np.ascontiguousarray(X.T)
+    d, n = XT.shape
+    rows = max(1, BLOCK_ELEMENTS // (n * d))
+    buf = np.empty((min(rows, len(Q)), d, n))
+    for start in range(0, len(Q), rows):
+        q = Q[start:start + rows]
+        diff = buf[:len(q)]
+        np.subtract(XT[None], q[:, :, None], out=diff)
+        np.abs(diff, out=diff)
+        np.divide(diff, scale[:, None], out=diff)
+        yield start, np.add.reduce(diff, axis=1)
+
+
+def _nearest(dist: np.ndarray, K: int) -> np.ndarray:
+    """Column indices of the K smallest distances of each row, nearest
+    first with ties to the lower index: the first K of a stable argsort."""
+    kth = np.partition(dist, K - 1, axis=1)[:, K - 1]
+    rows, cols = np.nonzero(dist <= kth[:, None])
+    order = np.lexsort((dist[rows, cols], rows))  # stable: ties by index
+    first = np.searchsorted(rows, np.arange(len(dist)))
+    return cols[order][first[:, None] + np.arange(K)]
+
+
+def _fold(acc: np.ndarray, contribs: np.ndarray) -> np.ndarray:
+    """acc plus each row of contribs in turn, left to right."""
+    return np.add.accumulate(np.concatenate([acc[None], contribs]))[-1]
+
+
 def _relieff_pass(X, y, ks: Sequence[int]) -> np.ndarray:
     """ReliefF weights for every k of the ascending grid ks, one row per k.
 
-    Each query row's diffs to all instances are built on their own and its
-    neighbors are sorted once: the k nearest hits and misses are a prefix of
-    the max(ks) nearest, so one order serves the whole grid.
+    Query rows go in blocks; each row's K = max(ks) nearest hits and misses
+    are found once, since the k nearest are a prefix of the K nearest, so
+    one selection serves the whole grid.  Contributions are added in row
+    order, then neighbor order, whatever the block size.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -56,6 +106,7 @@ def _relieff_pass(X, y, ks: Sequence[int]) -> np.ndarray:
     n, d = X.shape
     if d == 0:
         raise ValueError("no feature columns")
+    _check_finite(X)
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2 or np.min(counts) < 2:
         raise InsufficientData("need at least 2 examples in each of 2 classes")
@@ -64,26 +115,29 @@ def _relieff_pass(X, y, ks: Sequence[int]) -> np.ndarray:
             raise InsufficientData(
                 f"k={k} exceeds smallest class size {int(np.min(counts))} - 1")
 
-    count_of = {int(c): int(cnt) for c, cnt in zip(labels, counts)}
-    scale = _range_scale(X)
-    # the j-th nearest miss counts for every k > j, a suffix of the grid
-    first_k_above = np.searchsorted(ks, np.arange(ks[-1]), side="right")
+    K = ks[-1]
+    count_of = counts[np.searchsorted(labels, y)]
     hit_acc = np.zeros((len(ks), d))
     miss_acc = np.zeros((len(ks), d))
-    for r in range(n):
-        diff = np.abs(X - X[r]) / scale
-        dist = diff.sum(axis=1)
-        dist[r] = np.inf
-        order = np.argsort(dist, kind="stable")  # ties -> lower index
-        same = y[order] == y[r]
-        hits = order[same][:ks[-1]]
-        misses = order[~same][:ks[-1]]
+    scale = _range_scale(X)
+    for start, dist in _distance_blocks(X, X, scale):
+        B = len(dist)
+        rows = np.arange(B)
+        dist[rows, start + rows] = np.inf
+        same = y[None, :] == y[start:start + B, None]
+        hits = _nearest(np.where(same, dist, np.inf), K)
+        misses = _nearest(np.where(same, np.inf, dist), K)
+        q = X[start:start + B, None, :]
+        # (B, K, d) in C order keeps numpy's sum over the neighbor axis in
+        # neighbor order
+        hit_diffs = np.abs(X[hits] - q) / scale
+        prior = count_of[misses] / (n - count_of[start:start + B])[:, None]
+        miss_diffs = prior[:, :, None] * (np.abs(X[misses] - q) / scale)
         for i, k in enumerate(ks):
-            hit_acc[i] += diff[hits[:k]].sum(axis=0)
-        denom = n - count_of[int(y[r])]
-        for j, mi in enumerate(misses):
-            miss_acc[first_k_above[j]:] += (
-                (count_of[int(y[mi])] / denom) * diff[mi])
+            hit_acc[i] = _fold(hit_acc[i],
+                               np.add.reduce(hit_diffs[:, :k], axis=1))
+            miss_acc[i] = _fold(miss_acc[i],
+                                miss_diffs[:, :k].reshape(-1, d))
     return (miss_acc - hit_acc) / (n * np.asarray(ks))[:, None]
 
 
@@ -108,13 +162,11 @@ def select_features(weights: FeatureWeights) -> list:
 
 def _nearest_neighbor_accuracy(X_train, y_train, X_test, y_test) -> float:
     """1-NN accuracy, Manhattan on ranges learned from the training part."""
-    scale = _range_scale(X_train)
-    correct = 0
-    for i in range(len(X_test)):
-        d = np.abs(X_train - X_test[i]) / scale
-        nearest = int(np.argmin(d.sum(axis=1)))  # ties -> lower index
-        correct += int(y_train[nearest] == y_test[i])
-    return correct / len(X_test)
+    nearest = np.concatenate([
+        np.argmin(dist, axis=1)  # ties -> lower index
+        for _, dist in _distance_blocks(X_train, X_test,
+                                        _range_scale(X_train))])
+    return int(np.count_nonzero(y_train[nearest] == y_test)) / len(X_test)
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -143,6 +195,7 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
     y = np.asarray(y, dtype=np.int64)
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
+    _check_finite(X)
     labels, counts = np.unique(y, return_counts=True)
     if len(labels) < 2 or np.min(counts) < folds:
         raise InsufficientData(
@@ -169,7 +222,8 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
     chosen = min(per_k, key=lambda k: (-float(np.mean(per_k[k])), k))
     final = relieff_weights(X, y, k=chosen, names=names)
     return SelectionResult(chosen_k=chosen, kept=tuple(select_features(final)),
-                           fold_accuracies=tuple(per_k[chosen]),
+                           fold_accuracies_by_k={
+                               k: tuple(acc) for k, acc in per_k.items()},
                            weights=final)
 
 
@@ -188,5 +242,8 @@ def write_selection_manifest(path, result: SelectionResult, folds: int,
         "folds": folds,
         "seed": seed,
         "fold_accuracies": [float(a) for a in result.fold_accuracies],
+        "fold_accuracies_by_k": {
+            str(k): [float(a) for a in acc]
+            for k, acc in result.fold_accuracies_by_k.items()},
         "kept": list(result.kept),
     })

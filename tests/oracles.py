@@ -282,6 +282,63 @@ def relieff_oracle(X, y, k):
     return [(miss_acc[f] - hit_acc[f]) / (n * k) for f in range(d)]
 
 
+def relieff_pass_loop(X, y, ks):
+    """The weights of speechbp.relieff._relieff_pass for the ascending grid
+    ks, one query row at a time: each row's diffs to all instances, one
+    stable argsort of its distances, then the hit and miss sums added per
+    k.  The argument checks are left out.
+
+    Distances are summed over the features in column order, as in
+    relieff_oracle; numpy's diff.sum(axis=1) sums 8 or more features
+    pairwise, which can break exact distance ties the other way.
+    """
+    import numpy as np
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    labels, counts = np.unique(y, return_counts=True)
+    count_of = {int(c): int(cnt) for c, cnt in zip(labels, counts)}
+    ranges = X.max(axis=0) - X.min(axis=0)
+    scale = np.where(ranges == 0.0, np.inf, ranges)
+    # the j-th nearest miss counts for every k > j, a suffix of the grid
+    first_k_above = np.searchsorted(ks, np.arange(ks[-1]), side="right")
+    hit_acc = np.zeros((len(ks), d))
+    miss_acc = np.zeros((len(ks), d))
+    for r in range(n):
+        diff = np.abs(X - X[r]) / scale
+        dist = sum(diff[:, f] for f in range(d))
+        dist[r] = np.inf
+        order = np.argsort(dist, kind="stable")  # ties -> lower index
+        same = y[order] == y[r]
+        hits = order[same][:ks[-1]]
+        misses = order[~same][:ks[-1]]
+        for i, k in enumerate(ks):
+            hit_acc[i] += diff[hits[:k]].sum(axis=0)
+        denom = n - count_of[int(y[r])]
+        for j, mi in enumerate(misses):
+            miss_acc[first_k_above[j]:] += (
+                (count_of[int(y[mi])] / denom) * diff[mi])
+    return (miss_acc - hit_acc) / (n * np.asarray(ks))[:, None]
+
+
+def nearest_neighbor_accuracy_loop(X_train, y_train, X_test, y_test):
+    """1-NN accuracy one test row at a time: Manhattan distance on ranges
+    learned from the training part, summed over the features in column
+    order, ties to the lower index."""
+    import numpy as np
+
+    ranges = X_train.max(axis=0) - X_train.min(axis=0)
+    scale = np.where(ranges == 0.0, np.inf, ranges)
+    correct = 0
+    for i in range(len(X_test)):
+        diff = np.abs(X_train - X_test[i]) / scale
+        dist = sum(diff[:, f] for f in range(X_train.shape[1]))
+        nearest = int(np.argmin(dist))  # ties -> lower index
+        correct += int(y_train[nearest] == y_test[i])
+    return correct / len(X_test)
+
+
 # === regression metrics, Kahan-grade accumulation via fsum ===
 
 def mse_oracle(y, yhat):

@@ -125,9 +125,49 @@ class TestWeights:
                 np.testing.assert_array_equal(
                     row, relieff_weights(X, y, k=k).weights)
 
+    # (n, d, decimals, ks, zero-range column): rounding makes exact
+    # distance ties; 400 rows of 17 go in blocks of 38 rows, the last one
+    # short, and 300 x 1000 diffs are over the block budget, so every
+    # block is one row
+    LOOP_CASES = [
+        (60, 5, None, (1, 2, 3, 5), False),
+        (80, 17, None, (3, 5, 10), False),
+        (90, 17, 0, (1, 2, 3, 5), False),
+        (90, 17, 0, (3, 5, 10), False),
+        (120, 9, 1, (3, 5, 10), False),
+        (120, 23, 2, (1, 2, 3, 5), False),
+        (70, 1, 0, (3, 5, 10), False),
+        (70, 6, 1, (1, 2, 3, 5), True),
+        (400, 17, None, (3, 5, 10), False),
+        (400, 17, 0, (1, 2, 3, 5), False),
+        (300, 1000, 1, (3, 5, 10), False),
+    ]
+
+    @pytest.mark.parametrize(
+        "n,d,decimals,ks,zero_col", LOOP_CASES,
+        ids=[f"{n}x{d}-" + ("unrounded" if r is None else f"round{r}")
+             + f"-k{'_'.join(map(str, ks))}" + ("-zero_range" if z else "")
+             for n, d, r, ks, z in LOOP_CASES])
+    def test_pass_matches_row_loop(self, n, d, decimals, ks, zero_col):
+        # blocks of query rows and the partial neighbor selection give the
+        # per-row loop's weights bit for bit, exact ties included
+        rng = np.random.default_rng(n * d)
+        X = rng.normal(size=(n, d))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        if zero_col:
+            X[:, 1] = 2.5
+        y = balanced_labels(rng, n, min_per_class=ks[-1] + 1)
+        np.testing.assert_array_equal(_relieff_pass(X, y, ks),
+                                      oracles.relieff_pass_loop(X, y, ks))
+        train = np.arange(n) % 3 != 0
+        args = (X[train], y[train], X[~train], y[~train])
+        assert (_nearest_neighbor_accuracy(*args)
+                == oracles.nearest_neighbor_accuracy_loop(*args))
+
     def test_memory_bounded(self):
-        # one n x d block of diffs at a time; an n x n x d array would be
-        # 544 MB here
+        # one block of at most BLOCK_ELEMENTS diffs (2 MB) at a time; an
+        # n x n x d array would be 544 MB here
         rng = np.random.default_rng(2)
         X = rng.normal(size=(2000, 17))
         y = balanced_labels(rng, 2000)
@@ -159,6 +199,16 @@ class TestWeights:
     def test_no_features(self):
         with pytest.raises(ValueError, match="no feature columns"):
             relieff_weights(np.zeros((6, 0)), np.array([0, 1] * 3), k=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        X[4, 1] = bad
+        y = np.array([0, 1] * 15)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            relieff_weights(X, y, k=3)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            cross_validated_selection(X, y, folds=10, seed=0)
 
 
 def weights_fixture():
@@ -304,6 +354,10 @@ class TestReports:
         assert payload["seed"] == 7
         assert payload["kept"] == list(res.kept)
         assert len(payload["fold_accuracies"]) == 10
+        by_k = payload["fold_accuracies_by_k"]
+        assert sorted(by_k, key=int) == ["3", "5", "10"]
+        assert all(len(acc) == 10 for acc in by_k.values())
+        assert by_k[str(res.chosen_k)] == payload["fold_accuracies"]
 
     def test_report_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
