@@ -275,8 +275,7 @@ def synthesize_cohort(n_female: int = 45, n_male: int = 50, seed: int = 0,
         raise ValueError("cohort sizes must be non-negative")
 
     rng = np.random.default_rng(seed)
-    drawn = []
-    ordinal = 0
+    records = []
     for sex, count in (("F", n_female), ("M", n_male)):
         for j in range(count):
             sbp, dbp = _bounded_pair(rng, DEFAULT_PROFILE[sex]["sbp"],
@@ -286,24 +285,19 @@ def synthesize_cohort(n_female: int = 45, n_male: int = 50, seed: int = 0,
             age = int(rng.integers(AGE_RANGE[0], AGE_RANGE[1] + 1))
             heart_rate = round(float(np.clip(rng.normal(74.0, 9.0),
                                              45.0, 120.0)), 1)
-            drawn.append((sex, j, sbp, dbp, jitter_s, jitter_d, age,
-                          heart_rate, ordinal))
-            ordinal += 1
-
-    records = []
-    for sex, j, sbp, dbp, jitter_s, jitter_d, age, heart_rate, idx in drawn:
-        pid = f"{sex}{j + 1:03d}"
-        wav_paths: tuple = ()
-        if wav_dir is not None:
-            wav_paths = (str(Path(wav_dir) / f"{pid}.wav"),)
-            _write_cohort_wav(Path(wav_paths[0]), sbp, dbp,
-                              seed * 1_000_003 + idx)
-        records.append(ParticipantRecord(
-            id=pid, sex=sex, age=age,
-            sbp_initial=sbp + jitter_s, sbp_final=sbp - jitter_s,
-            dbp_initial=dbp + jitter_d, dbp_final=dbp - jitter_d,
-            heart_rate=heart_rate, wav_paths=wav_paths,
-        ))
+            pid = f"{sex}{j + 1:03d}"
+            wav_paths: tuple = ()
+            if wav_dir is not None:
+                # the WAV draws from its own generators, never from rng
+                wav_paths = (str(Path(wav_dir) / f"{pid}.wav"),)
+                _write_cohort_wav(Path(wav_paths[0]), sbp, dbp,
+                                  seed * 1_000_003 + len(records))
+            records.append(ParticipantRecord(
+                id=pid, sex=sex, age=age,
+                sbp_initial=sbp + jitter_s, sbp_final=sbp - jitter_s,
+                dbp_initial=dbp + jitter_d, dbp_final=dbp - jitter_d,
+                heart_rate=heart_rate, wav_paths=wav_paths,
+            ))
     return records
 
 

@@ -15,6 +15,7 @@ comes from an FFT autocorrelation built from two such packed transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -66,39 +67,51 @@ def segment_length(sample_rate: int) -> int:
     return int(round(SEGMENT_SECONDS * sample_rate))
 
 
-_window_cache: dict = {}
-
-
+@cache
 def gaussian_window(n: int, sigma: float = DEFAULT_WINDOW_SIGMA) -> np.ndarray:
     """w[i] = exp(-0.5 * ((i - (n-1)/2) / (sigma * (n-1)/2))^2), peak 1 at center.
 
-    Built once per (n, sigma) and returned read-only, shared by every caller.
+    Built once per argument tuple and returned read-only, shared by every
+    caller.
     """
-    w = _window_cache.get((n, sigma))
-    if w is None:
-        if n < 2:
-            raise ValueError(f"window needs n >= 2, got {n}")
-        if not (0.0 < sigma <= 1.0):
-            raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-        half = (n - 1) / 2.0
-        i = np.arange(n)
-        w = np.exp(-0.5 * ((i - half) / (sigma * half)) ** 2)
-        w.flags.writeable = False
-        _window_cache[(n, sigma)] = w
+    if n < 2:
+        raise ValueError(f"window needs n >= 2, got {n}")
+    if not (0.0 < sigma <= 1.0):
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    half = (n - 1) / 2.0
+    i = np.arange(n)
+    w = np.exp(-0.5 * ((i - half) / (sigma * half)) ** 2)
+    w.flags.writeable = False
     return w
 
 
 # === four-step FFT ===
 
-# length N -> (N1-point DFT matrix, N2-point DFT matrix, twiddles [k2, n1])
-_plan_cache: dict = {}
-_split_cache: dict = {}
-
-
 def _dft_matrix(n: int) -> np.ndarray:
     # k*j is reduced mod n in integers, so every angle lies below 2*pi
     k = np.arange(n)
     return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
+
+
+@cache
+def _plan(n: int) -> tuple:
+    """(N1-point DFT matrix, N2-point DFT matrix, twiddles [k2, n1]) of the
+    length-n four-step transform, read-only."""
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n2 = n // n1
+    plan = (_dft_matrix(n1), _dft_matrix(n2),
+            np.exp(-2j * np.pi * np.outer(np.arange(n2), np.arange(n1)) / n))
+    for table in plan:
+        table.flags.writeable = False
+    return plan
+
+
+@cache
+def _split_twiddles(n: int) -> np.ndarray:
+    """-i/2 * W_N^k for k = 0..N/2, the split step's twiddles, read-only."""
+    tw = -0.5j * np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    tw.flags.writeable = False
+    return tw
 
 
 def fft_radix2(x) -> np.ndarray:
@@ -117,15 +130,7 @@ def fft_radix2(x) -> np.ndarray:
     if n == 1:
         return x.copy()
 
-    plan = _plan_cache.get(n)
-    if plan is None:
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-        n2 = n // n1
-        twiddles = np.exp(-2j * np.pi * np.outer(np.arange(n2),
-                                                 np.arange(n1)) / n)
-        plan = (_dft_matrix(n1), _dft_matrix(n2), twiddles)
-        _plan_cache[n] = plan
-    f1, f2, twiddles = plan
+    f1, f2, twiddles = _plan(n)
     lead = x.shape[:-1]
     a = x.reshape(*lead, len(f2), len(f1))
     c = (f2 @ a * twiddles) @ f1
@@ -141,16 +146,11 @@ def real_fft(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    half = n // 2
     z = fft_radix2(x[..., 0::2] + 1j * x[..., 1::2])
     # zk[k] = Z[k mod N/2] and its reversal gives Z[(N/2 - k) mod N/2]
     zk = np.concatenate([z, z[..., :1]], axis=-1)
     zr = np.conj(zk[..., ::-1])
-    tw = _split_cache.get(n)
-    if tw is None:
-        tw = -0.5j * np.exp(-2j * np.pi * np.arange(half + 1) / n)
-        _split_cache[n] = tw
-    return 0.5 * (zk + zr) + tw * (zk - zr)
+    return 0.5 * (zk + zr) + _split_twiddles(n) * (zk - zr)
 
 
 def fft_magnitude(samples, sample_rate: int) -> Spectrum:

@@ -10,6 +10,7 @@ segments, so downstream CSVs line up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -62,46 +63,38 @@ def hz_from_mel(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-_FILTERBANK_CACHE: dict = {}
-
-
+@cache
 def mel_filterbank(sample_rate: int, n_bins: int, fft_size: int,
                    n_filters: int = N_MEL_FILTERS) -> np.ndarray:
     """Triangular filters spanning 0 Hz to Nyquist, evaluated at bin centers.
 
     Rows are filters, columns are spectrum bins; each filter rises linearly
     in Hz from its left edge to 1.0 at its center and falls to the right
-    edge, with the edges equally spaced on the mel scale.
+    edge, with the edges equally spaced on the mel scale.  Built once per
+    argument tuple and returned read-only, shared by every caller.
     """
-    key = (sample_rate, n_bins, fft_size, n_filters)
-    bank = _FILTERBANK_CACHE.get(key)
-    if bank is None:
-        edges = hz_from_mel(np.linspace(0.0, mel_from_hz(sample_rate / 2.0),
-                                        n_filters + 2))
-        freqs = np.arange(n_bins) * (sample_rate / fft_size)
-        left = edges[:-2, None]
-        center = edges[1:-1, None]
-        right = edges[2:, None]
-        rising = (freqs - left) / (center - left)
-        falling = (right - freqs) / (right - center)
-        bank = np.clip(np.minimum(rising, falling), 0.0, None)
-        _FILTERBANK_CACHE[key] = bank
+    edges = hz_from_mel(np.linspace(0.0, mel_from_hz(sample_rate / 2.0),
+                                    n_filters + 2))
+    freqs = np.arange(n_bins) * (sample_rate / fft_size)
+    left = edges[:-2, None]
+    center = edges[1:-1, None]
+    right = edges[2:, None]
+    rising = (freqs - left) / (center - left)
+    falling = (right - freqs) / (right - center)
+    bank = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 
-_DCT_CACHE: dict = {}
-
-
+@cache
 def _dct2_matrix(m: int) -> np.ndarray:
-    # orthonormal DCT-II; row 0 carries the DC scale even though mfcc_12
-    # discards it
-    mat = _DCT_CACHE.get(m)
-    if mat is None:
-        k = np.arange(m)[:, None]
-        i = np.arange(m)[None, :]
-        mat = np.cos(np.pi * k * (2 * i + 1) / (2 * m)) * np.sqrt(2.0 / m)
-        mat[0] /= np.sqrt(2.0)
-        _DCT_CACHE[m] = mat
+    # orthonormal DCT-II, read-only; row 0 carries the DC scale even though
+    # mfcc_12 discards it
+    k = np.arange(m)[:, None]
+    i = np.arange(m)[None, :]
+    mat = np.cos(np.pi * k * (2 * i + 1) / (2 * m)) * np.sqrt(2.0 / m)
+    mat[0] /= np.sqrt(2.0)
+    mat.flags.writeable = False
     return mat
 
 

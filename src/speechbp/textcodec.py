@@ -21,35 +21,14 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 SPECIALS = (PAD, UNK, CLS, SEP)
 CHAR_TOKENS = tuple("0123456789") + (".", "-")
 
-DEFAULT_MAX_LEN = 512
 DEFAULT_DECIMALS = 2
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    token_to_id: dict
-    id_to_token: tuple
-
-    def __len__(self) -> int:
-        return len(self.id_to_token)
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-
-def build_vocabulary(feature_names: Sequence[str]) -> Vocabulary:
-    """Specials, then feature names in schema order, then digit characters."""
-    tokens = list(SPECIALS)
-    seen = set(tokens)
-    for token in tuple(feature_names) + CHAR_TOKENS:
-        if token not in seen:
-            tokens.append(token)
-            seen.add(token)
-    return Vocabulary(token_to_id={t: i for i, t in enumerate(tokens)},
-                      id_to_token=tuple(tokens))
+def build_vocabulary(feature_names: Sequence[str]) -> dict:
+    """{token: id}: specials, then feature names in schema order, then digit
+    characters, with dense ids; a repeated token keeps its first place."""
+    tokens = dict.fromkeys(SPECIALS + tuple(feature_names) + CHAR_TOKENS)
+    return {token: i for i, token in enumerate(tokens)}
 
 
 @dataclass(frozen=True)
@@ -75,16 +54,15 @@ def serialize_features(vector: FeatureVector,
     return " ".join(words)
 
 
-def _word_ids(word: str, vocab: Vocabulary) -> list:
+def _word_ids(word: str, vocab: dict) -> list:
     if word in vocab:
-        return [vocab.id_of(word)]
-    if word and all(c in vocab.token_to_id for c in word):
-        return [vocab.token_to_id[c] for c in word]
+        return [vocab[word]]
+    if word and all(c in vocab for c in word):
+        return [vocab[c] for c in word]
     return [UNK_ID]
 
 
-def tokenize(text: str, vocab: Vocabulary,
-             max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
+def tokenize(text: str, vocab: dict, max_len: int) -> TokenSequence:
     """[CLS], the text's tokens, [SEP], padded to max_len.  Text that does
     not fit is a ConfigError: the encoder would never see its tail."""
     if max_len < 3:

@@ -1,6 +1,7 @@
 """Tests for WAV parsing and the vowel synthesizer."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from speechbp.errors import MalformedArtifact
 def wav_bytes(samples_int16, sample_rate=48000, channels=1, audio_format=1,
               bits=16, data_size=None, magic=b"RIFF", wave_id=b"WAVE"):
     """Hand-assemble a WAV file so each header field can be corrupted."""
-    payload = b"".join(struct.pack("<h", s) for s in samples_int16)
+    payload = np.asarray(samples_int16, dtype="<i2").tobytes()
     if data_size is None:
         data_size = len(payload)
     block_align = channels * bits // 8
@@ -43,6 +44,36 @@ class TestLoadWav:
         clip = load_wav(p)
         assert clip.source_channels == 2
         np.testing.assert_array_equal(clip.samples, [0.0, 0.0])
+
+    def test_stereo_downmix_matches_mean_of_scaled_channels(self, tmp_path):
+        # distinct full-range channels, both extremes on each side
+        rng = np.random.default_rng(4)
+        ints = np.concatenate([
+            [-32768, 32767, 32767, -32768, -32768, -32768, 32767, 32767,
+             0, -1, -1, 1, 1, -32768],
+            rng.integers(-32768, 32768, size=20000)])
+        p = tmp_path / "d.wav"
+        p.write_bytes(wav_bytes(ints, channels=2))
+        want = (ints.astype(np.float64) / 32768.0).reshape(-1, 2).mean(axis=1)
+        assert load_wav(p).samples.tobytes() == want.tobytes()
+
+    def test_traced_peak_per_sample(self, tmp_path):
+        # 10 s of 48 kHz stereo: the file's bytes and one float64 per output
+        # sample with its scaled result fit; a copy of the data chunk or
+        # float64 channels before the downmix do not
+        rng = np.random.default_rng(6)
+        n = 480_000
+        p = tmp_path / "long.wav"
+        p.write_bytes(wav_bytes(rng.integers(-32768, 32768, size=2 * n),
+                                channels=2))
+        tracemalloc.start()
+        try:
+            clip = load_wav(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(clip.samples) == n
+        assert peak <= 16 * n
 
     def test_full_scale_negative(self, tmp_path):
         p = tmp_path / "n.wav"

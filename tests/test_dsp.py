@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from speechbp import dsp, features
 from speechbp.audio_io import AudioClip, synthesize_speech
 from speechbp.dsp import (MAX_SEGMENTS, VoicedRegion, detect_voiced_regions,
                           fft_magnitude, fft_radix2, gaussian_window,
@@ -60,11 +61,27 @@ class TestGaussianWindow:
         assert gaussian_window(2400, 0.25) is not w
         assert gaussian_window(2205) is not w
 
-    def test_cached_window_is_read_only(self):
-        w = gaussian_window(48)
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 2.0
-        assert w[0] == gaussian_window(48)[-1] < 1.0
+
+# every table built once and shared by all callers, by name
+CACHED_TABLES = {
+    "window": lambda: gaussian_window(48),
+    "plan-n1-dft": lambda: dsp._plan(2048)[0],
+    "plan-n2-dft": lambda: dsp._plan(2048)[1],
+    "plan-twiddles": lambda: dsp._plan(2048)[2],
+    "split-twiddles": lambda: dsp._split_twiddles(4096),
+    "mel-filterbank": lambda: features.mel_filterbank(48000, 2049, 4096),
+    "dct": lambda: features._dct2_matrix(features.N_MEL_FILTERS),
+}
+
+
+@pytest.mark.parametrize("name", CACHED_TABLES)
+def test_cached_table_is_read_only(name):
+    table = CACHED_TABLES[name]()
+    assert CACHED_TABLES[name]() is table
+    before = table.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        table[(0,) * table.ndim] = 2.0
+    np.testing.assert_array_equal(table, before)
 
 
 class TestFFT:

@@ -5,9 +5,12 @@ import pytest
 
 from speechbp.errors import ConfigError
 from speechbp.features import BASE_NAMES, FeatureVector
-from speechbp.textcodec import (CLS_ID, PAD_ID, SEP_ID, UNK_ID,
-                                build_vocabulary, serialize_features,
-                                tokenize)
+from speechbp.textcodec import (CHAR_TOKENS, CLS_ID, PAD_ID, SEP_ID,
+                                SPECIALS, UNK_ID, build_vocabulary,
+                                serialize_features, tokenize)
+
+# the default EncoderConfig.max_len
+MAX_LEN = 512
 
 
 def base_vector(values=None):
@@ -26,13 +29,15 @@ def vocab():
 
 class TestVocabulary:
     def test_special_ids_fixed(self, vocab):
-        assert vocab.token_to_id["[PAD]"] == 0
-        assert vocab.token_to_id["[UNK]"] == 1
-        assert vocab.token_to_id["[CLS]"] == 2
-        assert vocab.token_to_id["[SEP]"] == 3
+        assert vocab["[PAD]"] == 0
+        assert vocab["[UNK]"] == 1
+        assert vocab["[CLS]"] == 2
+        assert vocab["[SEP]"] == 3
 
     def test_dense_ids(self, vocab):
-        assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
+        # specials, then the names in schema order, then the digit tokens
+        assert list(vocab) == [*SPECIALS, *BASE_NAMES, *CHAR_TOKENS]
+        assert list(vocab.values()) == list(range(len(vocab)))
 
     def test_size_bound(self, vocab):
         # 4 specials + 17 names + 12 characters
@@ -40,12 +45,20 @@ class TestVocabulary:
         assert len(vocab) < 64
 
     def test_round_trip_tokens(self, vocab):
-        for token, idx in vocab.token_to_id.items():
-            assert vocab.id_to_token[idx] == token
-            assert vocab.id_of(token) == idx
+        # every id names exactly one token
+        id_to_token = {idx: token for token, idx in vocab.items()}
+        assert len(id_to_token) == len(vocab)
+
+    def test_repeated_name_keeps_first_place(self):
+        vocab = build_vocabulary(("mfcc2", "mfcc1", "mfcc2", "[CLS]", "7"))
+        assert list(vocab) == [*SPECIALS, "mfcc2", "mfcc1", "7",
+                               *(c for c in CHAR_TOKENS if c != "7")]
+        assert list(vocab.values()) == list(range(len(vocab)))
 
     def test_unknown_token_maps_to_unk(self, vocab):
-        assert vocab.id_of("banana") == UNK_ID
+        assert "banana" not in vocab
+        seq = tokenize("banana", vocab, MAX_LEN)
+        assert list(seq.input_ids[:3]) == [CLS_ID, UNK_ID, SEP_ID]
 
 
 class TestSerialize:
@@ -88,10 +101,9 @@ class TestSerialize:
 
 class TestTokenize:
     def test_single_pair_example(self, vocab):
-        seq = tokenize("mfcc1 1.00", vocab)
-        want = [CLS_ID, vocab.token_to_id["mfcc1"], vocab.token_to_id["1"],
-                vocab.token_to_id["."], vocab.token_to_id["0"],
-                vocab.token_to_id["0"], SEP_ID]
+        seq = tokenize("mfcc1 1.00", vocab, MAX_LEN)
+        want = [CLS_ID, vocab["mfcc1"], vocab["1"], vocab["."], vocab["0"],
+                vocab["0"], SEP_ID]
         assert list(seq.input_ids[:7]) == want
         assert seq.true_length == 7
         assert list(seq.attention_mask[:7]) == [1] * 7
@@ -99,17 +111,17 @@ class TestTokenize:
         assert np.all(seq.input_ids[7:] == PAD_ID)
 
     def test_empty_text(self, vocab):
-        seq = tokenize("", vocab)
+        seq = tokenize("", vocab, MAX_LEN)
         assert list(seq.input_ids[:2]) == [CLS_ID, SEP_ID]
         assert seq.true_length == 2
 
     def test_output_length_fixed(self, vocab):
-        seq = tokenize("mfcc1 1.00", vocab)
-        assert len(seq.input_ids) == 512
-        assert len(seq.attention_mask) == 512
+        seq = tokenize("mfcc1 1.00", vocab, MAX_LEN)
+        assert len(seq.input_ids) == MAX_LEN
+        assert len(seq.attention_mask) == MAX_LEN
 
     def test_unknown_word_single_unk(self, vocab):
-        seq = tokenize("mystery 1.00", vocab)
+        seq = tokenize("mystery 1.00", vocab, MAX_LEN)
         assert seq.input_ids[1] == UNK_ID
         assert seq.true_length == 7
 
@@ -117,7 +129,7 @@ class TestTokenize:
         rng = np.random.default_rng(3)
         for _ in range(20):
             vec = base_vector(rng.normal(0, 20, size=17))
-            seq = tokenize(serialize_features(vec), vocab)
+            seq = tokenize(serialize_features(vec), vocab, MAX_LEN)
             mask = seq.attention_mask
             assert np.array_equal(np.sort(mask)[::-1], mask)
 
@@ -126,11 +138,11 @@ class TestTokenize:
         for _ in range(100):
             vec = base_vector(rng.normal(0, 50, size=17))
             text = serialize_features(vec)
-            seq = tokenize(text, vocab)
+            seq = tokenize(text, vocab, MAX_LEN)
             value_words = text.split()[1::2]
             want = 2 + 17 + sum(len(w) for w in value_words)
             assert seq.true_length == want
-            assert seq.true_length < 512
+            assert seq.true_length < MAX_LEN
 
     def test_overlong_text_is_config_error(self, vocab):
         # 14 tokens and the two specials fit in 16; one more does not
@@ -146,11 +158,11 @@ class TestTokenize:
             tokenize("x", vocab, max_len=2)
 
     def test_deterministic(self, vocab):
-        a = tokenize("mfcc2 -3.50", vocab)
-        b = tokenize("mfcc2 -3.50", vocab)
+        a = tokenize("mfcc2 -3.50", vocab, MAX_LEN)
+        b = tokenize("mfcc2 -3.50", vocab, MAX_LEN)
         np.testing.assert_array_equal(a.input_ids, b.input_ids)
 
     def test_all_ids_within_vocab(self, vocab):
-        seq = tokenize(serialize_features(base_vector()), vocab)
+        seq = tokenize(serialize_features(base_vector()), vocab, MAX_LEN)
         assert np.all(seq.input_ids < len(vocab))
         assert np.all(seq.input_ids >= 0)
