@@ -171,6 +171,11 @@ def _merge_section(defaults: dict, given: dict, where: str) -> dict:
     return merged
 
 
+def _reject_non_finite(name):
+    # json.loads takes NaN, Infinity and -Infinity, which no setting means
+    raise ConfigError(f"config number {name} is not finite")
+
+
 def resolve_config(config_path, seed_override=None,
                    workdir_override=None) -> PipelineConfig:
     """Defaults, then the JSON file, then command-line overrides.
@@ -185,7 +190,7 @@ def resolve_config(config_path, seed_override=None,
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}")
         try:
-            given = json.loads(text)
+            given = json.loads(text, parse_constant=_reject_non_finite)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}")
         if not isinstance(given, dict):
@@ -357,6 +362,12 @@ def cmd_select(cfg: PipelineConfig) -> int:
 def cmd_train(cfg: PipelineConfig) -> int:
     examples, names, fman = _read_examples(cfg)
     kept = tuple(read_json(cfg.selection_json, {"kept": list})["kept"])
+    # all names first: a repeat check over unhashable entries would raise
+    if (not kept or not all(isinstance(k, str) for k in kept)
+            or len(set(kept)) != len(kept)):
+        raise MalformedArtifact(f"{cfg.selection_json}: kept must be a "
+                                "non-empty list of distinct feature names, "
+                                f"got {list(kept)}")
 
     train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
     X = np.array([ex.features.values for ex in train_ex])

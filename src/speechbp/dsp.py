@@ -53,16 +53,6 @@ class Spectrum:
     fft_size: int
 
 
-@dataclass(frozen=True)
-class VoicedRegion:
-    start_s: float
-    end_s: float
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-
 def segment_length(sample_rate: int) -> int:
     return int(round(SEGMENT_SECONDS * sample_rate))
 
@@ -192,14 +182,15 @@ def flatness_ratio(magnitudes):
 
 # === voiced-region detection ===
 
-def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
+def detect_voiced_regions(clip: AudioClip) -> list[tuple[int, int]]:
     """Energy + flatness gating over non-overlapping 50 ms frames.
 
     A frame qualifies when its RMS exceeds VOICED_RMS_FACTOR times the clip's
     median frame RMS and its spectral flatness over 100-4000 Hz is below
-    VOICED_FLATNESS_MAX.  Qualifying frames are merged into regions; regions
-    shorter than 100 ms are dropped.  A clip shorter than 100 ms, or sampled
-    too slowly for any frame to reach the flatness band, is DegenerateInput.
+    VOICED_FLATNESS_MAX.  Runs of qualifying frames become regions, returned
+    as [start, end) sample bounds on the frame grid; regions shorter than
+    100 ms are dropped.  A clip shorter than 100 ms, or sampled too slowly
+    for any frame to reach the flatness band, is DegenerateInput.
     """
     sr = clip.sample_rate
     if sr < 2 * FLATNESS_BAND_HZ[0]:
@@ -213,18 +204,18 @@ def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
 
     frame_len = segment_length(sr)
     x = np.asarray(clip.samples, dtype=np.float64)
-    starts = np.arange(0, len(x) - frame_len + 1, frame_len)
-    if len(starts) == 0:
+    n_frames = len(x) // frame_len
+    if n_frames == 0:
         return []
 
-    frames = x[:len(starts) * frame_len].reshape(len(starts), frame_len)
+    frames = x[:n_frames * frame_len].reshape(n_frames, frame_len)
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
     gate = VOICED_RMS_FACTOR * float(np.median(rms))
 
     # Gaussian analysis window keeps leakage out of the flatness measurement;
     # rectangular frames smear enough to push tonal frames past the gate.
     window = gaussian_window(frame_len)
-    voiced = np.zeros(len(starts), dtype=bool)
+    voiced = np.zeros(n_frames, dtype=bool)
     loud = np.flatnonzero(rms > gate)
     band = None
     # frames go through the FFT in stacks of GATE_STACK so the working set
@@ -238,50 +229,24 @@ def detect_voiced_regions(clip: AudioClip) -> list[VoicedRegion]:
         voiced[rows] = (flatness_ratio(spec.magnitudes[:, band])
                         < VOICED_FLATNESS_MAX)
 
-    # runs of consecutive voiced frames become regions; two runs are split by
-    # at least one unvoiced frame, so they never touch
-    regions = []
-    run_start = None
-    prev = None
-    for j in np.flatnonzero(voiced):
-        if run_start is None:
-            run_start = j
-        elif j != prev + 1:
-            regions.append((starts[run_start], starts[prev] + frame_len))
-            run_start = j
-        prev = j
-    if run_start is not None:
-        regions.append((starts[run_start], starts[prev] + frame_len))
-
-    out = []
-    for lo, hi in regions:
-        if (hi - lo) / sr >= MIN_REGION_SECONDS:
-            out.append(VoicedRegion(start_s=lo / sr, end_s=hi / sr))
-    return out
+    # a run starts where the mask turns on and ends where it turns off, so
+    # two runs are split by at least one unvoiced frame and never touch
+    edges = np.flatnonzero(np.diff(voiced, prepend=False, append=False))
+    return [(lo, hi) for lo, hi in (edges.reshape(-1, 2) * frame_len).tolist()
+            if (hi - lo) / sr >= MIN_REGION_SECONDS]
 
 
-def segment_regions(clip: AudioClip, regions, max_segments: int = MAX_SEGMENTS):
-    """Tile 50 ms non-overlapping segments left-to-right inside each region.
+def segment_regions(clip: AudioClip, regions) -> list[Segment]:
+    """Tile 50 ms non-overlapping segments left to right inside each
+    [start, end) sample region.
 
-    Partial trailing windows are dropped; output is capped at max_segments,
+    Partial trailing windows are dropped; output is capped at MAX_SEGMENTS,
     keeping the earliest voiced audio.
     """
     sr = clip.sample_rate
     seg_len = segment_length(sr)
-    n = len(clip.samples)
-    segments: list[Segment] = []
-    for region in regions:
-        lo = int(round(region.start_s * sr))
-        hi = int(round(region.end_s * sr))
-        if lo < 0 or hi > n or hi <= lo:
-            raise ValueError(f"region [{region.start_s}, {region.end_s}] "
-                             "outside clip bounds")
-        start = lo
-        while start + seg_len <= hi:
-            if len(segments) == max_segments:
-                return segments
-            segments.append(Segment(samples=clip.samples[start:start + seg_len],
-                                    sample_rate=sr, start_s=start / sr,
-                                    index=len(segments)))
-            start += seg_len
-    return segments
+    starts = [s for lo, hi in regions
+              for s in range(lo, hi - seg_len + 1, seg_len)]
+    return [Segment(samples=clip.samples[s:s + seg_len], sample_rate=sr,
+                    start_s=s / sr, index=i)
+            for i, s in enumerate(starts[:MAX_SEGMENTS])]

@@ -27,15 +27,17 @@ EVAL_BATCH = 32
 # constant-zero predictor scores exactly 2.0
 DIVERGENCE_LIMIT = 1000.0
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 2e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     target_scaler: Scaler | None = None
 
@@ -46,8 +48,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
         if g.shape != params[name].shape:
             raise ValueError(f"{name}: grad {g.shape} vs "
                              f"param {params[name].shape}")
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, g in grads.items():
         m, v = state["m"][name], state["v"][name]
         m *= b1
@@ -148,7 +148,7 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
         params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                        + config.epsilon)
+                                                        + ADAM_EPSILON)
     return params, state
 
 

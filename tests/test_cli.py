@@ -139,7 +139,22 @@ class TestConfigResolution:
                                          {"seed": True},
                                          {"training": {"learning_rate":
                                                        False}},
-                                         {"workdir": 5}])
+                                         {"workdir": 5},
+                                         # json.dumps writes these as the
+                                         # NaN and Infinity that json.loads
+                                         # takes back
+                                         {"training": {"learning_rate":
+                                                       float("nan")}},
+                                         {"training": {"learning_rate":
+                                                       float("inf")}},
+                                         {"encoder": {"layernorm_epsilon":
+                                                      float("nan")}},
+                                         {"split": {"test_fraction":
+                                                    float("-inf")}},
+                                         # Adam's constants are not settings
+                                         {"training": {"beta1": 0.9}},
+                                         {"training": {"beta2": 0.999}},
+                                         {"training": {"epsilon": 1e-8}}])
     def test_value_guards(self, tmp_path, payload):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(payload))
@@ -489,6 +504,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "selection.json" in err
         assert "kept is int, expected list" in err
+        assert not (clone / "model").exists()
+
+    @pytest.mark.parametrize("kept", [[], [5], "repeat"],
+                             ids=["empty", "not-a-string", "repeated-name"])
+    def test_damaged_kept_exits_io(self, pipeline, tmp_path, capsys, kept):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        selection = clone / "selection.json"
+        payload = json.loads(selection.read_text())
+        if kept == "repeat":
+            kept = payload["kept"] + payload["kept"][:1]
+        selection.write_text(json.dumps({**payload, "kept": kept}))
+        assert main(["train", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {selection}: kept must be a non-empty "
+                              "list of distinct feature names")
         assert not (clone / "model").exists()
 
     def test_model_is_one_write(self, pipeline, tmp_path, monkeypatch):

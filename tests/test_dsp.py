@@ -9,14 +9,14 @@ import pytest
 import oracles
 from speechbp import dsp, features
 from speechbp.audio_io import AudioClip, synthesize_speech
-from speechbp.dsp import (MAX_SEGMENTS, VoicedRegion, detect_voiced_regions,
-                          fft_magnitude, fft_radix2, gaussian_window,
-                          segment_length, segment_regions)
+from speechbp.dsp import (MAX_SEGMENTS, detect_voiced_regions, fft_magnitude,
+                          fft_radix2, gaussian_window, segment_length,
+                          segment_regions)
 from speechbp.errors import DegenerateInput
 
 # detection works on a 50 ms grid, so region edges are only pinned down to
-# one frame; the epsilon absorbs float noise on the 0.05 boundary itself
-FRAME_TOL = 0.050 + 1e-9
+# one frame: 2400 samples at 48 kHz
+FRAME_TOL = 2400
 
 
 class TestGaussianWindow:
@@ -219,10 +219,9 @@ class TestVoicedRegions:
     def test_bracketed_vowel(self, seed):
         regions = detect_voiced_regions(bracketed_vowel(seed))
         assert len(regions) == 1
-        r = regions[0]
-        assert abs(r.start_s - 0.5) <= FRAME_TOL
-        assert abs(r.end_s - 1.5) <= FRAME_TOL
-        assert r.duration_s == pytest.approx(r.end_s - r.start_s)
+        lo, hi = regions[0]
+        assert abs(lo - 24000) <= FRAME_TOL
+        assert abs(hi - 72000) <= FRAME_TOL
 
     def test_short_clip_rejected(self):
         clip = AudioClip(np.zeros(100), 48000, 1)
@@ -249,9 +248,9 @@ class TestVoicedRegions:
         samples = np.concatenate([gap, vowel.samples, gap, vowel.samples, gap])
         regions = detect_voiced_regions(AudioClip(samples, sr, 1))
         assert len(regions) == 2
-        assert regions[0].end_s < regions[1].start_s
-        for r in regions:
-            assert r.duration_s >= 0.100 - 1e-9
+        assert regions[0][1] < regions[1][0]
+        for lo, hi in regions:
+            assert hi - lo >= 0.100 * sr
 
     def test_runs_one_frame_apart_stay_separate(self):
         # frame-aligned: 10 silent, 6 vowel, 1 silent, 6 vowel, 10 silent
@@ -263,7 +262,7 @@ class TestVoicedRegions:
         samples = np.concatenate([pad, vowel.samples, np.zeros(frame),
                                   vowel.samples, pad])
         regions = detect_voiced_regions(AudioClip(samples, sr, 1))
-        assert regions == [VoicedRegion(0.5, 0.8), VoicedRegion(0.85, 1.15)]
+        assert regions == [(24000, 38400), (40800, 55200)]
 
 
 class TestSegmentation:
@@ -274,7 +273,7 @@ class TestSegmentation:
     def test_one_second_region(self):
         sr = 48000
         clip = AudioClip(np.arange(sr * 2, dtype=float), sr, 1)
-        segs = segment_regions(clip, [VoicedRegion(0.5, 1.5)])
+        segs = segment_regions(clip, [(24000, 72000)])
         assert len(segs) == 20
         assert all(len(s.samples) == 2400 for s in segs)
         assert [s.index for s in segs] == list(range(20))
@@ -289,12 +288,12 @@ class TestSegmentation:
     def test_subframe_region_yields_nothing(self):
         sr = 48000
         clip = AudioClip(np.zeros(sr), sr, 1)
-        assert segment_regions(clip, [VoicedRegion(0.1, 0.149)]) == []
+        assert segment_regions(clip, [(4800, 7152)]) == []
 
     def test_cap_at_max_segments(self):
         sr = 8000
         clip = AudioClip(np.zeros(150 * sr), sr, 1)
-        segs = segment_regions(clip, [VoicedRegion(0.0, 150.0)])
+        segs = segment_regions(clip, [(0, 150 * sr)])
         assert len(segs) == MAX_SEGMENTS
         assert segs[-1].start_s == pytest.approx(119.95)
         assert segs[-1].index == 2399
@@ -302,7 +301,7 @@ class TestSegmentation:
     def test_cap_spans_regions(self):
         sr = 8000
         clip = AudioClip(np.zeros(200 * sr), sr, 1)
-        regions = [VoicedRegion(0.0, 80.0), VoicedRegion(100.0, 180.0)]
+        regions = [(0, 80 * sr), (100 * sr, 180 * sr)]
         segs = segment_regions(clip, regions)
         assert len(segs) == MAX_SEGMENTS
         assert segs[1599].start_s == pytest.approx(79.95)
@@ -311,6 +310,41 @@ class TestSegmentation:
     def test_indices_are_global_ordinals(self):
         sr = 48000
         clip = AudioClip(np.zeros(sr * 3), sr, 1)
-        regions = [VoicedRegion(0.0, 0.2), VoicedRegion(1.0, 1.2)]
+        regions = [(0, 9600), (48000, 57600)]
         segs = segment_regions(clip, regions)
         assert [s.index for s in segs] == list(range(8))
+
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, 48000])
+    def test_random_clips_tile_frame_aligned_regions(self, sample_rate):
+        # silences of 0.1-0.8 s between vowels of 0.05-0.6 s, so most frames
+        # are quiet and the gate's median sits on the silence
+        sr = sample_rate
+        frame = segment_length(sr)
+        rng = np.random.default_rng(sr)
+        n_regions = 0
+        for _ in range(6):
+            parts = [np.zeros(int(rng.uniform(0.1, 0.8) * sr))]
+            for _ in range(rng.integers(1, 5)):
+                vowel = synthesize_speech(
+                    float(rng.uniform(90.0, 240.0)), [(700.0, 1.0)],
+                    float(rng.uniform(0.05, 0.6)), sr,
+                    seed=int(rng.integers(1 << 30)))
+                parts += [vowel.samples,
+                          np.zeros(int(rng.uniform(0.1, 0.8) * sr))]
+            clip = AudioClip(np.concatenate(parts), sr, 1)
+            regions = detect_voiced_regions(clip)
+            n_regions += len(regions)
+            for lo, hi in regions:
+                assert lo % frame == 0 and hi % frame == 0
+                assert 0 <= lo and hi <= len(clip.samples)
+                assert (hi - lo) / sr >= 0.100
+            for (_, hi), (lo, _) in zip(regions, regions[1:]):
+                assert lo - hi >= frame
+            starts = [s for lo, hi in regions for s in range(lo, hi, frame)]
+            segs = segment_regions(clip, regions)
+            assert [s.index for s in segs] == list(range(len(starts)))
+            for seg, start in zip(segs, starts, strict=True):
+                assert seg.start_s == start / sr
+                np.testing.assert_array_equal(
+                    seg.samples, clip.samples[start:start + frame])
+        assert n_regions >= 12
