@@ -38,7 +38,7 @@ from .model import EncoderConfig, init_params, load_params, save_params
 from .relieff import (DEFAULT_FOLDS, DEFAULT_K_GRID,
                       cross_validated_selection, write_selection_manifest,
                       write_weights_report)
-from .textcodec import (DEFAULT_DECIMALS, build_vocabulary,
+from .textcodec import (DEFAULT_DECIMALS, SPECIALS, build_vocabulary,
                         serialize_features, tokenize)
 from .training import (LabeledSequence, TrainConfig, confusion_matrix,
                        evaluate, label_prediction, predict_pressures,
@@ -89,62 +89,6 @@ class PipelineConfig:
     split: dict
     encoder: dict
     training: dict
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.workdir / "manifest.csv"
-
-    @property
-    def wav_dir(self) -> Path:
-        return self.workdir / "wav"
-
-    @property
-    def features_csv(self) -> Path:
-        return self.workdir / "features.csv"
-
-    @property
-    def features_json(self) -> Path:
-        return self.workdir / "features.json"
-
-    @property
-    def weights_csv(self) -> Path:
-        return self.workdir / "weights.csv"
-
-    @property
-    def selection_json(self) -> Path:
-        return self.workdir / "selection.json"
-
-    @property
-    def model_dir(self) -> Path:
-        return self.workdir / "model"
-
-    @property
-    def params_path(self) -> Path:
-        return self.model_dir / "params.bin"
-
-    @property
-    def loss_curve_csv(self) -> Path:
-        return self.workdir / "loss_curve.csv"
-
-    @property
-    def metrics_path(self) -> Path:
-        return self.workdir / "metrics.json"
-
-    @property
-    def confusion_path(self) -> Path:
-        return self.workdir / "confusion.json"
-
-    @property
-    def correlation_csv(self) -> Path:
-        return self.workdir / "correlation.csv"
-
-    @property
-    def loss_curve_svg(self) -> Path:
-        return self.workdir / "loss_curve.svg"
-
-    @property
-    def correlation_svg(self) -> Path:
-        return self.workdir / "correlation.svg"
 
 
 # the JSON type a value must have, by its default's type; workdir's null
@@ -210,13 +154,19 @@ def resolve_config(config_path, seed_override=None,
     if not k_grid or not all(type(k) is int and k >= 1 for k in k_grid):
         raise ConfigError(
             "selection.k_grid must be a non-empty list of integers >= 1")
+    if not 0.0 < merged["split"]["test_fraction"] < 1.0:
+        raise ConfigError("split.test_fraction must lie in (0, 1)")
     if not 0.0 <= merged["split"]["val_fraction"] < 1.0:
         raise ConfigError("split.val_fraction must lie in [0, 1)")
-    return PipelineConfig(
-        workdir=Path(workdir), seed=seed, schema=merged["schema"],
-        decimals=merged["decimals"], cohort=merged["cohort"],
-        selection=merged["selection"], split=merged["split"],
-        encoder=merged["encoder"], training=merged["training"])
+    # the dataclasses' own checks, so every command rejects what train
+    # would; the four specials are the smallest vocabulary
+    try:
+        TrainConfig(**merged["training"])
+        EncoderConfig(vocab_size=len(SPECIALS), **merged["encoder"])
+    except ValueError as err:
+        raise ConfigError(f"bad config value: {err}") from None
+    return PipelineConfig(**{**merged, "workdir": Path(workdir),
+                             "seed": seed})
 
 
 # --- shared plumbing --------------------------------------------------------
@@ -227,9 +177,9 @@ def _read_examples(cfg: PipelineConfig):
     Participants whose extraction failed (no features row) are skipped so a
     partial corpus still trains and evaluates.
     """
-    records = read_manifest(cfg.manifest_path)
-    ids, names, X, fman = read_features_csv(cfg.features_csv,
-                                            cfg.features_json)
+    records = read_manifest(cfg.workdir / "manifest.csv")
+    ids, names, X, fman = read_features_csv(cfg.workdir / "features.csv",
+                                            cfg.workdir / "features.json")
     nseg = {r["id"]: r["n_segments"] for r in fman["recordings"]}
     by_id = dict(zip(ids, X))
     have = [r for r in records if r.id in by_id]
@@ -284,7 +234,8 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
     must have the size the weights were trained with.  Any damage raises
     MalformedArtifact.
     """
-    enc, params, pipe = load_params(cfg.params_path)
+    path = cfg.workdir / "model" / "params.bin"
+    enc, params, pipe = load_params(path)
     try:
         kept = tuple(pipe["kept_features"])
         model = ModelBundle(
@@ -295,53 +246,56 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
             schema_id=pipe["schema_id"], test_ids=tuple(pipe["split"]["test"]))
         vocab_size = len(build_vocabulary(kept))
     except (KeyError, TypeError, ValueError) as err:
-        raise MalformedArtifact(f"{cfg.params_path}: not a model pipeline "
+        raise MalformedArtifact(f"{path}: not a model pipeline "
                                 f"({type(err).__name__}: {err})") from None
     if vocab_size != enc.vocab_size:
         raise MalformedArtifact(
-            f"{cfg.params_path}: the kept features make a vocabulary of "
+            f"{path}: the kept features make a vocabulary of "
             f"{vocab_size}, the weights expect {enc.vocab_size}")
     for what, scaler, size in (("feature", model.feature_scaler, len(kept)),
                                ("target", model.target_scaler, 2)):
-        if scaler.center.shape != (size,) or scaler.scale.shape != (size,):
+        center, scale = scaler.center, scaler.scale
+        # a zero scale marks a constant column
+        if not (center.shape == scale.shape == (size,)
+                and np.isfinite(center).all() and np.isfinite(scale).all()
+                and (scale >= 0.0).all()):
             raise MalformedArtifact(
-                f"{cfg.params_path}: {what} scaler holds "
-                f"{scaler.center.shape} centers and {scaler.scale.shape} "
-                f"scales, expected {size} each")
+                f"{path}: {what} scaler must hold {size} finite centers and "
+                f"{size} finite scales of at least 0")
     return model
 
 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    cfg.wav_dir.mkdir(parents=True, exist_ok=True)
+    wav_dir = cfg.workdir / "wav"
+    wav_dir.mkdir(parents=True, exist_ok=True)
     records = synthesize_cohort(n_female=cfg.cohort["n_female"],
                                 n_male=cfg.cohort["n_male"],
-                                seed=cfg.seed, wav_dir=cfg.wav_dir)
-    write_manifest(cfg.manifest_path, records)
+                                seed=cfg.seed, wav_dir=wav_dir)
+    write_manifest(cfg.workdir / "manifest.csv", records)
     print(f"wrote {len(records)} participants under {cfg.workdir}")
     return EXIT_OK
 
 
 def cmd_extract(cfg: PipelineConfig) -> int:
-    records = read_manifest(cfg.manifest_path)
-    ids, vectors, failures = [], [], []
+    records = read_manifest(cfg.workdir / "manifest.csv")
+    ids, vectors = [], []
     for record in records:
         try:
-            vector = extract_recording(
-                [load_wav(p) for p in record.wav_paths], cfg.schema)
+            vectors.append(extract_recording(
+                [load_wav(p) for p in record.wav_paths], cfg.schema))
+            ids.append(record.id)
         except (ValueError, OSError) as err:
-            failures.append((record.id, err))
-            continue
-        ids.append(record.id)
-        vectors.append(vector)
-    if vectors:
-        write_features_csv(cfg.features_csv, cfg.features_json, ids, vectors,
-                           parameters={"schema": cfg.schema})
+            print(f"  failed {record.id}: {err}", file=sys.stderr)
     print(f"extracted features for {len(ids)} of {len(records)} recordings")
-    for pid, err in failures:
-        print(f"  failed {pid}: {err}", file=sys.stderr)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    if not vectors:
+        raise InsufficientData(
+            f"no recording yielded features ({len(records)} failed)")
+    write_features_csv(cfg.workdir / "features.csv",
+                       cfg.workdir / "features.json", ids, vectors,
+                       parameters={"schema": cfg.schema})
+    return EXIT_PARTIAL if len(ids) < len(records) else EXIT_OK
 
 
 def cmd_select(cfg: PipelineConfig) -> int:
@@ -351,8 +305,9 @@ def cmd_select(cfg: PipelineConfig) -> int:
     result = cross_validated_selection(
         X, y, folds=cfg.selection["folds"],
         k_grid=cfg.selection["k_grid"], seed=cfg.seed, names=names)
-    write_weights_report(cfg.weights_csv, result.weights, result.kept)
-    write_selection_manifest(cfg.selection_json, result,
+    write_weights_report(cfg.workdir / "weights.csv", result.weights,
+                         result.kept)
+    write_selection_manifest(cfg.workdir / "selection.json", result,
                              cfg.selection["folds"], cfg.seed)
     print(f"kept {len(result.kept)} of {len(names)} features "
           f"(k={result.chosen_k})")
@@ -361,13 +316,13 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     examples, names, fman = _read_examples(cfg)
-    kept = tuple(read_json(cfg.selection_json, {"kept": list})["kept"])
+    selection = cfg.workdir / "selection.json"
+    kept = tuple(read_json(selection, {"kept": list})["kept"])
     # all names first: a repeat check over unhashable entries would raise
     if (not kept or not all(isinstance(k, str) for k in kept)
             or len(set(kept)) != len(kept)):
-        raise MalformedArtifact(f"{cfg.selection_json}: kept must be a "
-                                "non-empty list of distinct feature names, "
-                                f"got {list(kept)}")
+        raise MalformedArtifact(f"{selection}: kept must be a non-empty list "
+                                f"of distinct feature names, got {list(kept)}")
 
     train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
     X = np.array([ex.features.values for ex in train_ex])
@@ -386,13 +341,12 @@ def cmd_train(cfg: PipelineConfig) -> int:
                      enc.max_len))]
     train_part, val_part = validation_split(sequences, cfg.seed,
                                             cfg.split["val_fraction"])
-    train_cfg = TrainConfig(seed=cfg.seed, target_scaler=target_scaler,
-                            **cfg.training)
     params, history = train(enc, init_params(enc), train_part, val_part,
-                            train_cfg)
+                            TrainConfig(seed=cfg.seed, **cfg.training,
+                                        target_scaler=target_scaler))
 
-    cfg.model_dir.mkdir(parents=True, exist_ok=True)
-    save_params(cfg.params_path, enc, params, {
+    (cfg.workdir / "model").mkdir(parents=True, exist_ok=True)
+    save_params(cfg.workdir / "model" / "params.bin", enc, params, {
         "schema_id": fman["schema_id"],
         "decimals": cfg.decimals,
         "kept_features": list(kept),
@@ -405,7 +359,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
             "test": [ex.participant_id for ex in test_ex],
         },
     })
-    write_history_csv(cfg.loss_curve_csv, history)
+    write_history_csv(cfg.workdir / "loss_curve.csv", history)
     print(f"epoch {len(history.train_loss)}: "
           f"train loss {history.train_loss[-1]:.6f}, "
           f"val loss {history.val_loss[-1]:.6f}")
@@ -433,8 +387,8 @@ def cmd_eval(cfg: PipelineConfig) -> int:
                        model.target_scaler, preds=preds)
     counts = confusion_matrix(preds[:, 0], preds[:, 1],
                               [ex.hypertension for ex in test_ex])
-    write_metrics_json(cfg.metrics_path, metrics)
-    write_json(cfg.confusion_path, counts)
+    write_metrics_json(cfg.workdir / "metrics.json", metrics)
+    write_json(cfg.workdir / "confusion.json", counts)
     print(f"test n={metrics.n}  SBP mae {metrics.sbp_mae:.2f} "
           f"r2 {metrics.sbp_r2:.3f}  DBP mae {metrics.dbp_mae:.2f} "
           f"r2 {metrics.dbp_r2:.3f}")
@@ -477,15 +431,15 @@ def cmd_report(cfg: PipelineConfig) -> int:
     columns["DBP"] = [ex.dbp_target for ex in examples]
     corr_names, matrix = correlation_matrix(columns)
 
-    write_csv(cfg.correlation_csv, ["feature"] + corr_names,
+    write_csv(cfg.workdir / "correlation.csv", ["feature"] + corr_names,
               [[name, *rowvals] for name, rowvals in zip(corr_names, matrix)])
-    _write_heatmap_svg(cfg.correlation_svg, corr_names, matrix)
-    made = [cfg.correlation_csv.name, cfg.correlation_svg.name]
-
-    if cfg.loss_curve_csv.exists():
-        history = read_history_csv(cfg.loss_curve_csv)
-        _write_line_chart_svg(cfg.loss_curve_svg, history)
-        made.append(cfg.loss_curve_svg.name)
+    _write_heatmap_svg(cfg.workdir / "correlation.svg", corr_names, matrix)
+    made = ["correlation.csv", "correlation.svg"]
+    loss_curve = cfg.workdir / "loss_curve.csv"
+    if loss_curve.exists():
+        _write_line_chart_svg(cfg.workdir / "loss_curve.svg",
+                              read_history_csv(loss_curve))
+        made.append("loss_curve.svg")
     print("wrote " + ", ".join(made))
     return EXIT_OK
 

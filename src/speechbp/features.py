@@ -31,8 +31,8 @@ N_MFCC = 12
 PITCH_MIN_HZ = 60.0
 PITCH_MAX_HZ = 400.0
 PITCH_MIN_CORRELATION = 0.3
-# pitch joins a recording's vector only when at least this fraction of
-# segments comes back voiced
+# a recording's pitch is its voiced segments' mean only when at least this
+# fraction of segments comes back voiced, and 0.0 (unvoiced) otherwise
 PITCH_VOICED_FRACTION = 0.5
 
 BASE_NAMES = tuple(f"mfcc{i}" for i in range(1, N_MFCC + 1)) + (
@@ -227,8 +227,9 @@ def segment_features(segment: Segment) -> np.ndarray:
 def aggregate_recording(rows, schema: str = BASE_SCHEMA) -> FeatureVector:
     """Mean of each of the schema's columns over the segment rows.
 
-    Pitch joins only when at least PITCH_VOICED_FRACTION of the rows are
-    voiced (pitch above 0), and its mean runs over the voiced rows alone.
+    Pitch is the mean over the voiced rows (pitch above 0) when at least
+    PITCH_VOICED_FRACTION of the rows are voiced, and 0.0 otherwise, the
+    value an unvoiced segment gives.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
@@ -236,17 +237,18 @@ def aggregate_recording(rows, schema: str = BASE_SCHEMA) -> FeatureVector:
     if len(rows) == 0:
         raise DegenerateInput("no voiced audio in input")
 
-    names = [n for n in SCHEMAS[schema] if n != PITCH_NAME]
-    # take keeps the copy row-major, so each column sums its rows in order
-    values = list(rows.take([SEGMENT_NAMES.index(n) for n in names],
-                            axis=1).mean(axis=0))
-    if PITCH_NAME in SCHEMAS[schema]:
+    names = SCHEMAS[schema]
+    # take keeps the copy row-major, so each column sums its rows in order;
+    # pitch, the last column, is averaged apart
+    values = list(rows.take([SEGMENT_NAMES.index(n) for n in names
+                             if n != PITCH_NAME], axis=1).mean(axis=0))
+    if PITCH_NAME in names:
         hz = rows[:, SEGMENT_NAMES.index(PITCH_NAME)]
         voiced = hz[hz > 0.0]
-        if len(voiced) >= PITCH_VOICED_FRACTION * len(rows):
-            names.append(PITCH_NAME)
-            values.append(voiced.mean())
-    return FeatureVector(names=tuple(names),
+        values.append(voiced.mean()
+                      if len(voiced) >= PITCH_VOICED_FRACTION * len(rows)
+                      else 0.0)
+    return FeatureVector(names=names,
                          values=np.array(values, dtype=np.float64),
                          n_segments=len(rows), schema_id=schema)
 
@@ -312,7 +314,7 @@ def read_features_csv(csv_path, manifest_path):
     """Returns (ids, names, value matrix, manifest dict).
 
     A bad cell, an unknown schema id, a header that is not that schema's
-    columns (pitch optional), a repeated recording id, or a manifest that
+    columns, a repeated recording id, or a manifest that
     disagrees with the CSV is MalformedArtifact, naming the file.
     """
     manifest = read_json(manifest_path, {"schema_id": str,
@@ -330,8 +332,7 @@ def read_features_csv(csv_path, manifest_path):
     if schema_id not in SCHEMAS:
         raise MalformedArtifact(f"{manifest_path}: unknown schema_id "
                                 f"{schema_id!r}")
-    columns = SCHEMAS[schema_id]
-    if names not in (columns, tuple(n for n in columns if n != PITCH_NAME)):
+    if names != SCHEMAS[schema_id]:
         raise MalformedArtifact(f"{manifest_path}: schema_id {schema_id!r} "
                                 f"does not match the header of {csv_path}")
     ids = [require_keys(rec, {"id": str, "n_segments": int},

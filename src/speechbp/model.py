@@ -60,7 +60,10 @@ class EncoderConfig:
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the four special ids")
         if min(self.hidden_dim, self.n_layers, self.n_heads, self.ff_dim) < 1:
-            raise ValueError("dimensions must be positive")
+            raise ValueError(
+                f"dimensions must be positive: hidden_dim {self.hidden_dim}, "
+                f"n_layers {self.n_layers}, n_heads {self.n_heads}, "
+                f"ff_dim {self.ff_dim}")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by "

@@ -346,6 +346,12 @@ def read_history_csv(path) -> TrainHistory:
         losses = [(float(tr), float(vl)) for _, tr, vl in rows]
     except ValueError as err:
         raise MalformedArtifact(f"{path}: {err}") from None
+    # train never writes a non-finite train loss; a NaN val loss means the
+    # validation split was empty
+    for epoch, (tr, _) in enumerate(losses, 1):
+        if not math.isfinite(tr):
+            raise MalformedArtifact(f"{path}: train loss {tr} at epoch "
+                                    f"{epoch} is not finite")
     return TrainHistory(train_loss=tuple(tr for tr, _ in losses),
                         val_loss=tuple(vl for _, vl in losses))
 

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -172,9 +173,14 @@ class TestConfigResolution:
         ("train", {"split": {"test_fraction": "0.2"}}),
         ("train", {"split": {"val_fraction": -0.5}}),
         ("train", {"split": {"val_fraction": 1.0}}),
+        # every command rejects a config that train would reject
+        ("select", {"training": {"epochs": 0}}),
+        ("select", {"encoder": {"n_heads": 3}}),
+        ("select", {"split": {"test_fraction": 1.5}}),
     ], ids=["folds-0", "folds-1", "k_grid-empty", "k_grid-0", "folds-float",
             "k_grid-int", "epochs-string", "test_fraction-string",
-            "val_fraction-negative", "val_fraction-1"])
+            "val_fraction-negative", "val_fraction-1", "select-epochs-0",
+            "select-n_heads-3", "select-test_fraction-1.5"])
     def test_bad_value_exits_config_and_writes_nothing(
             self, pipeline, tmp_path, capsys, command, overrides):
         workdir, _ = pipeline
@@ -201,6 +207,23 @@ class TestConfigResolution:
         block = text.split("complete default tree:", 1)[1]
         block = block.split("```json", 1)[1].split("```", 1)[0]
         assert json.loads(block) == CONFIG_DEFAULTS
+
+    def test_readme_artifact_tree(self, pipeline):
+        # the tree under "## Artifacts" lists every file a full run leaves
+        block = (ROOT / "README.md").read_text().split("## Artifacts", 1)[1]
+        lines = block.split("```", 2)[1].strip("\n").splitlines()
+        listed, parents = set(), []
+        for line in lines[1:]:
+            indent = len(line) - len(line.lstrip())
+            if indent > 8:  # a description's second line
+                continue
+            parents[indent // 2 - 1:] = [line.split()[0]]
+            listed.add("".join(parents))
+        workdir, config = pipeline
+        made = {str(p.relative_to(workdir)) + ("/" if p.is_dir() else "")
+                for p in workdir.rglob("*")
+                if p != config and p.parent != workdir / "wav"}
+        assert made == listed
 
     def test_seed_override(self, tmp_path):
         p = tmp_path / "c.json"
@@ -311,6 +334,23 @@ class TestExtract:
         ids = [r["id"] for r in json.loads(
             (workdir / "features.json").read_text())["recordings"]]
         assert len(ids) == 7 and "F002" not in ids
+
+    def test_every_recording_failing_exits_data(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        config = write_config(tmp_path / "c.json", workdir,
+                              cohort={"n_female": 4, "n_male": 4})
+        assert main(["synth", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        for wav in (workdir / "wav").glob("*.wav"):
+            wav.write_bytes(b"junk" * 16)
+        before = snapshot(workdir)
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("  failed ") == 8
+        assert err.endswith("error: no recording yielded features "
+                            "(8 failed)\n")
+        assert snapshot(workdir) == before
 
     def test_missing_manifest(self, tmp_path):
         assert main(["extract", "--workdir",
@@ -768,6 +808,15 @@ def _signed_record(edit):
     return damage
 
 
+def _scaler_value(scaler, key, value):
+    """A pipeline-record edit that sets the first entry of a scaler's
+    centers or scales."""
+    def edit(pipe):
+        values = [value] + pipe[scaler][key][1:]
+        return {**pipe, scaler: {**pipe[scaler], key: values}}
+    return edit
+
+
 def _shift_center(header):
     header["pipeline"]["feature_scaler"]["center"][0] += 5.0
     return header
@@ -814,12 +863,16 @@ class TestDamagedModel:
             **p["feature_scaler"], "center": [0.0]}}),
         _signed_record(lambda p: {**p, "target_scaler": {
             **p["target_scaler"], "scale": [1.0, 1.0, 1.0]}}),
+        _signed_record(_scaler_value("feature_scaler", "center", math.nan)),
+        _signed_record(_scaler_value("target_scaler", "center", math.nan)),
+        _signed_record(_scaler_value("feature_scaler", "scale", -1.0)),
     ], ids=["payload-byte", "header-garbage", "header-not-utf8",
             "header-version", "array-shape", "header-no-arrays",
             "config-unknown-key", "config-n_heads-3", "header-not-object",
             "truncated", "header-edit-unsigned", "pipeline-not-object",
             "pipeline-no-kept", "kept-one-short", "feature-scaler-length-1",
-            "target-scaler-length-3"])
+            "target-scaler-length-3", "feature-center-nan",
+            "target-center-nan", "feature-scale-negative"])
     def test_exits_io(self, pipeline, tmp_path, capsys, damage):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
@@ -828,7 +881,7 @@ class TestDamagedModel:
                      "F001"]) == EXIT_IO
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: ")
+        assert out.err.startswith(f"error: {clone / 'model' / 'params.bin'}")
 
     def test_format_1_file_exits_io(self, pipeline, tmp_path, capsys):
         workdir, _ = pipeline
@@ -996,7 +1049,11 @@ class TestParserFuzz:
         lambda text: text.replace("\n1,", "\n1,x", 1),
         lambda text: "epoch,loss\n" + text.split("\n", 1)[1],
         lambda text: text.split("\n", 1)[0] + "\n",
-    ], ids=["mid-row-cut", "non-number", "wrong-header", "no-epochs"])
+        # train never writes a non-finite train loss
+        lambda text: re.sub(r"(?m)^(\d+),[^,]+,", r"\1,nan,", text),
+        lambda text: re.sub(r"\n1,[^,]+,", "\n1,inf,", text),
+    ], ids=["mid-row-cut", "non-number", "wrong-header", "no-epochs",
+            "train-loss-all-nan", "train-loss-inf"])
     def test_damaged_loss_curve_exits_io(self, pipeline, tmp_path, capsys,
                                          damage):
         workdir, _ = pipeline
@@ -1037,6 +1094,16 @@ class TestReport:
         assert main(["report", "--config", str(config)]) == EXIT_OK
         assert (sha(workdir / "correlation.svg"),
                 sha(workdir / "loss_curve.svg")) == before
+
+    def test_nan_val_loss_charts_train_alone(self, pipeline, tmp_path):
+        # an empty validation split writes NaN val losses, a legal curve
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "loss_curve.csv")
+        path = clone / "loss_curve.csv"
+        path.write_text(re.sub(r"(?m)^(\d+,[^,]+),.*$", r"\1,nan",
+                               path.read_text()))
+        assert main(["report", "--workdir", str(clone)]) == EXIT_OK
+        assert (clone / "loss_curve.svg").read_text().count("<polyline") == 1
 
     def test_without_loss_curve(self, pipeline, tmp_path):
         workdir, _ = pipeline

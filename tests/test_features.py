@@ -378,10 +378,12 @@ class TestAggregate:
         want = (feats[0][col("pitch_hz")] + feats[1][col("pitch_hz")]) / 2
         assert vec.values[-1] == pytest.approx(want)
 
+        # a mostly unvoiced recording keeps the column, read as unvoiced
         mostly_unvoiced = feats[:1] + [unvoiced(f) for f in feats[1:]]
         vec2 = aggregate_recording(mostly_unvoiced, schema="extended")
-        assert "pitch_hz" not in vec2.names
-        assert len(vec2.names) == 22
+        assert vec2.names == SEGMENT_NAMES
+        assert len(vec2.names) == 23
+        assert vec2.values[-1] == 0.0
 
     def test_base_schema_never_carries_pitch(self):
         rng = np.random.default_rng(7)
@@ -516,14 +518,20 @@ class TestCsvRoundTrip:
             f"{man_p}: schema_id {label!r} does not match the header of "
             f"{csv_p}")
 
-    def test_extended_header_without_pitch_accepted(self, tmp_path):
+    def test_extended_header_without_pitch_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         vec = aggregate_recording([unvoiced(fake_features(rng))
                                    for _ in range(3)], schema="extended")
-        assert vec.names == SEGMENT_NAMES[:-1]
+        assert vec.names == SEGMENT_NAMES
         csv_p, man_p = tmp_path / "f.csv", tmp_path / "features.json"
         write_features_csv(csv_p, man_p, ["P000"], [vec])
-        assert read_features_csv(csv_p, man_p)[1] == vec.names
+        assert read_features_csv(csv_p, man_p)[1] == SEGMENT_NAMES
+        write_features_csv(csv_p, man_p, ["P000"], [FeatureVector(
+            names=vec.names[:-1], values=vec.values[:-1], n_segments=3,
+            schema_id="extended")])
+        with pytest.raises(MalformedArtifact, match="does not match the "
+                                                    "header"):
+            read_features_csv(csv_p, man_p)
 
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "recordings": m["recordings"][:1]},
