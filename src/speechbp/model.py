@@ -84,7 +84,6 @@ class EncoderConfig:
 class ForwardOutput:
     sbp_pred: np.ndarray
     dbp_pred: np.ndarray
-    pooled: np.ndarray
     cache: dict | None
 
 
@@ -267,28 +266,22 @@ def forward(config: EncoderConfig, params: dict,
                        "ln2_live": ln2_live})
         x = y2
 
-    pooled_pre = x[:, 0, :] @ params["pooler_weight"] + params["pooler_bias"]
-    pooled = np.tanh(pooled_pre)
-
+    pooled = np.tanh(x[:, 0, :] @ params["pooler_weight"]
+                     + params["pooler_bias"])
+    dropped, cache = pooled, None
     if mode == "train":
         rng = np.random.default_rng(dropout_seed)
         keep = rng.random(size=pooled.shape) >= config.dropout_p
         drop_scale = keep / (1.0 - config.dropout_p)   # inverted scaling
-    else:
-        drop_scale = np.ones_like(pooled)
-    dropped = pooled * drop_scale
-
-    sbp = dropped @ params["sbp_weight"] + params["sbp_bias"]
-    dbp = dropped @ params["dbp_weight"] + params["dbp_bias"]
-
-    cache = None
-    if mode == "train":
+        dropped = pooled * drop_scale
         cache = {"ids": ids, "mask": mask, "layers": layers,
                  "state0": x[:, 0, :], "pooled": pooled,
                  "drop_scale": drop_scale, "dropped": dropped,
                  "seq_len": t}
-    return ForwardOutput(sbp_pred=sbp, dbp_pred=dbp, pooled=pooled,
-                         cache=cache)
+
+    sbp = dropped @ params["sbp_weight"] + params["sbp_bias"]
+    dbp = dropped @ params["dbp_weight"] + params["dbp_bias"]
+    return ForwardOutput(sbp_pred=sbp, dbp_pred=dbp, cache=cache)
 
 
 def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
@@ -303,21 +296,16 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
     t = cache["seq_len"]
     scale = 1.0 / np.sqrt(config.head_dim)
 
-    grads["sbp_weight"] = cache["dropped"].T @ grad_sbp
-    grads["sbp_bias"] = grad_sbp.sum(axis=0)
-    grads["dbp_weight"] = cache["dropped"].T @ grad_dbp
-    grads["dbp_bias"] = grad_dbp.sum(axis=0)
-
-    d_dropped = (grad_sbp @ params["sbp_weight"].T
-                 + grad_dbp @ params["dbp_weight"].T)
+    d_dropped = (_dense_backward(grad_sbp, cache["dropped"], params, grads,
+                                 "sbp_weight", "sbp_bias")
+                 + _dense_backward(grad_dbp, cache["dropped"], params, grads,
+                                   "dbp_weight", "dbp_bias"))
     d_pooled = d_dropped * cache["drop_scale"]
     d_pooled_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
 
-    grads["pooler_weight"] = cache["state0"].T @ d_pooled_pre
-    grads["pooler_bias"] = d_pooled_pre.sum(axis=0)
-
     # d loss / d block output at the query rows; the last block has one
-    d_x = (d_pooled_pre @ params["pooler_weight"].T)[:, None, :]
+    d_x = _dense_backward(d_pooled_pre, cache["state0"], params, grads,
+                          "pooler_weight", "pooler_bias")[:, None, :]
 
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
@@ -326,21 +314,16 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
         d_res2, grads[p + "ffn_gain"], grads[p + "ffn_bias"] = \
             _layer_norm_backward(d_x, c["ln2_xhat"], c["ln2_inv"],
                                  c["ln2_live"], params[p + "ffn_gain"])
-        d_y1 = d_res2.copy()
-        d_g = d_res2 @ params[p + "w2"].T
-        grads[p + "w2"] = _flat(c["g"]).T @ _flat(d_res2)
-        grads[p + "b2"] = d_res2.sum(axis=(0, 1))
+        d_g = _dense_backward(d_res2, c["g"], params, grads, p + "w2", p + "b2")
         d_h1 = _gelu_backward(d_g, c["h1"], c["gelu_t"])
-        grads[p + "w1"] = _flat(c["y1"]).T @ _flat(d_h1)
-        grads[p + "b1"] = d_h1.sum(axis=(0, 1))
-        d_y1 += d_h1 @ params[p + "w1"].T
+        d_y1 = d_res2 + _dense_backward(d_h1, c["y1"], params, grads,
+                                        p + "w1", p + "b1")
 
         d_res1, grads[p + "attn_gain"], grads[p + "attn_bias"] = \
             _layer_norm_backward(d_y1, c["ln1_xhat"], c["ln1_inv"],
                                  c["ln1_live"], params[p + "attn_gain"])
-        d_ctx = d_res1 @ params[p + "wo"].T
-        grads[p + "wo"] = _flat(c["ctx"]).T @ _flat(d_res1)
-        grads[p + "bo"] = d_res1.sum(axis=(0, 1))
+        d_ctx = _dense_backward(d_res1, c["ctx"], params, grads,
+                                p + "wo", p + "bo")
 
         d_ctx_h = _split_heads(d_ctx, config.n_heads)
         attn = c["attn"]
@@ -361,16 +344,22 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
         for mat, vec, dh, src, dst in (("wq", "bq", d_q, xq, d_xq),
                                        ("wk", None, d_k, x_in, d_x),
                                        ("wv", "bv", d_v, x_in, d_x)):
-            d_m = _merge_heads(dh)
-            grads[p + mat] = _flat(src).T @ _flat(d_m)
-            if vec:
-                grads[p + vec] = d_m.sum(axis=(0, 1))
-            dst += d_m @ params[p + mat].T
+            dst += _dense_backward(_merge_heads(dh), src, params, grads,
+                                   p + mat, vec and p + vec)
 
     np.add.at(grads["token_embedding"], cache["ids"].ravel(),
               _flat(d_x))
     grads["position_embedding"][:t] = d_x.sum(axis=0)
     return grads
+
+
+def _dense_backward(d_out, src, params, grads, weight, bias=None):
+    """Backward of the dense layer `src @ params[weight] + params[bias]`:
+    fills its gradients in `grads` and returns d loss / d src."""
+    grads[weight] = _flat(src).T @ _flat(d_out)
+    if bias:
+        grads[bias] = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
+    return d_out @ params[weight].T
 
 
 def _flat(x):

@@ -142,7 +142,6 @@ class TestForward:
         out = forward(cfg, params, batch)
         assert out.sbp_pred.shape == (2, 1)
         assert out.dbp_pred.shape == (2, 1)
-        assert out.pooled.shape == (2, 8)
 
     def test_eval_deterministic_and_cacheless(self, toy):
         cfg, params, batch = toy
