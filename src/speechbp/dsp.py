@@ -209,7 +209,11 @@ def detect_voiced_regions(clip: AudioClip) -> list[tuple[int, int]]:
         return []
 
     frames = x[:n_frames * frame_len].reshape(n_frames, frame_len)
-    rms = np.sqrt(np.mean(frames ** 2, axis=1))
+    # frame RMS in stacks of GATE_STACK rows, like the FFT below: squaring
+    # the whole frame matrix would hold a second float64 copy of the clip
+    rms = np.concatenate([
+        np.sqrt(np.mean(frames[lo:lo + GATE_STACK] ** 2, axis=1))
+        for lo in range(0, n_frames, GATE_STACK)])
     gate = VOICED_RMS_FACTOR * float(np.median(rms))
 
     # Gaussian analysis window keeps leakage out of the flatness measurement;

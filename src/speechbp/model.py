@@ -2,14 +2,17 @@
 
 Pure numpy, all float64, no autograd: `forward` retains the activations a
 reverse sweep needs and `backward` replays them into exact gradients for
-every parameter array.  The layout is the familiar post-norm encoder stack:
-token + position embeddings, L blocks of masked multi-head self-attention
-and a GELU feed-forward (each followed by residual + layernorm), a tanh
-pooler over the first position, dropout on the pooled vector in train mode,
-and one linear head per pressure target.  Since the pooler reads position 0
-alone, the last block computes only that row: its keys and values still
-span every position, but its queries, attention output, both layernorms
-and the feed-forward run on row 0, in forward and in backward.
+every parameter array.  Every dense layer goes back through one rule, whose
+weight gradient sums per-example products in batch order, so the trained
+bytes do not follow the BLAS thread count.  The layout is the familiar
+post-norm encoder stack: token + position embeddings, L blocks of masked
+multi-head self-attention and a GELU feed-forward (each followed by residual
++ layernorm), a tanh pooler over the first position, dropout on the pooled
+vector in train mode, and one linear head per pressure target.  Since the
+pooler reads position 0 alone, the last block computes only that row: its
+keys and values still span every position, but its queries, attention
+output, both layernorms and the feed-forward run on row 0, in forward and in
+backward.
 
 Weights live in a flat dict keyed by the names `param_shapes` defines, which
 is also the serialization order of the on-disk container.
@@ -276,9 +279,7 @@ def forward(config: EncoderConfig, params: dict,
         dropped = pooled * drop_scale
         cache = {"ids": ids, "mask": mask, "layers": layers,
                  "state0": x[:, 0, :], "pooled": pooled,
-                 "drop_scale": drop_scale, "dropped": dropped,
-                 "seq_len": t}
-
+                 "drop_scale": drop_scale, "dropped": dropped}
     sbp = dropped @ params["sbp_weight"] + params["sbp_bias"]
     dbp = dropped @ params["dbp_weight"] + params["dbp_bias"]
     return ForwardOutput(sbp_pred=sbp, dbp_pred=dbp, cache=cache)
@@ -293,7 +294,6 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
     grad_sbp = np.asarray(grad_sbp, dtype=np.float64).reshape(-1, 1)
     grad_dbp = np.asarray(grad_dbp, dtype=np.float64).reshape(-1, 1)
     grads = zero_gradients(config)
-    t = cache["seq_len"]
     scale = 1.0 / np.sqrt(config.head_dim)
 
     d_dropped = (_dense_backward(grad_sbp, cache["dropped"], params, grads,
@@ -348,22 +348,23 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
                                    p + mat, vec and p + vec)
 
     np.add.at(grads["token_embedding"], cache["ids"].ravel(),
-              _flat(d_x))
-    grads["position_embedding"][:t] = d_x.sum(axis=0)
+              d_x.reshape(-1, config.hidden_dim))
+    grads["position_embedding"][:d_x.shape[1]] = d_x.sum(axis=0)
     return grads
 
 
 def _dense_backward(d_out, src, params, grads, weight, bias=None):
     """Backward of the dense layer `src @ params[weight] + params[bias]`:
     fills its gradients in `grads` and returns d loss / d src."""
-    grads[weight] = _flat(src).T @ _flat(d_out)
+    # per-example products summed in batch order: OpenBLAS would sum one
+    # product over all B*T rows in an order set by its thread count
+    b = len(src)
+    grads[weight] = np.add.reduce(
+        src.reshape(b, -1, src.shape[-1]).transpose(0, 2, 1)
+        @ d_out.reshape(b, -1, d_out.shape[-1]), axis=0)
     if bias:
         grads[bias] = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
     return d_out @ params[weight].T
-
-
-def _flat(x):
-    return x.reshape(-1, x.shape[-1])
 
 
 # --- persistence ------------------------------------------------------------

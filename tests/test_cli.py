@@ -1178,3 +1178,25 @@ class TestEntryPoint:
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert payload["input"] == "M001"
+
+    def test_params_independent_of_blas_threads(self, tmp_path, console_env):
+        # the criterion-09 config trained in two processes, at one and at
+        # two OpenBLAS threads; a weight gradient that OpenBLAS reduces over
+        # all of a batch's rows in one product changes its last bits with
+        # the thread count, and the trained weights follow
+        workdir = tmp_path / "work"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "workdir": str(workdir), "seed": 0,
+            "training": {"epochs": 6, "batch_size": 32,
+                         "learning_rate": 1e-3}}))
+        for command in ("synth", "extract", "select"):
+            assert main([command, "--config", str(config)]) == EXIT_OK
+        digests = []
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                ["bp", "train", "--config", str(config)], capture_output=True,
+                text=True, env={**console_env, "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            digests.append(sha(workdir / "model" / "params.bin"))
+        assert digests[0] == digests[1]

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from speechbp.audio_io import AudioClip, synthesize_speech
+from speechbp.audio_io import (AudioClip, load_wav, synthesize_speech,
+                               write_wav)
 from speechbp.dsp import (Segment, Spectrum, detect_voiced_regions,
                           fft_magnitude, gaussian_window, segment_regions)
 from speechbp.errors import DegenerateInput, InsufficientData, MalformedArtifact
@@ -423,6 +425,24 @@ class TestExtractRecording:
         clip = AudioClip(np.zeros(48000), 48000, 1)
         with pytest.raises(DegenerateInput, match="no voiced audio in input"):
             extract_recording([clip])
+
+    def test_long_clip_traced_peak_per_sample(self, tmp_path):
+        # 31 s of 48 kHz stereo speech: the loader's own peak, the clip at
+        # one float64 per sample and the gate's fixed-size FFT stack fit;
+        # squaring the whole frame matrix (another 8 B per sample) does not
+        clip = self.bracketed(150.0, 3)
+        extract_recording([clip])   # build the cached tables untraced
+        p = tmp_path / "long.wav"
+        write_wav(p, np.tile(clip.samples, 10), 48000, channels=2)
+        n = 10 * len(clip.samples)
+        tracemalloc.start()
+        try:
+            vec = extract_recording([load_wav(p)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vec.n_segments == 10 * 30
+        assert peak <= 13 * n
 
     def test_clips_pool_their_segments(self):
         clips = [self.bracketed(150.0, 3), self.bracketed(120.0, 4)]
