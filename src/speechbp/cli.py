@@ -144,6 +144,8 @@ def resolve_config(config_path, seed_override=None,
     workdir = (workdir_override or merged["workdir"]
                or os.environ.get(WORKDIR_ENV) or DEFAULT_WORKDIR)
     seed = merged["seed"] if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     if merged["schema"] not in SCHEMAS:
         raise ConfigError(f"unknown feature schema {merged['schema']!r}")
     if not 0 <= merged["decimals"] <= 12:
@@ -193,6 +195,18 @@ def _read_examples(cfg: PipelineConfig):
     return build_examples(have, vectors), tuple(names), fman
 
 
+def _feature_names(value, where) -> tuple:
+    """`value` as kept feature names: a non-empty list of distinct strings,
+    else MalformedArtifact naming `where`."""
+    # all names first: a repeat check over unhashable entries would raise
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(k, str) for k in value)
+            or len(set(value)) != len(value)):
+        raise MalformedArtifact(f"{where} must be a non-empty list of "
+                                f"distinct feature names, got {value}")
+    return tuple(value)
+
+
 def _kept_columns(names, X, kept) -> np.ndarray:
     """The columns of the feature rows X (named by `names`) that the model
     keeps, in kept order."""
@@ -232,22 +246,34 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
 
     The vocabulary is not stored: it follows from the kept features and
     must have the size the weights were trained with.  Any damage raises
-    MalformedArtifact.
+    MalformedArtifact, naming the file.
     """
     path = cfg.workdir / "model" / "params.bin"
     enc, params, pipe = load_params(path)
     try:
-        kept = tuple(pipe["kept_features"])
-        model = ModelBundle(
-            enc=enc, params=params, kept=kept,
-            decimals=int(pipe["decimals"]),
-            feature_scaler=scaler_from_dict(pipe["feature_scaler"]),
-            target_scaler=scaler_from_dict(pipe["target_scaler"]),
-            schema_id=pipe["schema_id"], test_ids=tuple(pipe["split"]["test"]))
-        vocab_size = len(build_vocabulary(kept))
+        kept, decimals = pipe["kept_features"], pipe["decimals"]
+        schema_id, test_ids = pipe["schema_id"], pipe["split"]["test"]
+        feature_scaler = scaler_from_dict(pipe["feature_scaler"])
+        target_scaler = scaler_from_dict(pipe["target_scaler"])
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(f"{path}: not a model pipeline "
                                 f"({type(err).__name__}: {err})") from None
+    kept = _feature_names(kept, f"{path}: kept_features")
+    # as resolve_config requires; a bool is an int to Python
+    if type(decimals) is not int or not 0 <= decimals <= 12:
+        raise MalformedArtifact(f"{path}: decimals must be an integer in "
+                                f"[0, 12], got {decimals!r}")
+    if not (isinstance(schema_id, str) and schema_id in SCHEMAS):
+        raise MalformedArtifact(f"{path}: unknown schema_id {schema_id!r}")
+    if not (isinstance(test_ids, list)
+            and all(isinstance(i, str) for i in test_ids)):
+        raise MalformedArtifact(f"{path}: split.test must be a list of "
+                                f"participant ids, got {test_ids!r}")
+    model = ModelBundle(enc=enc, params=params, kept=kept, decimals=decimals,
+                        feature_scaler=feature_scaler,
+                        target_scaler=target_scaler, schema_id=schema_id,
+                        test_ids=tuple(test_ids))
+    vocab_size = len(build_vocabulary(kept))
     if vocab_size != enc.vocab_size:
         raise MalformedArtifact(
             f"{path}: the kept features make a vocabulary of "
@@ -268,7 +294,8 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    wav_dir = cfg.workdir / "wav"
+    # absolute, so the manifest's WAV paths hold from any directory
+    wav_dir = cfg.workdir.resolve() / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
     records = synthesize_cohort(n_female=cfg.cohort["n_female"],
                                 n_male=cfg.cohort["n_male"],
@@ -317,12 +344,8 @@ def cmd_select(cfg: PipelineConfig) -> int:
 def cmd_train(cfg: PipelineConfig) -> int:
     examples, names, fman = _read_examples(cfg)
     selection = cfg.workdir / "selection.json"
-    kept = tuple(read_json(selection, {"kept": list})["kept"])
-    # all names first: a repeat check over unhashable entries would raise
-    if (not kept or not all(isinstance(k, str) for k in kept)
-            or len(set(kept)) != len(kept)):
-        raise MalformedArtifact(f"{selection}: kept must be a non-empty list "
-                                f"of distinct feature names, got {list(kept)}")
+    kept = _feature_names(read_json(selection, {"kept": list})["kept"],
+                          f"{selection}: kept")
 
     train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
     X = np.array([ex.features.values for ex in train_ex])
@@ -352,7 +375,6 @@ def cmd_train(cfg: PipelineConfig) -> int:
         "kept_features": list(kept),
         "feature_scaler": scaler_to_dict(feature_scaler),
         "target_scaler": scaler_to_dict(target_scaler),
-        "seed": cfg.seed,
         "split": {
             "train": [s.participant_id for s in train_part],
             "val": [s.participant_id for s in val_part],

@@ -303,7 +303,6 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
         merged.update(parameters)
     write_json(manifest_path, {
         "schema_id": vectors[0].schema_id,
-        "feature_names": list(names),
         "parameters": merged,
         "recordings": [{"id": str(rid), "n_segments": v.n_segments}
                        for rid, v in zip(recording_ids, vectors)],
@@ -314,11 +313,10 @@ def read_features_csv(csv_path, manifest_path):
     """Returns (ids, names, value matrix, manifest dict).
 
     A bad cell, an unknown schema id, a header that is not that schema's
-    columns, a repeated recording id, or a manifest that
-    disagrees with the CSV is MalformedArtifact, naming the file.
+    columns, a repeated recording id, or a manifest whose recordings
+    disagree with the CSV's rows is MalformedArtifact, naming the file.
     """
     manifest = read_json(manifest_path, {"schema_id": str,
-                                         "feature_names": list,
                                          "recordings": list})
     names, rows = read_csv(csv_path)
     try:
@@ -348,7 +346,4 @@ def read_features_csv(csv_path, manifest_path):
         raise MalformedArtifact(f"{manifest_path} lists {len(ids)} "
                                 f"recordings, {csv_path} has {len(matrix)} "
                                 f"rows")
-    if tuple(manifest["feature_names"]) != names:
-        raise MalformedArtifact(f"{manifest_path} feature_names disagree "
-                                f"with the header of {csv_path}")
     return ids, names, matrix, manifest

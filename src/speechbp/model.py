@@ -18,19 +18,20 @@ Weights live in a flat dict keyed by the names `param_shapes` defines, which
 is also the serialization order of the on-disk container.
 
 A trained model is one file: a little-endian u64 header length, a JSON
-header, then every array as little-endian float64.  The header holds the
-format version, the encoder config, the array index, the payload length,
-the pipeline record (how a feature row becomes model input: kept features,
-scalers, decimals, schema, split) and a sha256 over the header less that
-field (sorted-key JSON) followed by the payload.  So an edit to the weights,
-the config or the record that leaves the header parseable fails the
-checksum.
+header, then every array as little-endian float64 in `param_shapes` order,
+so the config alone fixes the payload's layout.  The header holds the
+format version, the encoder config, the pipeline record (how a feature row
+becomes model input: kept features, scalers, decimals, schema, split) and a
+sha256 over the header less that field (sorted-key JSON) followed by the
+payload.  So an edit to the weights, the config or the record that leaves
+the header parseable fails the checksum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -378,24 +379,10 @@ def _digest(header: dict, payload: bytes) -> str:
 def save_params(path, config: EncoderConfig, params: dict,
                 pipeline: dict) -> None:
     """The whole trained model as one file, written once."""
-    names = list(param_shapes(config))
-    index = []
-    chunks = []
-    offset = 0
-    for name in names:
-        raw = np.ascontiguousarray(params[name], dtype="<f8").tobytes()
-        index.append({"name": name, "shape": list(params[name].shape),
-                      "offset": offset, "nbytes": len(raw)})
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "config": asdict(config),
-        "arrays": index,
-        "payload_bytes": len(payload),
-        "pipeline": pipeline,
-    }
+    payload = b"".join(np.ascontiguousarray(params[name], dtype="<f8")
+                       .tobytes() for name in param_shapes(config))
+    header = {"format_version": FORMAT_VERSION, "config": asdict(config),
+              "pipeline": pipeline}
     header["sha256"] = _digest(header, payload)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     write_bytes(path, struct.pack("<Q", len(blob)) + blob + payload)
@@ -403,7 +390,8 @@ def save_params(path, config: EncoderConfig, params: dict,
 
 def load_params(path):
     """Read a model file back into (config, params, pipeline); verifies the
-    layout against the declared config, header and payload by checksum."""
+    payload length against the declared config, header and payload by
+    checksum."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise MalformedArtifact(
@@ -419,37 +407,24 @@ def load_params(path):
 
     try:
         config = EncoderConfig(**header["config"])
-        index = [(e["name"], tuple(e["shape"]), e["offset"], e["nbytes"])
-                 for e in header["arrays"]]
-        payload_bytes, digest = header["payload_bytes"], header["sha256"]
-        pipeline = header["pipeline"]
+        digest, pipeline = header["sha256"], header["pipeline"]
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedArtifact(
             f"{path}: header does not describe a model "
             f"({type(err).__name__}: {err})") from None
-    expected = param_shapes(config)
-    if [name for name, *_ in index] != list(expected):
-        raise MalformedArtifact(
-            f"{path}: array index does not match the config layout")
-    offset = 0
-    for name, shape, start, nbytes in index:
-        if shape != expected[name]:
-            raise MalformedArtifact(f"{path}: {name}: header shape {shape}, "
-                                    f"config expects {expected[name]}")
-        if start != offset or nbytes != 8 * int(np.prod(shape)):
-            raise MalformedArtifact(f"{path}: {name}: inconsistent extent")
-        offset += nbytes
-
+    shapes = param_shapes(config)
     payload = raw[8 + header_len:]
-    if len(payload) != payload_bytes or offset != len(payload):
+    if len(payload) != 8 * sum(math.prod(s) for s in shapes.values()):
         raise MalformedArtifact(
             f"{path}: payload length does not match header")
     if _digest(header, payload) != digest:
         raise MalformedArtifact(f"{path}: checksum mismatch")
 
-    params = {}
-    for name, shape, start, nbytes in index:
-        arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8,
-                            offset=start)
-        params[name] = arr.reshape(shape).astype(np.float64)
+    flat = np.frombuffer(payload, dtype="<f8")
+    params, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name] = flat[offset:offset + size].reshape(shape).astype(
+            np.float64)
+        offset += size
     return config, params, pipeline

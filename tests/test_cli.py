@@ -177,19 +177,30 @@ class TestConfigResolution:
         ("select", {"training": {"epochs": 0}}),
         ("select", {"encoder": {"n_heads": 3}}),
         ("select", {"split": {"test_fraction": 1.5}}),
+        # rejected before synth makes its wav directory
+        ("synth", {"seed": -3}),
+        ("synth --seed -1", {}),
     ], ids=["folds-0", "folds-1", "k_grid-empty", "k_grid-0", "folds-float",
             "k_grid-int", "epochs-string", "test_fraction-string",
             "val_fraction-negative", "val_fraction-1", "select-epochs-0",
-            "select-n_heads-3", "select-test_fraction-1.5"])
+            "select-n_heads-3", "select-test_fraction-1.5", "seed-negative",
+            "seed-flag-negative"])
     def test_bad_value_exits_config_and_writes_nothing(
             self, pipeline, tmp_path, capsys, command, overrides):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
         before = snapshot(clone)
         config = write_config(tmp_path / "c.json", clone, **overrides)
-        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert main([*command.split(), "--config", str(config)]) == \
+            EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert snapshot(clone) == before
+        assert not (clone / "wav").exists()
+
+    def test_negative_seed_names_the_key(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "seed must be a non-negative integer, got -1")):
+            resolve_config(None, seed_override=-1)
 
     def test_workdir_priority(self, tmp_path, monkeypatch):
         p = tmp_path / "c.json"
@@ -263,6 +274,20 @@ class TestSynth:
         main(["synth", "--workdir", str(b), "--seed", "2"])
         assert (a / "manifest.csv").read_text() != \
             (b / "manifest.csv").read_text()
+
+    def test_manifest_paths_hold_from_another_directory(self, tmp_path,
+                                                        monkeypatch):
+        # synth records absolute WAV paths, so extract finds the audio
+        # whichever directory it runs in
+        config = write_config(tmp_path / "c.json", Path("runs"),
+                              cohort={"n_female": 2, "n_male": 2})
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["synth", "--config", str(config)]) == EXIT_OK
+        monkeypatch.chdir(tmp_path / "b")
+        assert main(["extract", "--config", str(config),
+                     "--workdir", "../a/runs"]) == EXIT_OK
 
     def test_unwritable_workdir(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -406,13 +431,12 @@ class TestSelect:
         assert not (clone / "selection.json").exists()
 
     @pytest.mark.parametrize("damage", [
-        _without("schema_id"), _without("feature_names"),
-        _without("recordings"),
+        _without("schema_id"), _without("recordings"),
         lambda m: {**m, "recordings": [_without("id")(m["recordings"][0])]
                    + m["recordings"][1:]},
         lambda m: {**m, "recordings": [_without("n_segments")(
             m["recordings"][0])] + m["recordings"][1:]},
-    ], ids=["schema_id", "feature_names", "recordings", "recording-id",
+    ], ids=["schema_id", "recordings", "recording-id",
             "recording-n_segments"])
     def test_features_json_missing_key_exits_io(self, pipeline, tmp_path,
                                                 capsys, damage):
@@ -426,7 +450,7 @@ class TestSelect:
         assert err.startswith("error: ") and "features.json" in err
         assert not (clone / "selection.json").exists()
 
-    @pytest.mark.parametrize("key", ["recordings", "feature_names"])
+    @pytest.mark.parametrize("key", ["recordings"])
     def test_features_json_wrong_type_exits_io(self, pipeline, tmp_path,
                                                capsys, key):
         workdir, _ = pipeline
@@ -469,7 +493,7 @@ class TestSelect:
     def test_extended_table_labelled_base_exits_io(self, pipeline, tmp_path,
                                                    capsys):
         # the base table grows the extended-only columns; features.json
-        # lists them but keeps schema_id "base"
+        # keeps schema_id "base"
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w")
         extra = [n for n in SEGMENT_NAMES if n not in BASE_NAMES]
@@ -479,9 +503,6 @@ class TestSelect:
             csv.writer(fh).writerows([rows[0] + extra] + [
                 r + ["0.5"] * len(extra) for r in rows[1:]])
         manifest = clone / "features.json"
-        fman = json.loads(manifest.read_text())
-        fman["feature_names"] += extra
-        manifest.write_text(json.dumps(fman))
         before = snapshot(clone)
         assert main(["select", "--workdir", str(clone)]) == EXIT_IO
         err = capsys.readouterr().err.splitlines()
@@ -808,6 +829,20 @@ def _signed_record(edit):
     return damage
 
 
+def _signed_config(edit):
+    """Damage that saves the model under the encoder config `edit` makes,
+    with the weights and record as they were, signed."""
+    def damage(path):
+        enc, params, pipe = load_params(path)
+        save_params(path, edit(enc), params, pipe)
+    return damage
+
+
+def _test_ids(ids):
+    """A pipeline-record edit that sets the split's test ids."""
+    return lambda pipe: {**pipe, "split": {**pipe["split"], "test": ids}}
+
+
 def _scaler_value(scaler, key, value):
     """A pipeline-record edit that sets the first entry of a scaler's
     centers or scales."""
@@ -843,9 +878,6 @@ class TestDamagedModel:
         _on_bytes(lambda d: _replace_header(d, b"\xff")),
         _on_bytes(_edit_header(
             lambda h: {**h, "format_version": h["format_version"] + 1})),
-        _on_bytes(_edit_header(lambda h: {**h, "arrays": [
-            {**h["arrays"][0], "shape": [1, 1]}] + h["arrays"][1:]})),
-        _on_bytes(_edit_header(_without("arrays"))),
         _on_bytes(_edit_header(
             lambda h: {**h, "config": {**h["config"], "colour": 1}})),
         _on_bytes(_edit_header(
@@ -866,13 +898,25 @@ class TestDamagedModel:
         _signed_record(_scaler_value("feature_scaler", "center", math.nan)),
         _signed_record(_scaler_value("target_scaler", "center", math.nan)),
         _signed_record(_scaler_value("feature_scaler", "scale", -1.0)),
+        _signed_record(lambda p: {**p, "schema_id": "mel"}),
+        _signed_record(lambda p: {**p, "decimals": -1}),
+        _signed_record(lambda p: {**p, "decimals": 2.7}),
+        _signed_record(_test_ids([[1]])),
+        _signed_record(_test_ids("F001")),
+        _signed_record(lambda p: {**p, "kept_features": list(
+            range(len(p["kept_features"])))}),
+        # a config signed again whose layout outgrows the payload
+        _signed_config(lambda enc: dataclasses.replace(
+            enc, ff_dim=2 * enc.ff_dim)),
     ], ids=["payload-byte", "header-garbage", "header-not-utf8",
-            "header-version", "array-shape", "header-no-arrays",
-            "config-unknown-key", "config-n_heads-3", "header-not-object",
-            "truncated", "header-edit-unsigned", "pipeline-not-object",
-            "pipeline-no-kept", "kept-one-short", "feature-scaler-length-1",
-            "target-scaler-length-3", "feature-center-nan",
-            "target-center-nan", "feature-scale-negative"])
+            "header-version", "config-unknown-key", "config-n_heads-3",
+            "header-not-object", "truncated", "header-edit-unsigned",
+            "pipeline-not-object", "pipeline-no-kept", "kept-one-short",
+            "feature-scaler-length-1", "target-scaler-length-3",
+            "feature-center-nan", "target-center-nan",
+            "feature-scale-negative", "schema-unknown", "decimals-negative",
+            "decimals-float", "test-ids-nested", "test-ids-string",
+            "kept-not-strings", "config-ff_dim-resigned"])
     def test_exits_io(self, pipeline, tmp_path, capsys, damage):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
@@ -882,6 +926,19 @@ class TestDamagedModel:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: {clone / 'model' / 'params.bin'}")
+
+    def test_eval_nested_test_ids_exits_io(self, pipeline, tmp_path,
+                                           capsys):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
+        path = clone / "model" / "params.bin"
+        _signed_record(_test_ids([[1]]))(path)
+        before = snapshot(clone)
+        assert main(["eval", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: split.test must be a list of "
+                       "participant ids, got [[1]]"]
+        assert snapshot(clone) == before
 
     def test_format_1_file_exits_io(self, pipeline, tmp_path, capsys):
         workdir, _ = pipeline
