@@ -146,6 +146,10 @@ def resolve_config(config_path, seed_override=None,
     seed = merged["seed"] if seed_override is None else seed_override
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    for key, size in merged["cohort"].items():
+        if size < 0:
+            raise ConfigError(
+                f"cohort.{key} must be a non-negative integer, got {size}")
     if merged["schema"] not in SCHEMAS:
         raise ConfigError(f"unknown feature schema {merged['schema']!r}")
     if not 0 <= merged["decimals"] <= 12:
@@ -310,6 +314,9 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     ids, vectors = [], []
     for record in records:
         try:
+            if not record.wav_paths:
+                raise DegenerateInput(
+                    "the manifest lists no WAV file for this participant")
             vectors.append(extract_recording(
                 [load_wav(p) for p in record.wav_paths], cfg.schema))
             ids.append(record.id)

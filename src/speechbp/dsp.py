@@ -171,13 +171,11 @@ def fft_magnitude(samples, sample_rate: int) -> Spectrum:
 def flatness_ratio(magnitudes):
     """Geometric over arithmetic mean along the last axis, bins floored at 1e-12.
 
-    Near 1 for noise-like spectra, near 0 for tonal ones.  A 1-D input gives
-    a float, a stack one ratio per row.  Shared by the voiced-frame gate here
-    and by the spectral descriptors in features.
+    Near 1 for noise-like spectra, near 0 for tonal ones; one ratio per row
+    of a stack of spectra.  The voiced-frame gate below is its caller.
     """
     m = np.maximum(np.asarray(magnitudes, dtype=np.float64), FLATNESS_FLOOR)
-    ratio = np.exp(np.mean(np.log(m), axis=-1)) / np.mean(m, axis=-1)
-    return float(ratio) if ratio.ndim == 0 else ratio
+    return np.exp(np.mean(np.log(m), axis=-1)) / np.mean(m, axis=-1)
 
 
 # === voiced-region detection ===

@@ -1,10 +1,9 @@
 """Per-segment acoustic features and their per-recording aggregation.
 
 Each 50 ms segment yields one row: 12 MFCCs, amplitude-shape statistics
-(skewness, excess kurtosis, rectified area, extrema), a handful of
-spectral/temporal descriptors and pitch, in SEGMENT_NAMES order.  A recording
-is summarized by the arithmetic mean of each of its schema's columns over its
-segments, so downstream CSVs line up.
+(skewness, excess kurtosis, rectified area, extrema) and pitch, in
+SEGMENT_NAMES order.  A recording is summarized by the arithmetic mean of each
+of its schema's columns over its segments, so downstream CSVs line up.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ import numpy as np
 
 from .artifacts import (read_csv, read_json, require_keys, write_csv,
                         write_json)
-from .dsp import (DEFAULT_WINDOW_SIGMA, SEGMENT_SECONDS, Segment, Spectrum,
-                  detect_voiced_regions, fft_magnitude, flatness_ratio,
-                  gaussian_window, real_fft, segment_length, segment_regions)
+from .dsp import (DEFAULT_WINDOW_SIGMA, SEGMENT_SECONDS, Segment,
+                  detect_voiced_regions, fft_magnitude, gaussian_window,
+                  real_fft, segment_length, segment_regions)
 from .audio_io import AudioClip
 from .errors import DegenerateInput, InsufficientData, MalformedArtifact
 
@@ -37,10 +36,9 @@ PITCH_VOICED_FRACTION = 0.5
 
 BASE_NAMES = tuple(f"mfcc{i}" for i in range(1, N_MFCC + 1)) + (
     "skewness", "kurtosis", "poly_area", "amp_max", "amp_min")
-EXTRA_NAMES = ("zcr", "energy", "centroid_hz", "bandwidth_hz", "flatness")
 PITCH_NAME = "pitch_hz"
 # the columns of a segment_features row, in order
-SEGMENT_NAMES = BASE_NAMES + EXTRA_NAMES + (PITCH_NAME,)
+SEGMENT_NAMES = BASE_NAMES + (PITCH_NAME,)
 
 BASE_SCHEMA = "base"
 # schema id -> the columns a recording's vector averages
@@ -155,26 +153,6 @@ def amplitude_extrema(segment: Segment):
     return float(np.max(x)), float(np.min(x))
 
 
-def zero_crossing_rate(samples) -> float:
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) < 2:
-        raise ValueError("zero-crossing rate needs at least 2 samples")
-    signs = np.where(x >= 0.0, 1, -1)  # zero counts as positive
-    return float(np.count_nonzero(signs[1:] != signs[:-1])) / (len(x) - 1)
-
-
-def spectral_descriptors(spectrum: Spectrum):
-    """(centroid_hz, bandwidth_hz, flatness) of a magnitude spectrum."""
-    m = np.asarray(spectrum.magnitudes, dtype=np.float64)
-    total = float(np.sum(m))
-    if not np.any(m > 0.0):
-        raise ValueError("all magnitudes zero")
-    freqs = np.arange(len(m)) * spectrum.bin_hz
-    centroid = float(np.sum(freqs * m)) / total
-    bandwidth = float(np.sqrt(np.sum((freqs - centroid) ** 2 * m) / total))
-    return centroid, bandwidth, flatness_ratio(m)
-
-
 def pitch(segment: Segment) -> float:
     """Autocorrelation pitch in the 60-400 Hz band; 0.0 means unvoiced.
 
@@ -215,12 +193,10 @@ def pitch(segment: Segment) -> float:
 def segment_features(segment: Segment) -> np.ndarray:
     """All per-segment features in one pass: one row, in SEGMENT_NAMES order."""
     x = np.asarray(segment.samples, dtype=np.float64)
-    spec = fft_magnitude(x * gaussian_window(len(x)), segment.sample_rate)
     return np.concatenate([
         mfcc_12(segment),
         [skewness(x), kurtosis(x), poly_area(segment),
-         *amplitude_extrema(segment), zero_crossing_rate(x),
-         float(np.mean(x ** 2)), *spectral_descriptors(spec), pitch(segment)],
+         *amplitude_extrema(segment), pitch(segment)],
     ])
 
 

@@ -61,6 +61,13 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden_dim", "n_layers", "n_heads",
+                     "ff_dim", "max_len", "seed"):
+            value = getattr(self, name)
+            # exactly int: a bool or a float such as 16.0 passes the range
+            # checks below, then breaks slicing and the head split
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the four special ids")
         if min(self.hidden_dim, self.n_layers, self.n_heads, self.ff_dim) < 1:

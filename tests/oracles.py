@@ -178,29 +178,6 @@ def trapezoid_abs_oracle(xs, sample_rate):
     return acc
 
 
-def zcr_oracle(xs):
-    """Sign changes per adjacent pair; zero counts as positive."""
-    signs = [1 if float(v) >= 0.0 else -1 for v in xs]
-    flips = 0
-    for i in range(len(signs) - 1):
-        if signs[i] != signs[i + 1]:
-            flips += 1
-    return flips / (len(xs) - 1)
-
-
-def spectral_descriptors_oracle(mags, bin_hz, flatness_floor=1e-12):
-    mags = [float(m) for m in mags]
-    total = math.fsum(mags)
-    centroid = math.fsum(k * bin_hz * m for k, m in enumerate(mags)) / total
-    var = math.fsum((k * bin_hz - centroid) ** 2 * m
-                    for k, m in enumerate(mags)) / total
-    floored = [max(m, flatness_floor) for m in mags]
-    log_mean = math.fsum(math.log(m) for m in floored) / len(floored)
-    geo = math.exp(log_mean)
-    arith = math.fsum(floored) / len(floored)
-    return centroid, math.sqrt(var), geo / arith
-
-
 # === autocorrelation pitch, one dot product per lag ===
 
 def pitch_oracle(samples, sample_rate, min_hz=60.0, max_hz=400.0,

@@ -3,17 +3,21 @@
 perfbench/tracer.py wraps named speechbp functions from the outside, and
 `Tracer.install` raises LookupError when one has been renamed or moved.
 Installing it here makes such a refactor fail the test suite, not only a
-traced benchmark run.
+traced benchmark run.  A small traced pipeline does the same for a spanned
+function that still exists but is no longer called on a workload that
+declares it.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 from speechbp import features
 from speechbp.audio_io import AudioClip
+from speechbp.cli import EXIT_OK, main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +49,31 @@ def test_tracer_installs_and_removes():
     assert all(wrapped[span] is not fn for span, fn in originals.items())
     assert tracer.counts["dsp.segment_regions.segments"] == 2
     assert spanned(tracer_module.SPANS) == originals
+
+
+def test_small_pipeline_calls_every_declared_span(tmp_path):
+    # synth to report over 6 F + 6 M, then one predict --wav, all traced
+    tracer_module = load_tracer()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "workdir": str(tmp_path / "w"), "seed": 3,
+        "cohort": {"n_female": 6, "n_male": 6},
+        "selection": {"folds": 2, "k_grid": [1]},
+        "encoder": {"hidden_dim": 8, "n_layers": 1, "n_heads": 2,
+                    "ff_dim": 16, "max_len": 128},
+        "training": {"epochs": 1, "batch_size": 8}}))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        codes = [main([command, "--config", str(config)])
+                 for command in ("synth", "extract", "select", "train",
+                                 "eval", "report")]
+        codes.append(main(["predict", "--config", str(config), "--wav",
+                           str(tmp_path / "w" / "wav" / "F001.wav")]))
+    finally:
+        tracer.remove()
+    assert codes == [EXIT_OK] * 7
+    summary = tracer.summary()
+    for workload in (tracer_module.PIPE, tracer_module.PRED):
+        assert tracer_module.zero_call_spans(workload, summary,
+                                             summary) == []

@@ -30,7 +30,8 @@ from speechbp.audio_io import write_wav
 from speechbp.cli import (CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DATA,
                           EXIT_DEGENERATE, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
                           EXIT_PARTIAL, main, resolve_config)
-from speechbp.dataset import label_hypertension, read_manifest, write_manifest
+from speechbp.dataset import (label_hypertension, read_manifest,
+                              synthesize_cohort, write_manifest)
 from speechbp.errors import ConfigError
 from speechbp.features import BASE_NAMES, SEGMENT_NAMES
 from speechbp.model import load_params, save_params
@@ -180,11 +181,14 @@ class TestConfigResolution:
         # rejected before synth makes its wav directory
         ("synth", {"seed": -3}),
         ("synth --seed -1", {}),
+        ("synth", {"cohort": {"n_female": -1, "n_male": 0}}),
+        ("synth", {"cohort": {"n_female": 0, "n_male": -1}}),
     ], ids=["folds-0", "folds-1", "k_grid-empty", "k_grid-0", "folds-float",
             "k_grid-int", "epochs-string", "test_fraction-string",
             "val_fraction-negative", "val_fraction-1", "select-epochs-0",
             "select-n_heads-3", "select-test_fraction-1.5", "seed-negative",
-            "seed-flag-negative"])
+            "seed-flag-negative", "cohort-n_female-negative",
+            "cohort-n_male-negative"])
     def test_bad_value_exits_config_and_writes_nothing(
             self, pipeline, tmp_path, capsys, command, overrides):
         workdir, _ = pipeline
@@ -201,6 +205,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match=re.escape(
                 "seed must be a non-negative integer, got -1")):
             resolve_config(None, seed_override=-1)
+
+    @pytest.mark.parametrize("key", ["n_female", "n_male"])
+    def test_negative_cohort_names_the_key(self, tmp_path, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"cohort": {key: -1}}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cohort.{key} must be a non-negative integer, got -1")):
+            resolve_config(p)
 
     def test_workdir_priority(self, tmp_path, monkeypatch):
         p = tmp_path / "c.json"
@@ -342,9 +354,22 @@ class TestExtract:
             csv.writer(fh).writerows(rows)
         assert main(["extract", "--config", str(config)]) == EXIT_PARTIAL
         err = capsys.readouterr().err
-        assert "failed F002: no voiced audio in input" in err
+        assert ("failed F002: the manifest lists no WAV file for this "
+                "participant") in err
         with open(workdir / "features.csv") as fh:
             assert sum(1 for _ in fh) - 1 == 7
+
+    def test_manifest_without_audio_names_the_cause(self, tmp_path, capsys):
+        # the manifest synthesize_cohort writes when it makes no audio
+        write_manifest(tmp_path / "manifest.csv",
+                       synthesize_cohort(n_female=2, n_male=2, seed=3))
+        assert main(["extract", "--workdir", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"  failed {pid}: the manifest lists no WAV file for "
+                       "this participant"
+                       for pid in ("F001", "F002", "M001", "M002")] + [
+            "error: no recording yielded features (4 failed)"]
+        assert not (tmp_path / "features.csv").exists()
 
     def test_slow_rate_recording_partial_failure(self, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -784,7 +809,7 @@ class TestPredict:
         clone = clone_inputs(workdir, tmp_path / "w", "model")
         params_path = clone / "model" / "params.bin"
         enc, params, pipe = load_params(params_path)
-        kept = ["zcr"] + pipe["kept_features"][1:]
+        kept = ["pitch_hz"] + pipe["kept_features"][1:]
         save_params(params_path, enc, params,
                     {**pipe, "schema_id": "extended", "kept_features": kept})
         assert main(["predict", "--workdir", str(clone), "--row",
@@ -801,12 +826,19 @@ def _replace_header(data: bytes, fill: bytes) -> bytes:
     return data[:8] + fill * n + data[8 + n:]
 
 
-def _edit_header(edit):
-    """Damage that rewrites params.bin's JSON header through `edit`."""
+def _edit_header(edit, sign=False):
+    """Damage that rewrites params.bin's JSON header through `edit`, and
+    signs it again only if `sign`."""
     def damage(data: bytes) -> bytes:
         (n,) = struct.unpack_from("<Q", data, 0)
-        blob = json.dumps(edit(json.loads(data[8:8 + n]))).encode("utf-8")
-        return struct.pack("<Q", len(blob)) + blob + data[8 + n:]
+        header, payload = edit(json.loads(data[8:8 + n])), data[8 + n:]
+        if sign:
+            signed = {k: v for k, v in header.items() if k != "sha256"}
+            header["sha256"] = hashlib.sha256(
+                json.dumps(signed, sort_keys=True).encode("utf-8")
+                + payload).hexdigest()
+        blob = json.dumps(header).encode("utf-8")
+        return struct.pack("<Q", len(blob)) + blob + payload
     return damage
 
 
@@ -908,6 +940,10 @@ class TestDamagedModel:
         # a config signed again whose layout outgrows the payload
         _signed_config(lambda enc: dataclasses.replace(
             enc, ff_dim=2 * enc.ff_dim)),
+        # a float size that matches the payload length, signed again
+        _on_bytes(_edit_header(lambda h: {**h, "config": {
+            **h["config"], "ff_dim": float(h["config"]["ff_dim"])}},
+            sign=True)),
     ], ids=["payload-byte", "header-garbage", "header-not-utf8",
             "header-version", "config-unknown-key", "config-n_heads-3",
             "header-not-object", "truncated", "header-edit-unsigned",
@@ -916,7 +952,8 @@ class TestDamagedModel:
             "feature-center-nan", "target-center-nan",
             "feature-scale-negative", "schema-unknown", "decimals-negative",
             "decimals-float", "test-ids-nested", "test-ids-string",
-            "kept-not-strings", "config-ff_dim-resigned"])
+            "kept-not-strings", "config-ff_dim-resigned",
+            "config-ff_dim-float-resigned"])
     def test_exits_io(self, pipeline, tmp_path, capsys, damage):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")

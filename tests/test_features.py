@@ -10,8 +10,7 @@ import pytest
 import oracles
 from speechbp.audio_io import (AudioClip, load_wav, synthesize_speech,
                                write_wav)
-from speechbp.dsp import (Segment, Spectrum, detect_voiced_regions,
-                          fft_magnitude, gaussian_window, segment_regions)
+from speechbp.dsp import Segment, detect_voiced_regions, segment_regions
 from speechbp.errors import DegenerateInput, InsufficientData, MalformedArtifact
 from speechbp import features as F
 from speechbp.features import (BASE_NAMES, SCHEMAS, SEGMENT_NAMES,
@@ -19,8 +18,7 @@ from speechbp.features import (BASE_NAMES, SCHEMAS, SEGMENT_NAMES,
                                amplitude_extrema, extract_recording,
                                kurtosis, mfcc_12, pitch,
                                poly_area, read_features_csv, segment_features,
-                               skewness, spectral_descriptors,
-                               write_features_csv, zero_crossing_rate)
+                               skewness, write_features_csv)
 
 
 def make_segment(samples, sample_rate=48000, index=0):
@@ -178,74 +176,6 @@ class TestExtrema:
             amplitude_extrema(make_segment([]))
 
 
-class TestZeroCrossings:
-    def test_maximal_alternation(self):
-        assert zero_crossing_rate([1.0, -1.0, 1.0, -1.0]) == 1.0
-
-    def test_constant(self):
-        assert zero_crossing_rate([0.4] * 10) == 0.0
-
-    def test_hand_count(self):
-        assert zero_crossing_rate([1.0, 1.0, -1.0, -1.0]) == pytest.approx(1 / 3)
-
-    def test_zero_counts_as_positive(self):
-        assert zero_crossing_rate([0.0, -1.0, 0.0]) == 1.0
-        assert zero_crossing_rate([0.0, 1.0]) == 0.0
-
-    def test_bounds_and_oracle(self):
-        rng = np.random.default_rng(91)
-        for _ in range(20):
-            x = rng.normal(size=100)
-            z = zero_crossing_rate(x)
-            assert 0.0 <= z <= 1.0
-            assert z == pytest.approx(oracles.zcr_oracle(list(x)))
-
-    def test_too_few(self):
-        with pytest.raises(ValueError,
-                           match="zero-crossing rate needs at least 2"):
-            zero_crossing_rate([1.0])
-
-
-class TestSpectralDescriptors:
-    def test_point_mass(self):
-        mags = np.zeros(33)
-        mags[5] = 2.0
-        centroid, bandwidth, _ = spectral_descriptors(Spectrum(mags, 100.0, 64))
-        assert centroid == pytest.approx(500.0)
-        assert bandwidth == pytest.approx(0.0, abs=1e-9)
-
-    def test_flat_spectrum(self):
-        _, _, flat = spectral_descriptors(Spectrum(np.full(17, 0.3), 10.0, 32))
-        assert flat == pytest.approx(1.0, rel=1e-12)
-
-    def test_two_equal_bins(self):
-        mags = np.zeros(41)
-        mags[10] = 1.0
-        mags[30] = 1.0
-        centroid, bandwidth, _ = spectral_descriptors(Spectrum(mags, 10.0, 80))
-        assert centroid == pytest.approx(200.0)
-        assert bandwidth == pytest.approx(100.0)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError, match="all magnitudes zero"):
-            spectral_descriptors(Spectrum(np.zeros(9), 10.0, 16))
-
-    def test_against_oracle(self):
-        rng = np.random.default_rng(62)
-        for _ in range(10):
-            mags = rng.uniform(0.01, 1.0, size=65)
-            got = spectral_descriptors(Spectrum(mags, 75.0, 128))
-            want = oracles.spectral_descriptors_oracle(list(mags), 75.0)
-            np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_flatness_in_unit_interval(self):
-        rng = np.random.default_rng(63)
-        for _ in range(20):
-            mags = np.abs(rng.normal(size=40)) + 1e-6
-            _, _, flat = spectral_descriptors(Spectrum(mags, 10.0, 78))
-            assert 0.0 <= flat <= 1.0
-
-
 class TestPitch:
     def test_pure_sine(self):
         n = np.arange(2400)
@@ -309,9 +239,7 @@ def fake_features(rng):
     """One segment row with plausible values in every column."""
     return np.concatenate([rng.normal(size=12), [
         rng.normal(), rng.normal(), rng.uniform(0, 1), rng.uniform(0.5, 1),
-        rng.uniform(-1, -0.5), rng.uniform(0, 1), rng.uniform(0, 1),
-        rng.uniform(100, 4000), rng.uniform(10, 2000), rng.uniform(0, 1),
-        rng.uniform(60, 400)]])
+        rng.uniform(-1, -0.5), rng.uniform(60, 400)]])
 
 
 def col(name):
@@ -367,9 +295,7 @@ class TestAggregate:
         vec = aggregate_recording([fake_features(rng)], schema="extended")
         assert vec.names[:17] == aggregate_recording(
             [fake_features(rng)], schema="base").names
-        assert vec.names[17:22] == ("zcr", "energy", "centroid_hz",
-                                    "bandwidth_hz", "flatness")
-        assert vec.names[22] == "pitch_hz"
+        assert vec.names[17] == "pitch_hz"
 
     def test_pitch_gate_at_half(self):
         rng = np.random.default_rng(6)
@@ -384,7 +310,7 @@ class TestAggregate:
         mostly_unvoiced = feats[:1] + [unvoiced(f) for f in feats[1:]]
         vec2 = aggregate_recording(mostly_unvoiced, schema="extended")
         assert vec2.names == SEGMENT_NAMES
-        assert len(vec2.names) == 23
+        assert len(vec2.names) == 18
         assert vec2.values[-1] == 0.0
 
     def test_base_schema_never_carries_pitch(self):
@@ -577,9 +503,6 @@ class TestSegmentFeaturesGlue:
     def test_invariants_on_synthetic_vowel(self):
         f = dict(zip(SEGMENT_NAMES, segment_features(vowel_segment())))
         assert f["amp_min"] <= f["amp_max"]
-        assert 0.0 <= f["zcr"] <= 1.0
-        assert 0.0 <= f["flatness"] <= 1.0
-        assert f["energy"] >= 0.0
         assert f["poly_area"] >= 0.0
         assert abs(f["pitch_hz"] - 120.0) <= 2.0
 
@@ -589,8 +512,7 @@ class TestSegmentLayout:
         assert SEGMENT_NAMES == (
             "mfcc1", "mfcc2", "mfcc3", "mfcc4", "mfcc5", "mfcc6", "mfcc7",
             "mfcc8", "mfcc9", "mfcc10", "mfcc11", "mfcc12", "skewness",
-            "kurtosis", "poly_area", "amp_max", "amp_min", "zcr", "energy",
-            "centroid_hz", "bandwidth_hz", "flatness", "pitch_hz")
+            "kurtosis", "poly_area", "amp_max", "amp_min", "pitch_hz")
 
     def test_schemas_name_their_columns(self):
         assert SCHEMAS == {"base": BASE_NAMES, "extended": SEGMENT_NAMES}
@@ -609,14 +531,18 @@ class TestSegmentLayout:
         seg = vowel_segment()
         x = seg.samples
         amp_max, amp_min = amplitude_extrema(seg)
-        centroid, bandwidth, flat = spectral_descriptors(
-            fft_magnitude(x * gaussian_window(len(x)), seg.sample_rate))
         want = dict(zip(BASE_NAMES[:12], mfcc_12(seg)))
         want.update(skewness=skewness(x), kurtosis=kurtosis(x),
                     poly_area=poly_area(seg), amp_max=amp_max,
-                    amp_min=amp_min, zcr=zero_crossing_rate(x),
-                    energy=float(np.mean(x ** 2)), centroid_hz=centroid,
-                    bandwidth_hz=bandwidth, flatness=flat,
-                    pitch_hz=pitch(seg))
+                    amp_min=amp_min, pitch_hz=pitch(seg))
         got = dict(zip(SEGMENT_NAMES, segment_features(seg)))
         assert got == want
+
+    def test_one_magnitude_spectrum_per_segment(self, monkeypatch):
+        # the MFCCs' windowed transform is the only one; pitch uses real_fft
+        calls = []
+        real = F.fft_magnitude
+        monkeypatch.setattr(F, "fft_magnitude",
+                            lambda *a: calls.append(1) or real(*a))
+        segment_features(vowel_segment())
+        assert len(calls) == 1

@@ -74,6 +74,8 @@ class TestConfig:
         dict(vocab_size=3),
         dict(n_layers=0),
         dict(layernorm_epsilon=0.0),
+        dict(n_heads=2.0),
+        dict(ff_dim=True),
     ])
     def test_invalid(self, kw):
         base = dict(vocab_size=VOCAB, hidden_dim=8, n_layers=1, n_heads=2,
@@ -85,6 +87,8 @@ class TestConfig:
                  "vocab_size": "vocab_size must cover",
                  "n_layers": "dimensions must be positive",
                  "layernorm_epsilon": "layernorm_epsilon must be positive",
+                 "n_heads": "n_heads must be an integer, got 2.0",
+                 "ff_dim": "ff_dim must be an integer, got True",
                  }[next(iter(kw))]
         with pytest.raises(ValueError, match=match):
             EncoderConfig(**base)
