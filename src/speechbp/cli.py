@@ -150,6 +150,9 @@ def resolve_config(config_path, seed_override=None,
         if size < 0:
             raise ConfigError(
                 f"cohort.{key} must be a non-negative integer, got {size}")
+    if sum(merged["cohort"].values()) == 0:
+        raise ConfigError("cohort must hold at least one participant, "
+                          "got n_female + n_male = 0")
     if merged["schema"] not in SCHEMAS:
         raise ConfigError(f"unknown feature schema {merged['schema']!r}")
     if not 0 <= merged["decimals"] <= 12:

@@ -31,13 +31,18 @@ VOICED_RMS_FACTOR = 2.0
 VOICED_FLATNESS_MAX = 0.3
 FLATNESS_BAND_HZ = (100.0, 4000.0)
 MIN_REGION_SECONDS = 0.100
-GATE_STACK = 16
+# rows per stack wherever frames or segments go through the FFT in stacks:
+# the voiced gate's frames here, and a clip's segments in features
+STACK_ROWS = 8
 
 FLATNESS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class Segment:
+    """A 50 ms segment, or a stack of equal-length segments along leading
+    axes of `samples`, with the first one's start and index."""
+
     samples: np.ndarray
     sample_rate: int
     start_s: float
@@ -122,9 +127,14 @@ def fft_radix2(x) -> np.ndarray:
 
     f1, f2, twiddles = _plan(n)
     lead = x.shape[:-1]
-    a = x.reshape(*lead, len(f2), len(f1))
-    c = (f2 @ a * twiddles) @ f1
-    return c.swapaxes(-1, -2).reshape(*lead, n)
+    # in place where the arithmetic allows: a stack's temporaries are large
+    # enough that each fresh one costs page faults
+    t = f2 @ x.reshape(*lead, len(f2), len(f1))
+    t *= twiddles
+    c = t @ f1
+    out = t.reshape(*lead, len(f1), len(f2))
+    np.copyto(out, c.swapaxes(-1, -2))
+    return out.reshape(*lead, n)
 
 
 def real_fft(x) -> np.ndarray:
@@ -136,11 +146,17 @@ def real_fft(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    z = fft_radix2(x[..., 0::2] + 1j * x[..., 1::2])
+    z = 1j * x[..., 1::2]
+    z += x[..., 0::2]
+    z = fft_radix2(z)
     # zk[k] = Z[k mod N/2] and its reversal gives Z[(N/2 - k) mod N/2]
     zk = np.concatenate([z, z[..., :1]], axis=-1)
     zr = np.conj(zk[..., ::-1])
-    return 0.5 * (zk + zr) + _split_twiddles(n) * (zk - zr)
+    out = zk + zr
+    out *= 0.5
+    np.subtract(zk, zr, out=zr)
+    out += np.multiply(_split_twiddles(n), zr, out=zr)
+    return out
 
 
 def fft_magnitude(samples, sample_rate: int) -> Spectrum:
@@ -207,11 +223,11 @@ def detect_voiced_regions(clip: AudioClip) -> list[tuple[int, int]]:
         return []
 
     frames = x[:n_frames * frame_len].reshape(n_frames, frame_len)
-    # frame RMS in stacks of GATE_STACK rows, like the FFT below: squaring
+    # frame RMS in stacks of STACK_ROWS rows, like the FFT below: squaring
     # the whole frame matrix would hold a second float64 copy of the clip
     rms = np.concatenate([
-        np.sqrt(np.mean(frames[lo:lo + GATE_STACK] ** 2, axis=1))
-        for lo in range(0, n_frames, GATE_STACK)])
+        np.sqrt(np.mean(frames[lo:lo + STACK_ROWS] ** 2, axis=1))
+        for lo in range(0, n_frames, STACK_ROWS)])
     gate = VOICED_RMS_FACTOR * float(np.median(rms))
 
     # Gaussian analysis window keeps leakage out of the flatness measurement;
@@ -220,10 +236,10 @@ def detect_voiced_regions(clip: AudioClip) -> list[tuple[int, int]]:
     voiced = np.zeros(n_frames, dtype=bool)
     loud = np.flatnonzero(rms > gate)
     band = None
-    # frames go through the FFT in stacks of GATE_STACK so the working set
+    # frames go through the FFT in stacks of STACK_ROWS so the working set
     # stays bounded however long the clip is
-    for lo in range(0, len(loud), GATE_STACK):
-        rows = loud[lo:lo + GATE_STACK]
+    for lo in range(0, len(loud), STACK_ROWS):
+        rows = loud[lo:lo + STACK_ROWS]
         spec = fft_magnitude(frames[rows] * window, sr)
         if band is None:
             freqs = np.arange(spec.magnitudes.shape[-1]) * spec.bin_hz

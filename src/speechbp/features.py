@@ -4,6 +4,13 @@ Each 50 ms segment yields one row: 12 MFCCs, amplitude-shape statistics
 (skewness, excess kurtosis, rectified area, extrema) and pitch, in
 SEGMENT_NAMES order.  A recording is summarized by the arithmetic mean of each
 of its schema's columns over its segments, so downstream CSVs line up.
+
+Every per-segment function works along the last axis, so a clip's segments go
+through them in stacks of at most STACK_ROWS consecutive segments, and each
+row of a stack equals, bit for bit, that segment computed alone.  Where a
+stacked operation would round differently (a matrix-matrix product, numpy's
+array power, a row-wise sum of squares) the code keeps one matrix-vector
+product, one Python float or one dot product per row.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .artifacts import (read_csv, read_json, require_keys, write_csv,
                         write_json)
-from .dsp import (DEFAULT_WINDOW_SIGMA, SEGMENT_SECONDS, Segment,
+from .dsp import (DEFAULT_WINDOW_SIGMA, SEGMENT_SECONDS, STACK_ROWS, Segment,
                   detect_voiced_regions, fft_magnitude, gaussian_window,
                   real_fft, segment_length, segment_regions)
 from .audio_io import AudioClip
@@ -97,78 +104,99 @@ def _dct2_matrix(m: int) -> np.ndarray:
 
 
 def mfcc_12(segment: Segment) -> np.ndarray:
-    """Mel-frequency cepstral coefficients 1..12 of one 50 ms segment."""
+    """Mel-frequency cepstral coefficients 1..12 of each 50 ms segment."""
     x = np.asarray(segment.samples, dtype=np.float64)
     expected = segment_length(segment.sample_rate)
-    if len(x) != expected:
-        raise ValueError(f"segment has {len(x)} samples, expected {expected}")
+    if x.shape[-1] != expected:
+        raise ValueError(f"segment has {x.shape[-1]} samples, "
+                         f"expected {expected}")
     emphasized = np.empty_like(x)
-    emphasized[0] = x[0]
-    emphasized[1:] = x[1:] - PREEMPHASIS * x[:-1]
-    spec = fft_magnitude(emphasized * gaussian_window(len(x)),
-                         segment.sample_rate)
-    bank = mel_filterbank(segment.sample_rate, len(spec.magnitudes),
+    emphasized[..., 0] = x[..., 0]
+    emphasized[..., 1:] = x[..., 1:] - PREEMPHASIS * x[..., :-1]
+    emphasized *= gaussian_window(expected)
+    spec = fft_magnitude(emphasized, segment.sample_rate)
+    bank = mel_filterbank(segment.sample_rate, spec.magnitudes.shape[-1],
                           spec.fft_size)
-    log_e = np.log(np.maximum(bank @ spec.magnitudes, LOG_FLOOR))
-    return (_dct2_matrix(len(log_e)) @ log_e)[1:N_MFCC + 1]
+    # a trailing unit axis makes both products matrix-vector, one per row,
+    # so each row rounds as it does alone (a matrix-matrix product need not)
+    log_e = np.log(np.maximum(bank @ spec.magnitudes[..., None], LOG_FLOOR))
+    return (_dct2_matrix(len(bank)) @ log_e)[..., 1:N_MFCC + 1, 0]
 
 
-def skewness(samples) -> float:
+def _per_row(formula, *columns):
+    """formula applied to Python floats, one row at a time.
+
+    numpy's array power can round a last bit differently from the scalar
+    power a lone segment takes, so per-row ratios of moments go through this.
+    """
+    shape = np.shape(columns[0])
+    values = [formula(*row) for row in zip(*(np.ravel(c).tolist()
+                                              for c in columns))]
+    return np.array(values, dtype=np.float64).reshape(shape)[()]
+
+
+def _central_moments(samples, least: int, name: str):
+    """(centered, squared, second moment) along the last axis."""
     x = np.asarray(samples, dtype=np.float64)
-    if len(x) < 3:
-        raise ValueError("skewness needs at least 3 samples")
-    centered = x - x.mean()
+    if x.shape[-1] < least:
+        raise ValueError(f"{name} needs at least {least} samples")
+    centered = x - x.mean(axis=-1, keepdims=True)
     squared = centered * centered
-    m2 = float(np.mean(squared))
-    if m2 == 0.0:
-        raise InsufficientData("constant signal has no skewness")
-    return float(np.mean(squared * centered)) / m2 ** 1.5
+    m2 = np.mean(squared, axis=-1)
+    if np.any(m2 == 0.0):
+        raise InsufficientData(f"constant signal has no {name}")
+    return centered, squared, m2
 
 
-def kurtosis(samples) -> float:
+def skewness(samples):
+    centered, squared, m2 = _central_moments(samples, 3, "skewness")
+    return _per_row(lambda m3, m2: m3 / m2 ** 1.5,
+                    np.mean(squared * centered, axis=-1), m2)
+
+
+def kurtosis(samples):
     """Excess kurtosis: 0 for a normal distribution, -2 for a two-level one."""
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) < 4:
-        raise ValueError("kurtosis needs at least 4 samples")
-    centered = x - x.mean()
-    squared = centered * centered
-    m2 = float(np.mean(squared))
-    if m2 == 0.0:
-        raise InsufficientData("constant signal has no kurtosis")
-    return float(np.mean(squared * squared)) / m2 ** 2 - 3.0
+    _, squared, m2 = _central_moments(samples, 4, "kurtosis")
+    return _per_row(lambda m4, m2: m4 / m2 ** 2 - 3.0,
+                    np.mean(squared * squared, axis=-1), m2)
 
 
-def poly_area(segment: Segment) -> float:
+def poly_area(segment: Segment):
     """Trapezoidal integral of |x(t)| over the segment, in amplitude-seconds."""
     x = np.abs(np.asarray(segment.samples, dtype=np.float64))
-    if len(x) < 2:
+    if x.shape[-1] < 2:
         raise ValueError("area needs at least 2 samples")
-    return float(np.sum(x[1:] + x[:-1])) * 0.5 / segment.sample_rate
+    return (np.sum(x[..., 1:] + x[..., :-1], axis=-1) * 0.5
+            / segment.sample_rate)
 
 
 def amplitude_extrema(segment: Segment):
     x = np.asarray(segment.samples, dtype=np.float64)
-    if len(x) == 0:
+    if x.shape[-1] == 0:
         raise ValueError("empty segment has no extrema")
-    return float(np.max(x)), float(np.min(x))
+    return np.max(x, axis=-1), np.min(x, axis=-1)
 
 
-def pitch(segment: Segment) -> float:
+def pitch(segment: Segment):
     """Autocorrelation pitch in the 60-400 Hz band; 0.0 means unvoiced.
 
     The normalized autocorrelation must reach 0.3 at the winning lag;
     anything weaker (noise, silence) is reported as unvoiced rather than
-    raising.
+    raising.  A stack of segments gives one pitch per segment.
     """
     x = np.asarray(segment.samples, dtype=np.float64)
-    n = len(x)
+    n = x.shape[-1]
+    hz = np.zeros(x.shape[:-1])
     lag_lo = int(round(segment.sample_rate / PITCH_MAX_HZ))
     lag_hi = min(int(round(segment.sample_rate / PITCH_MIN_HZ)), n - 1)
     if lag_lo < 1 or lag_hi < lag_lo:
-        return 0.0
-    r0 = float(np.dot(x, x))
-    if r0 <= 0.0:
-        return 0.0
+        return hz[()]
+    rows = x.reshape(-1, n)
+    # one dot product per row, as a lone segment takes it
+    r0 = np.array([float(np.dot(row, row)) for row in rows])
+    live = np.flatnonzero(r0 > 0.0)
+    if len(live) == 0:
+        return hz[()]
     # Every lag comes from one autocorrelation: the inverse transform of the
     # power spectrum.  Padding to nfft >= n + lag_hi keeps the circular
     # autocorrelation from wrapping into the lags read here.  The power
@@ -177,27 +205,37 @@ def pitch(segment: Segment) -> float:
     nfft = 2
     while nfft < n + lag_hi:
         nfft *= 2
-    padded = np.zeros(nfft)
-    padded[:n] = x
+    padded = np.zeros((len(live), nfft))
+    padded[:, :n] = rows[live]
     spec = real_fft(padded)
-    power = spec.real * spec.real + spec.imag * spec.imag
-    acf = real_fft(np.concatenate([power, power[-2:0:-1]])).real
-    r = acf[lag_lo:lag_hi + 1] / (nfft * r0)
-    best = int(np.argmax(r))  # first maximum, as a strict > scan would pick
+    # the power spectrum, mirrored to its full even length, written into
+    # the padded frames' buffer
+    half = nfft // 2
+    power = np.multiply(spec.real, spec.real, out=padded[:, :half + 1])
+    power += spec.imag * spec.imag
+    padded[:, half + 1:] = power[:, -2:0:-1]
+    acf = real_fft(padded).real
+    r = acf[:, lag_lo:lag_hi + 1] / (nfft * r0[live, None])
+    best = np.argmax(r, axis=-1)  # first maximum, as a strict > scan would
+    peak = r[np.arange(len(live)), best]
     # written as "not >=" so a non-finite frame (NaN maximum) reads unvoiced
-    if not r[best] >= PITCH_MIN_CORRELATION:
-        return 0.0
-    return segment.sample_rate / (lag_lo + best)
+    found = segment.sample_rate / (lag_lo + best)
+    found[~(peak >= PITCH_MIN_CORRELATION)] = 0.0
+    hz.reshape(-1)[live] = found
+    return hz[()]
 
 
 def segment_features(segment: Segment) -> np.ndarray:
-    """All per-segment features in one pass: one row, in SEGMENT_NAMES order."""
+    """All per-segment features in one pass, in SEGMENT_NAMES order.
+
+    One segment gives one row; a stack of segments (samples of shape (k, n))
+    gives k rows, each equal bit for bit to that segment's own.  A stack
+    raises what its first failing feature raises for any of its rows.
+    """
     x = np.asarray(segment.samples, dtype=np.float64)
-    return np.concatenate([
-        mfcc_12(segment),
-        [skewness(x), kurtosis(x), poly_area(segment),
-         *amplitude_extrema(segment), pitch(segment)],
-    ])
+    return np.concatenate([mfcc_12(segment), np.stack([
+        skewness(x), kurtosis(x), poly_area(segment),
+        *amplitude_extrema(segment), pitch(segment)], axis=-1)], axis=-1)
 
 
 def aggregate_recording(rows, schema: str = BASE_SCHEMA) -> FeatureVector:
@@ -233,15 +271,22 @@ def extract_recording(clips: Sequence[AudioClip],
                       schema: str = BASE_SCHEMA) -> FeatureVector:
     """Voiced-region detection, segmentation, and aggregation for a recording.
 
-    Each clip is segmented on its own, so the segment cap applies per clip;
+    Each clip is segmented on its own, so the segment cap applies per clip,
+    and its segments go through segment_features in stacks of at most
+    STACK_ROWS, so the working set stays bounded however long the clip is;
     the features are then averaged over the segments of all clips.  Raises
     DegenerateInput when no clip holds a voiced segment.
     """
-    segments = []
+    rows = [np.empty((0, len(SEGMENT_NAMES)))]
     for clip in clips:
-        segments.extend(segment_regions(clip, detect_voiced_regions(clip)))
-    return aggregate_recording([segment_features(s) for s in segments],
-                               schema)
+        segments = segment_regions(clip, detect_voiced_regions(clip))
+        for lo in range(0, len(segments), STACK_ROWS):
+            stack = segments[lo:lo + STACK_ROWS]
+            rows.append(segment_features(Segment(
+                samples=np.stack([s.samples for s in stack]),
+                sample_rate=clip.sample_rate, start_s=stack[0].start_s,
+                index=stack[0].index)))
+    return aggregate_recording(np.concatenate(rows), schema)
 
 
 def default_parameters() -> dict:

@@ -51,9 +51,8 @@ def test_tracer_installs_and_removes():
     assert spanned(tracer_module.SPANS) == originals
 
 
-def test_small_pipeline_calls_every_declared_span(tmp_path):
-    # synth to report over 6 F + 6 M, then one predict --wav, all traced
-    tracer_module = load_tracer()
+def small_config(tmp_path) -> Path:
+    """6 F + 6 M, two folds, one epoch of an 8-wide encoder."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "workdir": str(tmp_path / "w"), "seed": 3,
@@ -62,6 +61,14 @@ def test_small_pipeline_calls_every_declared_span(tmp_path):
         "encoder": {"hidden_dim": 8, "n_layers": 1, "n_heads": 2,
                     "ff_dim": 16, "max_len": 128},
         "training": {"epochs": 1, "batch_size": 8}}))
+    return config
+
+
+def test_small_pipeline_calls_every_declared_span(tmp_path):
+    # synth to report over the small cohort, then one predict --wav, all
+    # traced
+    tracer_module = load_tracer()
+    config = small_config(tmp_path)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -77,3 +84,21 @@ def test_small_pipeline_calls_every_declared_span(tmp_path):
     for workload in (tracer_module.PIPE, tracer_module.PRED):
         assert tracer_module.zero_call_spans(workload, summary,
                                              summary) == []
+
+
+def test_traced_extract_counts_every_segment_once(tmp_path):
+    # the tracer counts the segments segment_regions hands out; however
+    # extract batches them, features.json must account for each one
+    tracer_module = load_tracer()
+    config = small_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == EXIT_OK
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = main(["extract", "--config", str(config)])
+    finally:
+        tracer.remove()
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "w" / "features.json").read_text())
+    assert tracer.counts["dsp.segment_regions.segments"] == sum(
+        rec["n_segments"] for rec in manifest["recordings"])

@@ -183,12 +183,13 @@ class TestConfigResolution:
         ("synth --seed -1", {}),
         ("synth", {"cohort": {"n_female": -1, "n_male": 0}}),
         ("synth", {"cohort": {"n_female": 0, "n_male": -1}}),
+        ("synth", {"cohort": {"n_female": 0, "n_male": 0}}),
     ], ids=["folds-0", "folds-1", "k_grid-empty", "k_grid-0", "folds-float",
             "k_grid-int", "epochs-string", "test_fraction-string",
             "val_fraction-negative", "val_fraction-1", "select-epochs-0",
             "select-n_heads-3", "select-test_fraction-1.5", "seed-negative",
             "seed-flag-negative", "cohort-n_female-negative",
-            "cohort-n_male-negative"])
+            "cohort-n_male-negative", "cohort-empty"])
     def test_bad_value_exits_config_and_writes_nothing(
             self, pipeline, tmp_path, capsys, command, overrides):
         workdir, _ = pipeline

@@ -10,7 +10,8 @@ import pytest
 import oracles
 from speechbp.audio_io import (AudioClip, load_wav, synthesize_speech,
                                write_wav)
-from speechbp.dsp import Segment, detect_voiced_regions, segment_regions
+from speechbp.dsp import (STACK_ROWS, Segment, detect_voiced_regions,
+                          segment_regions)
 from speechbp.errors import DegenerateInput, InsufficientData, MalformedArtifact
 from speechbp import features as F
 from speechbp.features import (BASE_NAMES, SCHEMAS, SEGMENT_NAMES,
@@ -381,6 +382,65 @@ class TestExtractRecording:
             schema="extended")
         assert vec.names == want.names
         np.testing.assert_array_equal(vec.values, want.values)
+
+    def test_stacks_never_span_two_clips(self, monkeypatch):
+        clips = [self.bracketed(150.0, 3), self.bracketed(120.0, 4)]
+        per_clip = [len(segment_regions(c, detect_voiced_regions(c)))
+                    for c in clips]
+        shapes = []
+        real = F.segment_features
+        monkeypatch.setattr(F, "segment_features", lambda seg: shapes.append(
+            np.shape(seg.samples)) or real(seg))
+        vec = extract_recording(clips)
+        want = [min(STACK_ROWS, n - lo) for n in per_clip
+                for lo in range(0, n, STACK_ROWS)]
+        assert [shape[0] for shape in shapes] == want
+        assert vec.n_segments == sum(per_clip)
+
+
+class TestSegmentStacks:
+    """A stack of segments gives, bit for bit, the rows of its segments."""
+
+    def stack(self, sample_rate, rows, noise_at=None):
+        clip = synthesize_speech(130.0, [(700.0, 1.0), (1200.0, 0.6)], 1.0,
+                                 sample_rate, seed=sample_rate % 97)
+        n = round(0.05 * sample_rate)
+        frames = clip.samples[2 * n:(2 + rows) * n].reshape(rows, n).copy()
+        if noise_at is not None:
+            rng = np.random.default_rng(sample_rate)
+            frames[noise_at] = rng.normal(0.0, 0.3, n)
+        return frames
+
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, 48000])
+    @pytest.mark.parametrize("rows", [1, 3, STACK_ROWS])
+    def test_equals_one_segment_at_a_time(self, sample_rate, rows):
+        frames = self.stack(sample_rate, rows, noise_at=rows // 2)
+        got = segment_features(make_segment(frames, sample_rate))
+        want = np.array([segment_features(make_segment(f, sample_rate))
+                         for f in frames])
+        assert got.shape == (rows, len(SEGMENT_NAMES))
+        assert np.array_equal(got, want)
+        assert got[rows // 2, col("pitch_hz")] == 0.0
+        assert rows == 1 or np.all(np.delete(got[:, col("pitch_hz")],
+                                             rows // 2) > 0.0)
+
+    def test_constant_row_raises_as_alone(self):
+        frames = self.stack(48000, 3)
+        frames[1] = 0.25
+        with pytest.raises(InsufficientData) as alone:
+            segment_features(make_segment(frames[1]))
+        with pytest.raises(InsufficientData) as stacked:
+            segment_features(make_segment(frames))
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == "constant signal has no skewness"
+
+    def test_non_finite_row_raises(self):
+        frames = self.stack(48000, 3)
+        frames[2, 100] = np.nan
+        with pytest.raises(ValueError) as info:
+            segment_features(make_segment(frames))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "frame contains non-finite samples"
 
 
 class TestCsvRoundTrip:
