@@ -25,7 +25,7 @@ import numpy as np
 
 from .artifacts import read_json, write_bytes, write_csv, write_json
 from .audio_io import load_wav
-from .dataset import (Scaler, apply_scaler, build_examples,
+from .dataset import (TEST_FRACTION, Scaler, apply_scaler, build_examples,
                       correlation_matrix, fit_scaler, read_manifest,
                       scaler_from_dict, scaler_to_dict, split,
                       synthesize_cohort, write_manifest)
@@ -57,11 +57,10 @@ WORKDIR_ENV = "BP_WORKDIR"
 DEFAULT_WORKDIR = "runs"
 
 
-def _field_defaults(cls) -> dict:
-    """A config dataclass's field defaults, less the fields the pipeline
-    fills in itself."""
-    return {f.name: f.default for f in fields(cls)
-            if f.name not in ("vocab_size", "seed", "target_scaler")}
+def _field_defaults(cls, *settable) -> dict:
+    """The defaults of a config dataclass's settable fields; the pipeline
+    fills in or fixes the others."""
+    return {f.name: f.default for f in fields(cls) if f.name in settable}
 
 
 # every key is optional in the JSON file; unknown keys are rejected
@@ -69,12 +68,12 @@ CONFIG_DEFAULTS = {
     "workdir": None,
     "seed": 0,
     "schema": BASE_SCHEMA,
-    "decimals": DEFAULT_DECIMALS,
     "cohort": {"n_female": 45, "n_male": 50},
     "selection": {"folds": DEFAULT_FOLDS, "k_grid": list(DEFAULT_K_GRID)},
-    "split": {"test_fraction": 0.2, "val_fraction": 0.1},
-    "encoder": _field_defaults(EncoderConfig),
-    "training": _field_defaults(TrainConfig),
+    "encoder": _field_defaults(EncoderConfig, "hidden_dim", "n_layers",
+                               "n_heads", "ff_dim", "max_len"),
+    "training": _field_defaults(TrainConfig, "epochs", "batch_size",
+                                "learning_rate"),
 }
 
 
@@ -83,10 +82,8 @@ class PipelineConfig:
     workdir: Path
     seed: int
     schema: str
-    decimals: int
     cohort: dict
     selection: dict
-    split: dict
     encoder: dict
     training: dict
 
@@ -102,7 +99,7 @@ def _merge_section(defaults: dict, given: dict, where: str) -> dict:
     merged = dict(defaults)
     for key, value in given.items():
         if key not in defaults:
-            raise ConfigError(f"unknown config key {where}{key!r}")
+            raise ConfigError(f"unknown config key {where + key!r}")
         accepted, what = _JSON_TYPES[type(defaults[key])]
         # a bool is an int to Python, but no config value is a bool
         if isinstance(value, bool) or not isinstance(value, accepted):
@@ -155,18 +152,12 @@ def resolve_config(config_path, seed_override=None,
                           "got n_female + n_male = 0")
     if merged["schema"] not in SCHEMAS:
         raise ConfigError(f"unknown feature schema {merged['schema']!r}")
-    if not 0 <= merged["decimals"] <= 12:
-        raise ConfigError("decimals must lie in [0, 12]")
     if merged["selection"]["folds"] < 2:
         raise ConfigError("selection.folds must be at least 2")
     k_grid = merged["selection"]["k_grid"]
     if not k_grid or not all(type(k) is int and k >= 1 for k in k_grid):
         raise ConfigError(
             "selection.k_grid must be a non-empty list of integers >= 1")
-    if not 0.0 < merged["split"]["test_fraction"] < 1.0:
-        raise ConfigError("split.test_fraction must lie in (0, 1)")
-    if not 0.0 <= merged["split"]["val_fraction"] < 1.0:
-        raise ConfigError("split.val_fraction must lie in [0, 1)")
     # the dataclasses' own checks, so every command rejects what train
     # would; the four specials are the smallest vocabulary
     try:
@@ -266,7 +257,7 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
         raise MalformedArtifact(f"{path}: not a model pipeline "
                                 f"({type(err).__name__}: {err})") from None
     kept = _feature_names(kept, f"{path}: kept_features")
-    # as resolve_config requires; a bool is an int to Python
+    # the record is input like any file; a bool is an int to Python
     if type(decimals) is not int or not 0 <= decimals <= 12:
         raise MalformedArtifact(f"{path}: decimals must be an integer in "
                                 f"[0, 12], got {decimals!r}")
@@ -357,7 +348,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     kept = _feature_names(read_json(selection, {"kept": list})["kept"],
                           f"{selection}: kept")
 
-    train_ex, test_ex = split(examples, cfg.split["test_fraction"], cfg.seed)
+    train_ex, test_ex = split(examples, TEST_FRACTION, cfg.seed)
     X = np.array([ex.features.values for ex in train_ex])
     feature_scaler = fit_scaler(_kept_columns(names, X, kept), "standard",
                                 on_constant="center")
@@ -370,10 +361,9 @@ def cmd_train(cfg: PipelineConfig) -> int:
     sequences = [LabeledSequence(ex.participant_id, seq, ex.sbp_target,
                                  ex.dbp_target)
                  for ex, seq in zip(train_ex, _encode(
-                     names, X, kept, feature_scaler, cfg.decimals,
+                     names, X, kept, feature_scaler, DEFAULT_DECIMALS,
                      enc.max_len))]
-    train_part, val_part = validation_split(sequences, cfg.seed,
-                                            cfg.split["val_fraction"])
+    train_part, val_part = validation_split(sequences, cfg.seed)
     params, history = train(enc, init_params(enc), train_part, val_part,
                             TrainConfig(seed=cfg.seed, **cfg.training,
                                         target_scaler=target_scaler))
@@ -381,7 +371,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     (cfg.workdir / "model").mkdir(parents=True, exist_ok=True)
     save_params(cfg.workdir / "model" / "params.bin", enc, params, {
         "schema_id": fman["schema_id"],
-        "decimals": cfg.decimals,
+        "decimals": DEFAULT_DECIMALS,
         "kept_features": list(kept),
         "feature_scaler": scaler_to_dict(feature_scaler),
         "target_scaler": scaler_to_dict(target_scaler),

@@ -8,6 +8,7 @@ acoustics (f0 tracks systolic, first formant tracks diastolic).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -25,6 +26,9 @@ AGE_RANGE = (20, 70)
 
 SBP_THRESHOLD = 115.0
 DBP_THRESHOLD = 72.0
+
+# the share of the cohort that `bp train` holds out for `bp eval`
+TEST_FRACTION = 0.2
 
 # Per-sex (min, max, mean, std) for systolic and diastolic pressure.
 DEFAULT_PROFILE = {
@@ -89,6 +93,8 @@ class ParticipantRecord:
         for v, what in ((self.dbp_initial, "initial DBP"),
                         (self.dbp_final, "final DBP")):
             _check_bp(v, *DBP_RANGE, what)
+        if self.heart_rate is not None and not math.isfinite(self.heart_rate):
+            raise ValueError(f"heart rate {self.heart_rate} is not finite")
         if self.dbp_initial >= self.sbp_initial:
             raise ValueError("initial DBP must stay below SBP")
         if self.dbp_final >= self.sbp_final:

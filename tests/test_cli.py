@@ -202,6 +202,29 @@ class TestConfigResolution:
         assert snapshot(clone) == before
         assert not (clone / "wav").exists()
 
+    @pytest.mark.parametrize("command", ["train", "select"])
+    @pytest.mark.parametrize("overrides, key", [
+        ({"decimals": 2}, "decimals"),
+        # the whole section is unknown, so the message names the section
+        ({"split": {"test_fraction": 0.2}}, "split"),
+        ({"split": {"val_fraction": 0.1}}, "split"),
+        ({"encoder": {"dropout_p": 0.1}}, "encoder.dropout_p"),
+        ({"encoder": {"layernorm_epsilon": 1e-5}},
+         "encoder.layernorm_epsilon"),
+    ], ids=["decimals", "split-test_fraction", "split-val_fraction",
+            "dropout_p", "layernorm_epsilon"])
+    def test_fixed_value_is_an_unknown_key(self, pipeline, tmp_path, capsys,
+                                           overrides, key, command):
+        # fixed values of the experiment, not settings, even at their value
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        before = snapshot(clone)
+        config = write_config(tmp_path / "c.json", clone, **overrides)
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: unknown config key {key!r}\n"
+        assert snapshot(clone) == before
+
     def test_negative_seed_names_the_key(self):
         with pytest.raises(ConfigError, match=re.escape(
                 "seed must be a non-negative integer, got -1")):

@@ -8,8 +8,9 @@ import pytest
 import oracles
 from speechbp import dataset as D
 from speechbp.audio_io import AudioClip
-from speechbp.dataset import (LabeledExample, ParticipantRecord, Scaler,
-                              apply_scaler, build_examples,
+from speechbp.dataset import (TEST_FRACTION, LabeledExample,
+                              ParticipantRecord, Scaler, apply_scaler,
+                              build_examples,
                               correlation_matrix, fit_scaler, invert_scaler,
                               label_hypertension, read_manifest,
                               scaler_from_dict, scaler_to_dict, split,
@@ -224,6 +225,18 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(fake_examples(5, 5), 1.0, seed=0)
 
+    def test_pipeline_fraction_leaves_both_sides(self):
+        # every cohort that split accepts, up to 60 per class, gets a test
+        # example at the pipeline's share and keeps training examples of
+        # both classes
+        pool = fake_examples(60, 60)
+        for n0 in range(2, 61):
+            for n1 in range(2, 61):
+                train, test = split(pool[:n0] + pool[60:60 + n1],
+                                    TEST_FRACTION, seed=3)
+                assert test, (n0, n1)
+                assert {e.hypertension for e in train} == {0, 1}, (n0, n1)
+
 
 class TestCohort:
     def test_sizes_and_ids(self):
@@ -341,7 +354,12 @@ class TestManifest:
         ("sex", "X", "sex must be F or M"),
         ("sbp_final", "300", r"final SBP 300.0 outside \[60.0, 260.0\]"),
         ("dbp_initial", "159", "initial DBP must stay below SBP"),
-    ], ids=["age", "sex", "sbp", "dbp-above-sbp"])
+        # float() reads these, but no heart rate is one
+        ("heart_rate", "nan", "heart rate nan is not finite"),
+        ("heart_rate", "inf", "heart rate inf is not finite"),
+        ("heart_rate", "-inf", "heart rate -inf is not finite"),
+    ], ids=["age", "sex", "sbp", "dbp-above-sbp", "heart_rate-nan",
+            "heart_rate-inf", "heart_rate-neg-inf"])
     def test_invalid_record_is_malformed(self, tmp_path, column, value,
                                          message):
         p = tmp_path / "manifest.csv"
