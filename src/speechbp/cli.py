@@ -263,7 +263,7 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
                                 f"[0, 12], got {decimals!r}")
     if not (isinstance(schema_id, str) and schema_id in SCHEMAS):
         raise MalformedArtifact(f"{path}: unknown schema_id {schema_id!r}")
-    if not (isinstance(test_ids, list)
+    if not (isinstance(test_ids, list) and test_ids
             and all(isinstance(i, str) for i in test_ids)):
         raise MalformedArtifact(f"{path}: split.test must be a list of "
                                 f"participant ids, got {test_ids!r}")

@@ -3,16 +3,15 @@
 Pure numpy, all float64, no autograd: `forward` retains the activations a
 reverse sweep needs and `backward` replays them into exact gradients for
 every parameter array.  Every dense layer goes back through one rule, whose
-weight gradient sums per-example products in batch order, so the trained
-bytes do not follow the BLAS thread count.  The layout is the familiar
-post-norm encoder stack: token + position embeddings, L blocks of masked
-multi-head self-attention and a GELU feed-forward (each followed by residual
-+ layernorm), a tanh pooler over the first position, dropout on the pooled
-vector in train mode, and one linear head per pressure target.  Since the
-pooler reads position 0 alone, the last block computes only that row: its
-keys and values still span every position, but its queries, attention
-output, both layernorms and the feed-forward run on row 0, in forward and in
-backward.
+weight gradient is one product over all of a batch's rows.  The layout is
+the familiar post-norm encoder stack: token + position embeddings, L blocks
+of masked multi-head self-attention and a GELU feed-forward (each followed
+by residual + layernorm), a tanh pooler over the first position, dropout on
+the pooled vector in train mode, and one linear head per pressure target.
+Since the pooler reads position 0 alone, the last block computes only that
+row: its keys and values still span every position, but its queries,
+attention output, both layernorms and the feed-forward run on row 0, in
+forward and in backward.
 
 Weights live in a flat dict keyed by the names `param_shapes` defines, which
 is also the serialization order of the on-disk container.
@@ -363,13 +362,10 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
 
 def _dense_backward(d_out, src, params, grads, weight, bias=None):
     """Backward of the dense layer `src @ params[weight] + params[bias]`:
-    fills its gradients in `grads` and returns d loss / d src."""
-    # per-example products summed in batch order: OpenBLAS would sum one
-    # product over all B*T rows in an order set by its thread count
-    b = len(src)
-    grads[weight] = np.add.reduce(
-        src.reshape(b, -1, src.shape[-1]).transpose(0, 2, 1)
-        @ d_out.reshape(b, -1, d_out.shape[-1]), axis=0)
+    fills its gradients in `grads`, the weight's as one product over every
+    row, and returns d loss / d src."""
+    grads[weight] = (src.reshape(-1, src.shape[-1]).T
+                     @ d_out.reshape(-1, d_out.shape[-1]))
     if bias:
         grads[bias] = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
     return d_out @ params[weight].T

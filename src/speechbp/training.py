@@ -8,7 +8,9 @@ per (seed, epoch, batch), and Adam runs in plain float64.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +33,13 @@ DIVERGENCE_LIMIT = 1000.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+try:  # the thread controls of the OpenBLAS that numpy bundles, if it does
+    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _get_threads = _blas.scipy_openblas_get_num_threads64_
+    _set_threads = _blas.scipy_openblas_set_num_threads64_
+except (AttributeError, OSError):
+    _get_threads, _set_threads = (lambda: 1), (lambda n: None)
 
 
 @dataclass(frozen=True)
@@ -182,21 +191,28 @@ def _targets(examples) -> np.ndarray:
     return np.array([[ex.sbp, ex.dbp] for ex in examples], dtype=np.float64)
 
 
+@contextmanager
+def _one_blas_thread():
+    """One OpenBLAS thread, then the caller's count again: a second thread
+    buys this model nothing and makes the trained bytes follow the count."""
+    before = _get_threads()
+    _set_threads(1)
+    try:
+        yield
+    finally:
+        _set_threads(before)
+
+
 def _predict(enc_config, params, sequences):
     """Eval-mode predictions for token sequences in fixed-size chunks, in
     scaler units, (n, 2)."""
     rows = []
-    for start in range(0, len(sequences), EVAL_BATCH):
-        out = forward(enc_config, params,
-                      sequences[start:start + EVAL_BATCH], mode="eval")
-        rows.append(np.hstack([out.sbp_pred, out.dbp_pred]))
+    with _one_blas_thread():
+        for start in range(0, len(sequences), EVAL_BATCH):
+            out = forward(enc_config, params,
+                          sequences[start:start + EVAL_BATCH], mode="eval")
+            rows.append(np.hstack([out.sbp_pred, out.dbp_pred]))
     return np.vstack(rows)
-
-
-def _dataset_loss(enc_config, params, examples, z_targets) -> float:
-    preds = _predict(enc_config, params, [ex.sequence for ex in examples])
-    return total_loss(preds[:, 0], preds[:, 1],
-                      z_targets[:, 0], z_targets[:, 1])
 
 
 def train(enc_config: EncoderConfig, params: dict,
@@ -222,34 +238,37 @@ def train(enc_config: EncoderConfig, params: dict,
     state = init_adam_state(params)
     step = 0
     train_hist, val_hist = [], []
-    for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng((config.seed, epoch)).permutation(n)
-        running = 0.0
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
-            batch = [train_set[i].sequence for i in idx]
-            out = forward(enc_config, params, batch, mode="train",
-                          dropout_seed=(config.seed, epoch, bi))
-            zb = z[idx]
-            loss = total_loss(out.sbp_pred, out.dbp_pred, zb[:, 0], zb[:, 1])
-            if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-                raise TrainingDiverged(
-                    f"loss {loss:.3g} at epoch {epoch}, batch {bi}")
-            gs, gd = total_loss_gradients(out.sbp_pred, out.dbp_pred,
-                                          zb[:, 0], zb[:, 1])
-            grads = backward(enc_config, params, out, gs, gd)
-            step += 1
-            adam_step(params, grads, state, step, config)
-            running += loss * len(idx)
-        train_hist.append(running / n)
-        if val_set:
-            val_loss = _dataset_loss(enc_config, params, val_set, z_val)
-            if not math.isfinite(val_loss) or val_loss > DIVERGENCE_LIMIT:
-                raise TrainingDiverged(
-                    f"val loss {val_loss:.3g} at epoch {epoch}")
-        else:
-            val_loss = math.nan
-        val_hist.append(val_loss)
+    with _one_blas_thread():
+        for epoch in range(1, config.epochs + 1):
+            order = np.random.default_rng((config.seed, epoch)).permutation(n)
+            running = 0.0
+            for bi, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[start:start + config.batch_size]
+                batch = [train_set[i].sequence for i in idx]
+                out = forward(enc_config, params, batch, mode="train",
+                              dropout_seed=(config.seed, epoch, bi))
+                zb = z[idx]
+                loss = total_loss(out.sbp_pred, out.dbp_pred, *zb.T)
+                if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                    raise TrainingDiverged(
+                        f"loss {loss:.3g} at epoch {epoch}, batch {bi}")
+                gs, gd = total_loss_gradients(out.sbp_pred, out.dbp_pred,
+                                              *zb.T)
+                grads = backward(enc_config, params, out, gs, gd)
+                step += 1
+                adam_step(params, grads, state, step, config)
+                running += loss * len(idx)
+            train_hist.append(running / n)
+            if val_set:
+                pv = _predict(enc_config, params,
+                              [ex.sequence for ex in val_set])
+                val_loss = total_loss(*pv.T, *z_val.T)
+                if not math.isfinite(val_loss) or val_loss > DIVERGENCE_LIMIT:
+                    raise TrainingDiverged(
+                        f"val loss {val_loss:.3g} at epoch {epoch}")
+            else:
+                val_loss = math.nan
+            val_hist.append(val_loss)
     return params, TrainHistory(train_loss=tuple(train_hist),
                                 val_loss=tuple(val_hist))
 

@@ -1001,6 +1001,18 @@ class TestDamagedModel:
                        "participant ids, got [[1]]"]
         assert snapshot(clone) == before
 
+    def test_eval_empty_test_ids_exits_io(self, pipeline, tmp_path, capsys):
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "model")
+        path = clone / "model" / "params.bin"
+        _signed_record(_test_ids([]))(path)
+        before = snapshot(clone)
+        assert main(["eval", "--workdir", str(clone)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: split.test must be a list of "
+                       "participant ids, got []"]
+        assert snapshot(clone) == before
+
     def test_format_1_file_exits_io(self, pipeline, tmp_path, capsys):
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
@@ -1298,10 +1310,11 @@ class TestEntryPoint:
         assert payload["input"] == "M001"
 
     def test_params_independent_of_blas_threads(self, tmp_path, console_env):
-        # the criterion-09 config trained in two processes, at one and at
-        # two OpenBLAS threads; a weight gradient that OpenBLAS reduces over
-        # all of a batch's rows in one product changes its last bits with
-        # the thread count, and the trained weights follow
+        # the criterion-09 config trained, evaluated and asked for one
+        # prediction in two processes, at one and at two OpenBLAS threads; a
+        # weight gradient that OpenBLAS reduces over all of a batch's rows
+        # in one product changes its last bits with the thread count, and
+        # the trained weights, metrics and predictions follow
         workdir = tmp_path / "work"
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -1310,11 +1323,17 @@ class TestEntryPoint:
                          "learning_rate": 1e-3}}))
         for command in ("synth", "extract", "select"):
             assert main([command, "--config", str(config)]) == EXIT_OK
-        digests = []
+        digests, metrics, predictions = [], [], []
         for threads in ("1", "2"):
-            result = subprocess.run(
-                ["bp", "train", "--config", str(config)], capture_output=True,
-                text=True, env={**console_env, "OPENBLAS_NUM_THREADS": threads})
-            assert result.returncode == 0, result.stderr
+            env = {**console_env, "OPENBLAS_NUM_THREADS": threads}
+            for argv in (["train"], ["eval"], ["predict", "--row", "M001"]):
+                result = subprocess.run(
+                    ["bp", *argv, "--config", str(config)],
+                    capture_output=True, text=True, env=env)
+                assert result.returncode == 0, result.stderr
             digests.append(sha(workdir / "model" / "params.bin"))
+            metrics.append(sha(workdir / "metrics.json"))
+            predictions.append(result.stdout)
         assert digests[0] == digests[1]
+        assert metrics[0] == metrics[1]
+        assert predictions[0] == predictions[1]

@@ -1,11 +1,13 @@
 """Tests for metrics, Adam, the training loop, and report writers."""
 
+import ctypes
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from speechbp import training
 from speechbp.artifacts import write_json
 from speechbp.dataset import fit_scaler
 from speechbp.errors import InsufficientData, TrainingDiverged
@@ -24,6 +26,14 @@ from speechbp.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                                write_metrics_json)
 
 VOCAB = build_vocabulary(BASE_NAMES)
+
+# the thread controls of the OpenBLAS that numpy bundles, when it does
+try:
+    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    BLAS_GET = _blas.scipy_openblas_get_num_threads64_
+    BLAS_SET = _blas.scipy_openblas_set_num_threads64_
+except (AttributeError, OSError):
+    BLAS_GET = BLAS_SET = None
 
 
 def toy_encoder(**kw):
@@ -356,6 +366,58 @@ class TestTrain:
                                      learning_rate=1e-3, seed=0,
                                      target_scaler=scaler))
         assert any(not np.array_equal(frozen[n], after[n]) for n in frozen)
+
+
+@pytest.mark.skipif(BLAS_GET is None,
+                    reason="numpy bundles no scipy-openblas")
+class TestOneBlasThread:
+    """The encoder runs at one OpenBLAS thread inside train and
+    predict_pressures, and the caller's count is back once they return or
+    raise."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        counts = []
+
+        def recording(*args, **kwargs):
+            counts.append(BLAS_GET())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", recording)
+        before = BLAS_GET()
+        BLAS_SET(2)
+        assert BLAS_GET() == 2
+        yield counts
+        BLAS_SET(before)
+
+    def test_train(self, seen):
+        enc = toy_encoder()
+        examples = labeled_examples()
+        train(enc, init_params(enc), examples[:8], examples[8:],
+              TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3,
+                          seed=0, target_scaler=target_scaler(examples)))
+        # two train batches and one validation batch per epoch
+        assert seen == [1] * 6
+        assert BLAS_GET() == 2
+
+    def test_predict_pressures(self, seen):
+        enc = toy_encoder()
+        examples = labeled_examples()
+        predict_pressures(enc, init_params(enc),
+                          [ex.sequence for ex in examples],
+                          target_scaler(examples))
+        assert seen == [1]
+        assert BLAS_GET() == 2
+
+    def test_train_diverged(self, seen):
+        enc = toy_encoder()
+        examples = labeled_examples()
+        with pytest.raises(TrainingDiverged):
+            train(enc, init_params(enc), examples, [],
+                  TrainConfig(epochs=12, batch_size=4, learning_rate=10.0,
+                              seed=0, target_scaler=target_scaler(examples)))
+        assert seen and set(seen) == {1}
+        assert BLAS_GET() == 2
 
 
 class TestEvaluate:
