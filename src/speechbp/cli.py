@@ -25,9 +25,9 @@ import numpy as np
 
 from .artifacts import read_json, write_bytes, write_csv, write_json
 from .audio_io import load_wav
-from .dataset import (TEST_FRACTION, Scaler, apply_scaler, build_examples,
-                      correlation_matrix, fit_scaler, read_manifest,
-                      scaler_from_dict, scaler_to_dict, split,
+from .dataset import (Scaler, apply_scaler, build_examples,
+                      correlation_matrix, fit_scaler, partition,
+                      read_manifest, scaler_from_dict, scaler_to_dict,
                       synthesize_cohort, write_manifest)
 from .errors import (ConfigError, DegenerateInput, InsufficientData,
                      MalformedArtifact, TrainingDiverged)
@@ -42,8 +42,8 @@ from .textcodec import (DEFAULT_DECIMALS, SPECIALS, build_vocabulary,
                         serialize_features, tokenize)
 from .training import (LabeledSequence, TrainConfig, confusion_matrix,
                        evaluate, label_prediction, predict_pressures,
-                       read_history_csv, train, validation_split,
-                       write_history_csv, write_metrics_json)
+                       read_history_csv, train, write_history_csv,
+                       write_metrics_json)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -216,14 +216,14 @@ def _kept_columns(names, X, kept) -> np.ndarray:
     return X.take([names.index(k) for k in kept], axis=1)
 
 
-def _encode(names, X, kept, feature_scaler, decimals, max_len) -> list:
+def _encode(names, X, kept, feature_scaler, max_len) -> list:
     """Model input for feature rows: the kept columns, scaled as one
     matrix, rendered as "name value" text and tokenized."""
     vocab = build_vocabulary(kept)
     Z = apply_scaler(feature_scaler, _kept_columns(names, X, kept))
     return [tokenize(serialize_features(
                 FeatureVector(names=kept, values=z, n_segments=0,
-                              schema_id=""), decimals), vocab, max_len)
+                              schema_id="")), vocab, max_len)
             for z in Z]
 
 
@@ -232,7 +232,6 @@ class ModelBundle:
     enc: EncoderConfig
     params: dict
     kept: tuple
-    decimals: int
     feature_scaler: Scaler
     target_scaler: Scaler
     schema_id: str
@@ -258,16 +257,16 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
                                 f"({type(err).__name__}: {err})") from None
     kept = _feature_names(kept, f"{path}: kept_features")
     # the record is input like any file; a bool is an int to Python
-    if type(decimals) is not int or not 0 <= decimals <= 12:
-        raise MalformedArtifact(f"{path}: decimals must be an integer in "
-                                f"[0, 12], got {decimals!r}")
+    if type(decimals) is not int or decimals != DEFAULT_DECIMALS:
+        raise MalformedArtifact(f"{path}: decimals must be "
+                                f"{DEFAULT_DECIMALS}, got {decimals!r}")
     if not (isinstance(schema_id, str) and schema_id in SCHEMAS):
         raise MalformedArtifact(f"{path}: unknown schema_id {schema_id!r}")
     if not (isinstance(test_ids, list) and test_ids
             and all(isinstance(i, str) for i in test_ids)):
         raise MalformedArtifact(f"{path}: split.test must be a list of "
                                 f"participant ids, got {test_ids!r}")
-    model = ModelBundle(enc=enc, params=params, kept=kept, decimals=decimals,
+    model = ModelBundle(enc=enc, params=params, kept=kept,
                         feature_scaler=feature_scaler,
                         target_scaler=target_scaler, schema_id=schema_id,
                         test_ids=tuple(test_ids))
@@ -348,22 +347,26 @@ def cmd_train(cfg: PipelineConfig) -> int:
     kept = _feature_names(read_json(selection, {"kept": list})["kept"],
                           f"{selection}: kept")
 
-    train_ex, test_ex = split(examples, TEST_FRACTION, cfg.seed)
-    X = np.array([ex.features.values for ex in train_ex])
+    train_idx, val_idx, test_idx = partition(
+        [ex.hypertension for ex in examples], cfg.seed)
+    # both scalers see the train and validation rows, in manifest order
+    fit_ex = [examples[i] for i in sorted(train_idx + val_idx)]
+    X = np.array([ex.features.values for ex in fit_ex])
     feature_scaler = fit_scaler(_kept_columns(names, X, kept), "standard",
                                 on_constant="center")
     target_scaler = fit_scaler(
-        np.array([[ex.sbp_target, ex.dbp_target] for ex in train_ex]),
+        np.array([[ex.sbp_target, ex.dbp_target] for ex in fit_ex]),
         "standard", names=("SBP", "DBP"))
 
     enc = EncoderConfig(vocab_size=len(build_vocabulary(kept)),
                         seed=cfg.seed, **cfg.encoder)
-    sequences = [LabeledSequence(ex.participant_id, seq, ex.sbp_target,
-                                 ex.dbp_target)
-                 for ex, seq in zip(train_ex, _encode(
-                     names, X, kept, feature_scaler, DEFAULT_DECIMALS,
-                     enc.max_len))]
-    train_part, val_part = validation_split(sequences, cfg.seed)
+    sequences = {ex.participant_id: LabeledSequence(
+                     ex.participant_id, seq, ex.sbp_target, ex.dbp_target)
+                 for ex, seq in zip(fit_ex, _encode(names, X, kept,
+                                                    feature_scaler,
+                                                    enc.max_len))}
+    train_part = [sequences[examples[i].participant_id] for i in train_idx]
+    val_part = [sequences[examples[i].participant_id] for i in val_idx]
     params, history = train(enc, init_params(enc), train_part, val_part,
                             TrainConfig(seed=cfg.seed, **cfg.training,
                                         target_scaler=target_scaler))
@@ -378,7 +381,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
         "split": {
             "train": [s.participant_id for s in train_part],
             "val": [s.participant_id for s in val_part],
-            "test": [ex.participant_id for ex in test_ex],
+            "test": [examples[i].participant_id for i in test_idx],
         },
     })
     write_history_csv(cfg.workdir / "loss_curve.csv", history)
@@ -397,8 +400,7 @@ def cmd_eval(cfg: PipelineConfig) -> int:
         raise InsufficientData(f"test participants {missing} have no features")
     test_ex = [by_id[i] for i in model.test_ids]
     seqs = _encode(names, np.array([ex.features.values for ex in test_ex]),
-                   model.kept, model.feature_scaler, model.decimals,
-                   model.enc.max_len)
+                   model.kept, model.feature_scaler, model.enc.max_len)
 
     preds = predict_pressures(model.enc, model.params, seqs,
                               model.target_scaler)
@@ -434,7 +436,7 @@ def cmd_predict(cfg: PipelineConfig, wav=None, row=None) -> int:
         source = str(row)
 
     seqs = _encode(vector.names, vector.values[None], model.kept,
-                   model.feature_scaler, model.decimals, model.enc.max_len)
+                   model.feature_scaler, model.enc.max_len)
     sbp, dbp = predict_pressures(model.enc, model.params, seqs,
                                  model.target_scaler)[0]
     print(json.dumps({"input": source, "sbp_mmhg": float(sbp),

@@ -1,4 +1,4 @@
-"""Participant records, labeling, scaling, splitting, and cohort synthesis.
+"""Participant records, labeling, scaling, partitioning, and cohort synthesis.
 
 The synthetic cohort exists so the whole pipeline can run end to end without
 clinical data: blood pressure values are drawn per sex from bounded normal
@@ -27,8 +27,10 @@ AGE_RANGE = (20, 70)
 SBP_THRESHOLD = 115.0
 DBP_THRESHOLD = 72.0
 
-# the share of the cohort that `bp train` holds out for `bp eval`
+# the share of the cohort that `bp train` holds out for `bp eval`, and the
+# share of the rest that it holds out to report a validation loss
 TEST_FRACTION = 0.2
+VAL_FRACTION = 0.1
 
 # Per-sex (min, max, mean, std) for systolic and diastolic pressure.
 DEFAULT_PROFILE = {
@@ -187,54 +189,67 @@ def scaler_to_dict(scaler: Scaler) -> dict:
 
 
 def scaler_from_dict(payload: dict) -> Scaler:
+    if payload["kind"] != "standard":
+        raise ValueError(f"unknown scaler kind {payload['kind']!r}")
     return Scaler(kind=payload["kind"],
                   center=np.array(payload["center"], dtype=np.float64),
                   scale=np.array(payload["scale"], dtype=np.float64))
 
 
-# --- splitting ---
+# --- partitioning ---
 
-def split(examples: Sequence[LabeledExample], test_fraction: float,
-          seed: int):
-    """Seeded, class-stratified partition into (train, test).
+def stratified_order(labels, seed: int) -> dict:
+    """{class: its positions in `labels`, in drawn order}, classes ascending.
 
-    Each class contributes floor or ceil of its proportional test share;
-    leftover seats go to the classes with the largest fractional parts so
-    the overall test size lands on round(n * test_fraction).
+    Each class draws from its own rng stream, keyed on (seed, class), so the
+    draw for one class never disturbs another's.  The test and validation
+    parts and relieff's CV folds all take their members from this order.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
-    by_class: dict = {}
-    for i, ex in enumerate(examples):
-        by_class.setdefault(ex.hypertension, []).append(i)
-    for label, members in sorted(by_class.items()):
+    labels = np.asarray(labels, dtype=np.int64)
+    order = {}
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        rng = np.random.default_rng((seed, int(label)))
+        order[int(label)] = members[rng.permutation(len(members))]
+    return order
+
+
+def partition(labels, seed: int):
+    """Seeded, class-stratified (train, val, test) positions into `labels`,
+    each list ascending.
+
+    Each class gives floor or ceil of its TEST_FRACTION share to the test
+    part; leftover seats go to the classes with the largest fractional parts
+    so the test size lands on round(n * TEST_FRACTION), and no class gives
+    up its last member.  The validation part is int(m * VAL_FRACTION) of each
+    class's m remaining members, drawn over the remaining positions alone.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    order = stratified_order(labels, seed)
+    for label, members in order.items():
         if len(members) < 2:
             raise InsufficientData(
                 f"class {label} has {len(members)} example(s); need >= 2")
 
-    total_test = int(round(len(examples) * test_fraction))
-    shares = {label: len(m) * test_fraction for label, m in by_class.items()}
+    total_test = int(round(len(labels) * TEST_FRACTION))
+    shares = {label: len(m) * TEST_FRACTION for label, m in order.items()}
     counts = {label: int(np.floor(s)) for label, s in shares.items()}
     leftovers = total_test - sum(counts.values())
-    by_fraction = sorted(by_class, key=lambda c: (counts[c] - shares[c], c))
-    for label in by_fraction:
+    for label in sorted(order, key=lambda c: (counts[c] - shares[c], c)):
         if leftovers <= 0:
             break
-        if counts[label] + 1 < len(by_class[label]):
+        if counts[label] + 1 < len(order[label]):
             counts[label] += 1
             leftovers -= 1
+    test = sorted(int(i) for label, drawn in order.items()
+                  for i in drawn[:counts[label]])
 
-    test_idx: list = []
-    for label in sorted(by_class):
-        members = np.array(by_class[label])
-        rng = np.random.default_rng((seed, int(label)))
-        chosen = members[rng.permutation(len(members))[:counts[label]]]
-        test_idx.extend(int(i) for i in chosen)
-
-    test_set = set(test_idx)
-    train = [examples[i] for i in range(len(examples)) if i not in test_set]
-    test = [examples[i] for i in range(len(examples)) if i in test_set]
-    return train, test
+    rest = np.setdiff1d(np.arange(len(labels)), test)
+    val = sorted(int(rest[i])
+                 for drawn in stratified_order(labels[rest], seed).values()
+                 for i in drawn[:int(len(drawn) * VAL_FRACTION)])
+    train = [int(i) for i in np.setdiff1d(rest, val)]
+    return train, val, test
 
 
 # --- synthetic cohort ---

@@ -63,19 +63,17 @@ def segment_length(sample_rate: int) -> int:
 
 
 @cache
-def gaussian_window(n: int, sigma: float = DEFAULT_WINDOW_SIGMA) -> np.ndarray:
-    """w[i] = exp(-0.5 * ((i - (n-1)/2) / (sigma * (n-1)/2))^2), peak 1 at center.
+def gaussian_window(n: int) -> np.ndarray:
+    """w[i] = exp(-0.5 * ((i - (n-1)/2) / (sigma * (n-1)/2))^2), peak 1 at
+    center, with sigma = DEFAULT_WINDOW_SIGMA.
 
-    Built once per argument tuple and returned read-only, shared by every
-    caller.
+    Built once per length and returned read-only, shared by every caller.
     """
     if n < 2:
         raise ValueError(f"window needs n >= 2, got {n}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     half = (n - 1) / 2.0
     i = np.arange(n)
-    w = np.exp(-0.5 * ((i - half) / (sigma * half)) ** 2)
+    w = np.exp(-0.5 * ((i - half) / (DEFAULT_WINDOW_SIGMA * half)) ** 2)
     w.flags.writeable = False
     return w
 

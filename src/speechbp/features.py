@@ -69,9 +69,10 @@ def hz_from_mel(m):
 
 
 @cache
-def mel_filterbank(sample_rate: int, n_bins: int, fft_size: int,
-                   n_filters: int = N_MEL_FILTERS) -> np.ndarray:
-    """Triangular filters spanning 0 Hz to Nyquist, evaluated at bin centers.
+def mel_filterbank(sample_rate: int, n_bins: int,
+                   fft_size: int) -> np.ndarray:
+    """N_MEL_FILTERS triangular filters spanning 0 Hz to Nyquist, evaluated
+    at bin centers.
 
     Rows are filters, columns are spectrum bins; each filter rises linearly
     in Hz from its left edge to 1.0 at its center and falls to the right
@@ -79,7 +80,7 @@ def mel_filterbank(sample_rate: int, n_bins: int, fft_size: int,
     argument tuple and returned read-only, shared by every caller.
     """
     edges = hz_from_mel(np.linspace(0.0, mel_from_hz(sample_rate / 2.0),
-                                    n_filters + 2))
+                                    N_MEL_FILTERS + 2))
     freqs = np.arange(n_bins) * (sample_rate / fft_size)
     left = edges[:-2, None]
     center = edges[1:-1, None]

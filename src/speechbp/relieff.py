@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import write_csv, write_json
+from .dataset import stratified_order
 from .errors import InsufficientData
 
 DEFAULT_K_GRID = (3, 5, 10)
@@ -171,11 +172,8 @@ def _nearest_neighbor_accuracy(X_train, y_train, X_test, y_test) -> float:
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     fold_of = np.empty(len(y), dtype=np.int64)
-    for label in np.unique(y):
-        members = np.flatnonzero(y == label)
-        rng = np.random.default_rng((seed, int(label)))
-        shuffled = members[rng.permutation(len(members))]
-        fold_of[shuffled] = np.arange(len(shuffled)) % folds
+    for drawn in stratified_order(y, seed).values():
+        fold_of[drawn] = np.arange(len(drawn)) % folds
     return fold_of
 
 

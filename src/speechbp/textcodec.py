@@ -38,16 +38,16 @@ class TokenSequence:
     true_length: int
 
 
-def serialize_features(vector: FeatureVector,
-                       decimals: int = DEFAULT_DECIMALS) -> str:
-    """Space-joined "name value" pairs, fixed-point, no exponent notation."""
+def serialize_features(vector: FeatureVector) -> str:
+    """Space-joined "name value" pairs, fixed-point at DEFAULT_DECIMALS, no
+    exponent notation."""
     values = np.asarray(vector.values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("feature vector contains NaN or infinity")
     words = []
-    negative_zero = "-" + f"{0.0:.{decimals}f}"
+    negative_zero = "-" + f"{0.0:.{DEFAULT_DECIMALS}f}"
     for name, value in zip(vector.names, values):
-        text = f"{value:.{decimals}f}"
+        text = f"{value:.{DEFAULT_DECIMALS}f}"
         if text == negative_zero:
             text = text[1:]
         words.append(f"{name} {text}")
@@ -65,8 +65,6 @@ def _word_ids(word: str, vocab: dict) -> list:
 def tokenize(text: str, vocab: dict, max_len: int) -> TokenSequence:
     """[CLS], the text's tokens, [SEP], padded to max_len.  Text that does
     not fit is a ConfigError: the encoder would never see its tail."""
-    if max_len < 3:
-        raise ValueError("max_len must be at least 3")
     content: list = []
     for word in text.split():
         content.extend(_word_ids(word, vocab))

@@ -163,30 +163,6 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
 
 # --- training loop ----------------------------------------------------------
 
-def validation_split(examples: Sequence[LabeledSequence], seed: int,
-                     fraction: float = 0.1):
-    """Carve a stratified validation slice out of the train examples.
-
-    Stratification is on the hypertension label of the true targets, with
-    one rng stream per class keyed on (seed, label) so the draw for one
-    class never disturbs the other.
-    """
-    by_class: dict = {}
-    for i, ex in enumerate(examples):
-        by_class.setdefault(label_hypertension(ex.sbp, ex.dbp),
-                            []).append(i)
-    val_idx = set()
-    for label in sorted(by_class):
-        members = by_class[label]
-        n_val = int(len(members) * fraction)
-        rng = np.random.default_rng((seed, label))
-        for p in rng.permutation(len(members))[:n_val]:
-            val_idx.add(members[p])
-    train = [ex for i, ex in enumerate(examples) if i not in val_idx]
-    val = [examples[i] for i in sorted(val_idx)]
-    return train, val
-
-
 def _targets(examples) -> np.ndarray:
     return np.array([[ex.sbp, ex.dbp] for ex in examples], dtype=np.float64)
 

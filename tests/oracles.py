@@ -259,6 +259,21 @@ def relieff_oracle(X, y, k):
     return [(miss_acc[f] - hit_acc[f]) / (n * k) for f in range(d)]
 
 
+def fold_assignment_loop(y, folds, seed):
+    """relieff's fold of each position as the CV loop drew it before one
+    per-class order served every partition: one (seed, class) stream per
+    class, its shuffled members dealt round-robin to the folds."""
+    import numpy as np
+
+    fold_of = np.empty(len(y), dtype=np.int64)
+    for label in np.unique(y):
+        members = np.flatnonzero(y == label)
+        rng = np.random.default_rng((seed, int(label)))
+        shuffled = members[rng.permutation(len(members))]
+        fold_of[shuffled] = np.arange(len(shuffled)) % folds
+    return fold_of
+
+
 def relieff_pass_loop(X, y, ks):
     """The weights of speechbp.relieff._relieff_pass for the ascending grid
     ks, one query row at a time: each row's diffs to all instances, one
@@ -364,6 +379,61 @@ def confusion_oracle(pred_classes, true_classes):
         else:
             tn += 1
     return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+
+# === the train / validation / test partition ===
+
+def partition_oracle(labels, seed, test_fraction=0.2, val_fraction=0.1):
+    """(train, val, test) positions into `labels`, each ascending, as the
+    pipeline drew them as two separate splits: a class-stratified test split
+    with a largest-remainder share per class, then a validation split over
+    what the test split left.  A class of fewer than 2 raises ValueError."""
+    import numpy as np
+
+    # the test split: floor or ceil of each class's proportional share
+    by_class = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(label, []).append(i)
+    for label, members in sorted(by_class.items()):
+        if len(members) < 2:
+            raise ValueError(
+                f"class {label} has {len(members)} example(s); need >= 2")
+
+    total_test = int(round(len(labels) * test_fraction))
+    shares = {label: len(m) * test_fraction for label, m in by_class.items()}
+    counts = {label: int(np.floor(s)) for label, s in shares.items()}
+    leftovers = total_test - sum(counts.values())
+    by_fraction = sorted(by_class, key=lambda c: (counts[c] - shares[c], c))
+    for label in by_fraction:
+        if leftovers <= 0:
+            break
+        if counts[label] + 1 < len(by_class[label]):
+            counts[label] += 1
+            leftovers -= 1
+
+    test_idx = []
+    for label in sorted(by_class):
+        members = np.array(by_class[label])
+        rng = np.random.default_rng((seed, int(label)))
+        chosen = members[rng.permutation(len(members))[:counts[label]]]
+        test_idx.extend(int(i) for i in chosen)
+    test_set = set(test_idx)
+    rest = [i for i in range(len(labels)) if i not in test_set]
+
+    # the validation split, by position within the rest
+    by_class = {}
+    for j, i in enumerate(rest):
+        by_class.setdefault(labels[i], []).append(j)
+    val_idx = set()
+    for label in sorted(by_class):
+        members = by_class[label]
+        n_val = int(len(members) * val_fraction)
+        rng = np.random.default_rng((seed, label))
+        for p in rng.permutation(len(members))[:n_val]:
+            val_idx.add(members[p])
+    train = [i for j, i in enumerate(rest) if j not in val_idx]
+    val = [rest[j] for j in sorted(val_idx)]
+    return train, val, sorted(test_idx)
 
 
 # === optimizer and gradient references ===

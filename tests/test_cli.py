@@ -684,6 +684,16 @@ class TestTrain:
         assert "tokens, encoder.max_len is 6" in err
         assert not (clone / "model" / "params.bin").exists()
 
+    def test_max_len_2_names_the_key(self, pipeline, tmp_path, capsys):
+        # the encoder takes a max_len of 2; feature text never fits it
+        workdir, _ = pipeline
+        clone = clone_inputs(workdir, tmp_path / "w", "selection.json")
+        config = write_config(tmp_path / "c.json", clone,
+                              encoder={**FUZZ_ENCODER, "max_len": 2})
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        assert "encoder.max_len is 2" in capsys.readouterr().err
+        assert not (clone / "model" / "params.bin").exists()
+
     def test_missing_selection(self, tmp_path):
         workdir = tmp_path / "w"
         config = write_config(tmp_path / "c.json", workdir,
@@ -957,6 +967,12 @@ class TestDamagedModel:
         _signed_record(lambda p: {**p, "schema_id": "mel"}),
         _signed_record(lambda p: {**p, "decimals": -1}),
         _signed_record(lambda p: {**p, "decimals": 2.7}),
+        # feature text has always been written at 2 decimals
+        _signed_record(lambda p: {**p, "decimals": 4}),
+        _signed_record(lambda p: {**p, "feature_scaler": {
+            **p["feature_scaler"], "kind": 5}}),
+        _signed_record(lambda p: {**p, "target_scaler": {
+            **p["target_scaler"], "kind": "minmax"}}),
         _signed_record(_test_ids([[1]])),
         _signed_record(_test_ids("F001")),
         _signed_record(lambda p: {**p, "kept_features": list(
@@ -975,7 +991,8 @@ class TestDamagedModel:
             "feature-scaler-length-1", "target-scaler-length-3",
             "feature-center-nan", "target-center-nan",
             "feature-scale-negative", "schema-unknown", "decimals-negative",
-            "decimals-float", "test-ids-nested", "test-ids-string",
+            "decimals-float", "decimals-4", "feature-scaler-kind-5",
+            "target-scaler-kind-minmax", "test-ids-nested", "test-ids-string",
             "kept-not-strings", "config-ff_dim-resigned",
             "config-ff_dim-float-resigned"])
     def test_exits_io(self, pipeline, tmp_path, capsys, damage):

@@ -1,4 +1,5 @@
-"""Tests for labeling, example construction, scaling, splits, and the cohort."""
+"""Tests for labeling, example construction, scaling, partitions, and the
+cohort."""
 
 import re
 
@@ -8,13 +9,13 @@ import pytest
 import oracles
 from speechbp import dataset as D
 from speechbp.audio_io import AudioClip
-from speechbp.dataset import (TEST_FRACTION, LabeledExample,
-                              ParticipantRecord, Scaler, apply_scaler,
-                              build_examples,
+from speechbp.dataset import (TEST_FRACTION, ParticipantRecord, Scaler,
+                              apply_scaler, build_examples,
                               correlation_matrix, fit_scaler, invert_scaler,
-                              label_hypertension, read_manifest,
-                              scaler_from_dict, scaler_to_dict, split,
-                              synthesize_cohort, write_manifest)
+                              label_hypertension, partition, read_manifest,
+                              scaler_from_dict, scaler_to_dict,
+                              stratified_order, synthesize_cohort,
+                              write_manifest)
 from speechbp.errors import InsufficientData, MalformedArtifact
 from speechbp.features import FeatureVector
 
@@ -160,82 +161,89 @@ class TestScaler:
         np.testing.assert_array_equal(s2.center, s.center)
         np.testing.assert_array_equal(s2.scale, s.scale)
 
+    @pytest.mark.parametrize("kind", [5, "minmax", None])
+    def test_dict_unknown_kind(self, kind):
+        payload = {**scaler_to_dict(fit_scaler(np.eye(2), "standard")),
+                   "kind": kind}
+        with pytest.raises(ValueError, match="unknown scaler kind"):
+            scaler_from_dict(payload)
 
-def fake_examples(n0, n1):
-    out = []
-    for i in range(n0):
-        out.append(LabeledExample(f"n{i}", make_vector(), 100.0, 60.0, 0))
-    for i in range(n1):
-        out.append(LabeledExample(f"h{i}", make_vector(), 140.0, 90.0, 1))
-    return out
+
+def class_labels(n0, n1, shuffle_seed=None):
+    """n0 zeros and n1 ones, in that order or in one seeded shuffle."""
+    labels = np.array([0] * n0 + [1] * n1)
+    if shuffle_seed is not None:
+        labels = np.random.default_rng(shuffle_seed).permutation(labels)
+    return labels
 
 
 class TestSplit:
+    """The train / validation / test partition of `bp train`."""
+
     def test_partition(self):
-        exs = fake_examples(6, 4)
-        train, test = split(exs, 0.2, seed=7)
-        assert len(train) == 8 and len(test) == 2
-        got = sorted(e.participant_id for e in train + test)
-        assert got == sorted(e.participant_id for e in exs)
-        assert not {e.participant_id for e in train} & {
-            e.participant_id for e in test}
+        train, val, test = partition(class_labels(6, 4), seed=7)
+        assert (len(train), len(val), len(test)) == (8, 0, 2)
+        assert sorted(train + val + test) == list(range(10))
 
     def test_deterministic(self):
-        exs = fake_examples(30, 20)
-        a = split(exs, 0.2, seed=3)
-        b = split(exs, 0.2, seed=3)
-        assert [e.participant_id for e in a[1]] == [
-            e.participant_id for e in b[1]]
+        labels = class_labels(30, 20)
+        assert partition(labels, seed=3) == partition(labels, seed=3)
 
     def test_seed_changes_split(self):
-        exs = fake_examples(30, 20)
-        a = split(exs, 0.2, seed=1)[1]
-        b = split(exs, 0.2, seed=2)[1]
-        assert [e.participant_id for e in a] != [e.participant_id for e in b]
+        labels = class_labels(30, 20)
+        assert partition(labels, seed=1)[2] != partition(labels, seed=2)[2]
 
     @pytest.mark.parametrize("n0,n1", [(40, 55), (37, 58), (76, 19)])
     def test_95_at_fifth_gives_19(self, n0, n1):
-        train, test = split(fake_examples(n0, n1), 0.2, seed=11)
+        train, val, test = partition(class_labels(n0, n1), seed=11)
         assert len(test) == 19
-        assert len(train) == 76
+        assert len(train) + len(val) == 76
 
     def test_stratification_within_one(self):
-        exs = fake_examples(40, 60)
-        _, test = split(exs, 0.25, seed=5)
-        by_class = [sum(1 for e in test if e.hypertension == c)
-                    for c in (0, 1)]
-        assert abs(by_class[0] - 10) <= 1
-        assert abs(by_class[1] - 15) <= 1
+        labels = class_labels(40, 60)
+        _, _, test = partition(labels, seed=5)
+        by_class = np.bincount(labels[test], minlength=2)
+        assert abs(by_class[0] - 40 * TEST_FRACTION) <= 1
+        assert abs(by_class[1] - 60 * TEST_FRACTION) <= 1
 
     def test_original_order_preserved(self):
-        exs = fake_examples(10, 10)
-        train, test = split(exs, 0.3, seed=2)
-        pos = {e.participant_id: i for i, e in enumerate(exs)}
-        train_pos = [pos[e.participant_id] for e in train]
-        test_pos = [pos[e.participant_id] for e in test]
-        assert train_pos == sorted(train_pos)
-        assert test_pos == sorted(test_pos)
+        for part in partition(class_labels(10, 10, shuffle_seed=4), seed=2):
+            assert part == sorted(part)
 
     def test_tiny_class_rejected(self):
         with pytest.raises(InsufficientData,
                            match="class 1 has 1 example"):
-            split(fake_examples(9, 1), 0.2, seed=0)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split(fake_examples(5, 5), 1.0, seed=0)
+            partition(class_labels(9, 1), seed=0)
 
     def test_pipeline_fraction_leaves_both_sides(self):
-        # every cohort that split accepts, up to 60 per class, gets a test
-        # example at the pipeline's share and keeps training examples of
-        # both classes
-        pool = fake_examples(60, 60)
+        # every cohort that partition accepts, up to 60 per class, gets a
+        # test example and keeps training examples of both classes
         for n0 in range(2, 61):
             for n1 in range(2, 61):
-                train, test = split(pool[:n0] + pool[60:60 + n1],
-                                    TEST_FRACTION, seed=3)
+                labels = class_labels(n0, n1)
+                train, _, test = partition(labels, seed=3)
                 assert test, (n0, n1)
-                assert {e.hypertension for e in train} == {0, 1}, (n0, n1)
+                assert set(labels[train]) == {0, 1}, (n0, n1)
+
+    def test_matches_two_split_oracle(self):
+        # the same draws as the separate test and validation splits the
+        # pipeline made before, at every class-size pair up to 60
+        for seed in (0, 7, 11):
+            for n0 in range(2, 61):
+                for n1 in range(2, 61):
+                    labels = class_labels(n0, n1, shuffle_seed=n0 * 61 + n1)
+                    want = oracles.partition_oracle(labels.tolist(), seed)
+                    assert partition(labels, seed) == want, (seed, n0, n1)
+
+    def test_stratified_order_is_one_draw_per_class(self):
+        labels = class_labels(7, 5, shuffle_seed=1)
+        order = stratified_order(labels, seed=9)
+        assert list(order) == [0, 1]
+        for label, drawn in order.items():
+            rng = np.random.default_rng((9, label))
+            members = np.flatnonzero(labels == label)
+            np.testing.assert_array_equal(
+                drawn, members[rng.permutation(len(members))])
 
 
 class TestCohort:

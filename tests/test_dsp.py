@@ -26,7 +26,7 @@ class TestGaussianWindow:
 
     def test_endpoint_value(self):
         # n=5, sigma=0.4: endpoint exponent is -0.5 * (2 / (0.4*2))**2
-        w = gaussian_window(5, 0.4)
+        w = gaussian_window(5)
         assert w[0] == pytest.approx(math.exp(-3.125), rel=1e-15)
         assert w[4] == pytest.approx(math.exp(-3.125), rel=1e-15)
 
@@ -40,7 +40,7 @@ class TestGaussianWindow:
         np.testing.assert_array_equal(w, w[::-1])
 
     def test_positive_and_unimodal(self):
-        w = gaussian_window(64, 0.25)
+        w = gaussian_window(64)
         assert np.all(w > 0)
         d = np.diff(w)
         assert np.all(d[:31] > 0) and np.all(d[32:] < 0)
@@ -50,15 +50,9 @@ class TestGaussianWindow:
         with pytest.raises(ValueError, match="window needs n >= 2"):
             gaussian_window(n)
 
-    @pytest.mark.parametrize("sigma", [0.0, -0.1, 1.01, 2.0])
-    def test_invalid_sigma(self, sigma):
-        with pytest.raises(ValueError, match=r"sigma must lie in \(0, 1\]"):
-            gaussian_window(16, sigma)
-
     def test_built_once_per_length_and_sigma(self):
         w = gaussian_window(2400)
         assert gaussian_window(2400) is w
-        assert gaussian_window(2400, 0.25) is not w
         assert gaussian_window(2205) is not w
 
 

@@ -330,6 +330,18 @@ class TestCrossValidation:
         res = cross_validated_selection(X, y, folds=5, seed=2)
         assert len(res.fold_accuracies) == 5
 
+    def test_fold_assignment_matches_loop(self):
+        # the folds deal out the same per-class draw as before the draw
+        # moved into dataset.stratified_order
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for n in (20, 37, 95):
+                y = balanced_labels(rng, n, min_per_class=5)
+                for folds in (2, 5):
+                    np.testing.assert_array_equal(
+                        _fold_assignment(y, folds, seed),
+                        oracles.fold_assignment_loop(y, folds, seed))
+
 
 class TestReports:
     def test_weights_report(self, tmp_path):

@@ -86,11 +86,6 @@ class TestSerialize:
         for value_word in words[1::2]:
             assert "e" not in value_word and "E" not in value_word
 
-    def test_decimals_parameter(self):
-        vec = FeatureVector(names=("a",), values=np.array([1.23456]),
-                            n_segments=1, schema_id="base")
-        assert serialize_features(vec, decimals=4) == "a 1.2346"
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         vec = FeatureVector(names=("a",), values=np.array([bad]),

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from speechbp import training
 from speechbp.artifacts import write_json
-from speechbp.dataset import fit_scaler
+from speechbp.dataset import fit_scaler, partition
 from speechbp.errors import InsufficientData, TrainingDiverged
 from speechbp.features import BASE_NAMES, FeatureVector
 from speechbp.model import (EncoderConfig, forward, init_params, load_params,
@@ -21,8 +21,7 @@ from speechbp.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                                confusion_matrix, evaluate, init_adam_state,
                                label_prediction, mae, mse, predict_pressures, r2,
                                read_history_csv, total_loss,
-                               total_loss_gradients, train, validation_split,
-                               write_history_csv,
+                               total_loss_gradients, train, write_history_csv,
                                write_metrics_json)
 
 VOCAB = build_vocabulary(BASE_NAMES)
@@ -258,30 +257,24 @@ class TestTrainConfig:
 
 
 class TestValidationSplit:
+    """The validation part of the partition: the rows whose loss `train`
+    reports after each epoch."""
+
     def test_stratified_and_disjoint(self):
-        examples = []
-        for i in range(30):
-            hyper = i % 2
-            sbp = 130.0 if hyper else 100.0
-            seq = tokenize("mfcc1 1.00", VOCAB, max_len=16)
-            examples.append(LabeledSequence(f"p{i}", seq, sbp, 60.0))
-        train_set, val = validation_split(examples, seed=5)
-        assert len(train_set) == 28 and len(val) == 2
-        ids = {e.participant_id for e in train_set}
-        assert ids.isdisjoint({e.participant_id for e in val})
-        assert {e.sbp for e in val} == {100.0, 130.0}
+        labels = [i % 2 for i in range(30)]
+        train_set, val, test = partition(labels, seed=5)
+        assert (len(train_set), len(val), len(test)) == (22, 2, 6)
+        assert set(train_set).isdisjoint(val)
+        assert {labels[i] for i in val} == {0, 1}
 
     def test_deterministic(self):
-        examples = labeled_examples(20)
-        a = validation_split(examples, seed=3)
-        b = validation_split(examples, seed=3)
-        assert [e.participant_id for e in a[1]] == \
-            [e.participant_id for e in b[1]]
+        labels = [int(i % 3 == 0) for i in range(40)]
+        assert partition(labels, seed=3)[1] == partition(labels, seed=3)[1]
 
-    def test_zero_fraction(self):
-        examples = labeled_examples(8)
-        train_set, val = validation_split(examples, seed=0, fraction=0.0)
-        assert val == [] and len(train_set) == 8
+    def test_small_classes_leave_it_empty(self):
+        # a class of fewer than 10 left after the test part gives it none
+        train_set, val, test = partition([0] * 6 + [1] * 5, seed=0)
+        assert val == [] and len(train_set) == 9
 
 
 class TestTrain:
