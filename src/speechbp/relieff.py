@@ -4,8 +4,8 @@ Exhaustive variant: every instance serves as a query in index order, so there
 is no sampling randomness anywhere in the weights.  Distances are Manhattan
 on range-normalized features, summed over the features in column order;
 neighbor ties go to the lower index so results are reproducible across
-implementations.  Query rows go in blocks of at most BLOCK_ELEMENTS diffs,
-so memory stays bounded whatever n is.
+implementations.  Query rows go in blocks whose distance buffers hold at
+most BLOCK_ELEMENTS values, so memory stays bounded whatever n is.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import InsufficientData
 
 DEFAULT_K_GRID = (3, 5, 10)
 DEFAULT_FOLDS = 10
-BLOCK_ELEMENTS = 2**18  # values in one block of diffs: 2 MB of float64
+BLOCK_ELEMENTS = 2**16  # values in a block's two buffers: 512 KB of float64
 
 
 @dataclass(frozen=True)
@@ -59,22 +59,28 @@ def _distance_blocks(X: np.ndarray, Q: np.ndarray, scale: np.ndarray):
     query rows Q to the rows of X, as (start, dist) with dist of shape
     (B, len(X)).
 
-    Each block's diffs fill one preallocated feature-major (B, d, n) buffer
-    of at most BLOCK_ELEMENTS values, so memory is bounded whatever n is.
-    Distances are summed over the features one after another, in column
-    order.
+    The features are added into the block's sum one after another, in
+    column order, each read from a contiguous row of X.T.  The sum and one
+    feature's term are two reused buffers of at most BLOCK_ELEMENTS values
+    together, so memory is bounded whatever n is; a yielded dist holds its
+    values until the next block is computed.
     """
     XT = np.ascontiguousarray(X.T)
     d, n = XT.shape
-    rows = max(1, BLOCK_ELEMENTS // (n * d))
-    buf = np.empty((min(rows, len(Q)), d, n))
+    rows = max(1, BLOCK_ELEMENTS // (2 * n))
+    dist_buf = np.empty((min(rows, len(Q)), n))
+    term_buf = np.empty_like(dist_buf)
     for start in range(0, len(Q), rows):
         q = Q[start:start + rows]
-        diff = buf[:len(q)]
-        np.subtract(XT[None], q[:, :, None], out=diff)
-        np.abs(diff, out=diff)
-        np.divide(diff, scale[:, None], out=diff)
-        yield start, np.add.reduce(diff, axis=1)
+        dist, term = dist_buf[:len(q)], term_buf[:len(q)]
+        for f in range(d):
+            out = dist if f == 0 else term
+            np.subtract(XT[f], q[:, f, None], out=out)
+            np.abs(out, out=out)
+            np.divide(out, scale[f], out=out)
+            if f:
+                dist += term
+        yield start, dist
 
 
 def _nearest(dist: np.ndarray, K: int) -> np.ndarray:

@@ -138,7 +138,9 @@ def init_adam_state(params: dict) -> dict:
 
 def adam_step(params: dict, grads: dict, state: dict, t: int,
               config: TrainConfig):
-    """One bias-corrected Adam update; mutates params and state in place."""
+    """One bias-corrected Adam update; mutates params and state in place,
+    through two scratch arrays per parameter array, and leaves grads as
+    they are."""
     if t < 1:
         raise ValueError("step index starts at 1")
     if set(grads) != set(params):
@@ -148,16 +150,27 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
             raise ValueError(f"{name}: grad {g.shape} vs "
                              f"param {params[name].shape}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    lr = config.learning_rate
     for name, g in grads.items():
         m, v = state["m"][name], state["v"][name]
+        step, denom = np.empty_like(g), np.empty_like(g)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                        + ADAM_EPSILON)
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v += step
+        # (lr m_hat) / (sqrt(v_hat) + eps), m_hat = m / (1 - b1^t) and
+        # v_hat = v / (1 - b2^t)
+        np.divide(m, 1.0 - b1 ** t, out=step)
+        step *= lr
+        np.divide(v, 1.0 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        step /= denom
+        params[name] -= step
     return params, state
 
 

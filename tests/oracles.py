@@ -464,6 +464,86 @@ def central_difference(f, get, put, h=1e-4):
     return (f_plus - f_minus) / (2.0 * h)
 
 
+# === the encoder step's element-wise kernels, one expression each ===
+#
+# speechbp.model's GELU, softmax and layernorm, training's Adam update and
+# the token-embedding gradient as they were written before they ran in
+# place, chunk by chunk or group by group: every intermediate is a fresh
+# array.  The in-place kernels must match these bit for bit.
+
+def gelu_oracle(u):
+    """(gelu, tanh term) of the tanh GELU, the cube as two multiplies."""
+    import numpy as np
+
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * ((u * u) * u)))
+    return 0.5 * u * (1.0 + t), t
+
+
+def gelu_backward_oracle(d_out, u, t):
+    import numpy as np
+
+    du_inner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * (u * u))
+    return d_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * du_inner)
+
+
+def softmax_rows_oracle(scores):
+    import numpy as np
+
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_oracle(x, gain, bias, eps):
+    """(output, xhat, 1 / floored sd, sd >= eps) along the last axis."""
+    import numpy as np
+
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(x.var(axis=-1, keepdims=True))
+    inv = 1.0 / np.maximum(sd, eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv, sd >= eps
+
+
+def layer_norm_backward_oracle(d_out, xhat, inv, live, gain):
+    """(d_x, d_gain, d_bias) of layer_norm_oracle."""
+    import numpy as np
+
+    d_gain = np.sum(d_out * xhat, axis=tuple(range(d_out.ndim - 1)))
+    d_bias = np.sum(d_out, axis=tuple(range(d_out.ndim - 1)))
+    d_xhat = d_out * gain
+    m1 = d_xhat.mean(axis=-1, keepdims=True)
+    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    d_x = inv * (d_xhat - m1 - xhat * m2 * live)
+    return d_x, d_gain, d_bias
+
+
+def adam_update_oracle(param, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One bias-corrected Adam update of one array at step t, on copies:
+    returns the new (param, m, v)."""
+    import numpy as np
+
+    param, m, v = param.copy(), m.copy(), v.copy()
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return param, m, v
+
+
+def embedding_gradient_oracle(ids, rows, vocab_size):
+    """Each row added into a zero (vocab_size, h) table at its id, one row
+    at a time in order."""
+    import numpy as np
+
+    grad = np.zeros((vocab_size, rows.shape[1]))
+    np.add.at(grad, ids, rows)
+    return grad
+
+
 # === the encoder's eval forward over every position of every block ===
 #
 # The encoder's eval forward as it stood before its last block was cut
@@ -492,16 +572,6 @@ def _full_merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, a * dh)
 
 
-def _full_layer_norm(x, gain, bias, eps):
-    import numpy as np
-
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = np.sqrt(x.var(axis=-1, keepdims=True))
-    inv = 1.0 / np.maximum(sd, eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias
-
-
 def gelu_pow_oracle(u):
     """The tanh GELU with the cube taken by pow; returns (gelu, tanh term)."""
     import numpy as np
@@ -516,14 +586,6 @@ def gelu_backward_pow_oracle(d_out, u, t):
 
     du_inner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * u ** 2)
     return d_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * du_inner)
-
-
-def _full_softmax_rows(scores):
-    import numpy as np
-
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def encoder_forward_oracle(config, params, sequences):
@@ -545,16 +607,16 @@ def encoder_forward_oracle(config, params, sequences):
         v = _full_split_heads(x @ params[p + "wv"] + params[p + "bv"],
                               config.n_heads)
         scores = q @ k.transpose(0, 1, 3, 2) * scale + key_bias
-        attn = _full_softmax_rows(scores)
+        attn = softmax_rows_oracle(scores)
         ctx = _full_merge_heads(attn @ v)
         attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        y1 = _full_layer_norm(
+        y1, *_ = layer_norm_oracle(
             x + attn_out, params[p + "attn_gain"], params[p + "attn_bias"],
             config.layernorm_epsilon)
         h1 = y1 @ params[p + "w1"] + params[p + "b1"]
         g, _ = gelu_pow_oracle(h1)
         ffn_out = g @ params[p + "w2"] + params[p + "b2"]
-        x = _full_layer_norm(
+        x, *_ = layer_norm_oracle(
             y1 + ffn_out, params[p + "ffn_gain"], params[p + "ffn_bias"],
             config.layernorm_epsilon)
 

@@ -9,18 +9,22 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (central_difference, encoder_forward_oracle,
                      gelu_backward_pow_oracle, gelu_pow_oracle)
+from speechbp import model
 from speechbp.errors import MalformedArtifact
-from speechbp.model import (EncoderConfig, ForwardOutput, _gelu,
-                            _gelu_backward, _layer_norm,
-                            _layer_norm_backward, backward, forward,
-                            init_params, load_params, param_shapes,
-                            save_params, zero_gradients)
+from speechbp.model import (CHUNK, EncoderConfig, ForwardOutput,
+                            _embedding_backward, _gelu, _gelu_backward,
+                            _layer_norm, _layer_norm_backward,
+                            _softmax_rows, backward, forward, init_params,
+                            load_params, param_shapes, save_params,
+                            zero_gradients)
 from speechbp.textcodec import TokenSequence
 
 VOCAB = 12
@@ -44,14 +48,29 @@ def make_seq(ids, width=6):
     return TokenSequence(arr, mask, len(ids))
 
 
-def random_seq(rng, width=12, vocab=VOCAB):
-    tl = int(rng.integers(3, width))
+def random_seq(rng, width=12, vocab=VOCAB, length=None):
+    tl = int(rng.integers(3, width)) if length is None else length
     ids = np.zeros(width, dtype=np.int64)
     ids[0], ids[tl - 1] = 2, 3
     ids[1:tl - 1] = rng.integers(4, vocab, size=tl - 2)
     mask = np.zeros(width, dtype=np.int64)
     mask[:tl] = 1
     return TokenSequence(ids, mask, tl)
+
+
+def padded_batch(rng, n, vocab=40, width=99):
+    """n sequences of 91 to 99 tokens padded to `width`: the token lengths
+    of the default pipeline's feature text."""
+    return [random_seq(rng, width, vocab, int(rng.integers(91, 100)))
+            for _ in range(n)]
+
+
+def assert_bits_equal(got, want):
+    """Equal values with equal signs of zero: the same bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture
@@ -276,6 +295,23 @@ class TestForward:
                 assert np.abs(xhat.mean(axis=-1)).max() < 1e-9
                 assert np.abs(xhat.var(axis=-1) - 1.0).max() < 1e-9
 
+    def test_eval_keeps_no_block_activations(self):
+        # eval mode lets each block's activations go once the next block
+        # has read them, so its peak stays below train mode's, which keeps
+        # every block's for backward
+        cfg = EncoderConfig(vocab_size=40, max_len=128, seed=3)
+        params = init_params(cfg)
+        batch = padded_batch(np.random.default_rng(8), 32)
+        peaks = {}
+        for mode in ("train", "eval"):
+            tracemalloc.start()
+            try:
+                forward(cfg, params, batch, mode=mode, dropout_seed=1)
+                _, peaks[mode] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks["eval"] < peaks["train"]
+
 
 class TestDropout:
     def test_same_seed_reproducible(self, toy):
@@ -454,6 +490,122 @@ class TestLayerNormDegenerate:
                                     h=1e-7)
             rel = abs(d_x[0, j] - fd) / max(abs(d_x[0, j]), abs(fd), 1e-6)
             assert rel < 1e-4
+
+
+# flat sizes around one element-wise chunk, a batch of FFN activations and
+# one of block outputs
+KERNEL_SHAPES = [(1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (32, 95, 256),
+                 (32, 95, 64)]
+
+
+def kernel_input(shape, seed, std=3.0):
+    return np.random.default_rng(seed).normal(0.0, std, size=shape)
+
+
+def assert_unchanged(arrays, copies):
+    for a, b in zip(arrays, copies):
+        assert_bits_equal(a, b)
+
+
+class TestKernelsMatchOracles:
+    """Each in-place kernel against its one-expression-per-step oracle, bit
+    for bit, and no input changed by the call."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu(self, shape):
+        u = kernel_input(shape, 1)
+        before = u.copy()
+        for got, want in zip(_gelu(u), oracles.gelu_oracle(u)):
+            assert_bits_equal(got, want)
+        assert_bits_equal(u, before)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu_backward(self, shape):
+        u = kernel_input(shape, 2)
+        _, t = oracles.gelu_oracle(u)
+        inputs = (kernel_input(shape, 3, 1.0), u, t)
+        copies = [a.copy() for a in inputs]
+        assert_bits_equal(_gelu_backward(*inputs),
+                          oracles.gelu_backward_oracle(*inputs))
+        assert_unchanged(inputs, copies)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_softmax_rows_in_place(self, shape):
+        scores = kernel_input(shape, 4)
+        scores[..., 1::3] += model.MASK_BIAS     # masked keys
+        want = oracles.softmax_rows_oracle(scores)
+        got = _softmax_rows(scores)
+        assert got is scores
+        assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_layer_norm(self, shape):
+        x = kernel_input(shape, 5)
+        if x.ndim > 1:
+            x[0, 0] = 3.0               # a constant row takes the floor
+        gain = kernel_input(shape[-1:], 6, 1.0)
+        bias = kernel_input(shape[-1:], 7, 1.0)
+        inputs = (x, gain, bias)
+        copies = [a.copy() for a in inputs]
+        for got, want in zip(_layer_norm(*inputs, 1e-5),
+                             oracles.layer_norm_oracle(*inputs, 1e-5)):
+            assert_bits_equal(got, want)
+        assert_unchanged(inputs, copies)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_layer_norm_backward(self, shape):
+        x = kernel_input(shape, 8)
+        if x.ndim > 1:
+            x[0, 0] = 3.0
+        gain = kernel_input(shape[-1:], 9, 1.0)
+        _, xhat, inv, live = oracles.layer_norm_oracle(x, gain, 0.0, 1e-5)
+        inputs = (kernel_input(shape, 10, 1.0), xhat, inv, live, gain)
+        copies = [a.copy() for a in inputs]
+        for got, want in zip(_layer_norm_backward(*inputs),
+                             oracles.layer_norm_backward_oracle(*inputs)):
+            assert_bits_equal(got, want)
+        assert_unchanged(inputs, copies)
+
+    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                      32 * 95])
+    def test_embedding_gradient(self, rows):
+        rng = np.random.default_rng(rows)
+        ids = rng.integers(0, 40, size=rows)
+        ids[ids == 7] = 8               # id 7 never occurs
+        d_rows = rng.normal(size=(rows, 64))
+        d_rows[::17, ::5] = -0.0
+        d_rows[1::19, 2::7] = 0.0
+        d_rows[ids == 5] = -0.0         # add.at sums these to +0.0
+        d_rows[ids == 6, :3] = -0.0
+        copies = [ids.copy(), d_rows.copy()]
+        assert_bits_equal(
+            _embedding_backward(ids, d_rows, 40),
+            oracles.embedding_gradient_oracle(ids, d_rows, 40))
+        assert_unchanged((ids, d_rows), copies)
+
+
+class TestAttentionGroups:
+    @pytest.mark.parametrize("n", [1, 7, 33])
+    def test_group_size_leaves_bits(self, n, monkeypatch):
+        # attention runs a group of examples at a time; one example per
+        # group, the default, and the whole batch as one group must give
+        # the same predictions and gradients bit for bit
+        cfg = EncoderConfig(vocab_size=40, max_len=128, seed=5)
+        params = init_params(cfg)
+        batch = padded_batch(np.random.default_rng(n), n)
+        up = np.random.default_rng(100 + n).normal(size=(2, n, 1))
+        runs = []
+        for group in (1, model.GROUP_SCORES, 2**40):
+            monkeypatch.setattr(model, "GROUP_SCORES", group)
+            out = forward(cfg, params, batch, mode="train", dropout_seed=2)
+            ev = forward(cfg, params, batch)
+            runs.append([out.sbp_pred, out.dbp_pred, ev.sbp_pred,
+                         ev.dbp_pred,
+                         *backward(cfg, params, out, *up).values()])
+        for run in runs[1:]:
+            assert len(run) == len(runs[0])
+            for got, want in zip(run, runs[0]):
+                assert_bits_equal(got, want)
 
 
 def header_edit(mutate, sign=False):

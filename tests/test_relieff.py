@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from speechbp import relieff
 from speechbp.errors import InsufficientData
 from speechbp.relieff import (FeatureWeights, _fold_assignment,
                               _nearest_neighbor_accuracy, _relieff_pass,
@@ -126,9 +127,9 @@ class TestWeights:
                     row, relieff_weights(X, y, k=k).weights)
 
     # (n, d, decimals, ks, zero-range column): rounding makes exact
-    # distance ties; 400 rows of 17 go in blocks of 38 rows, the last one
-    # short, and 300 x 1000 diffs are over the block budget, so every
-    # block is one row
+    # distance ties; 400 rows go in blocks of 81 rows, the last one
+    # short, and 300 x 1000 adds a thousand features into each block's
+    # sum
     LOOP_CASES = [
         (60, 5, None, (1, 2, 3, 5), False),
         (80, 17, None, (3, 5, 10), False),
@@ -165,9 +166,25 @@ class TestWeights:
         assert (_nearest_neighbor_accuracy(*args)
                 == oracles.nearest_neighbor_accuracy_loop(*args))
 
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_block_size_leaves_bits(self, block_rows, monkeypatch):
+        # blocks of 1, 3 and 7 query rows, the last one short, over three
+        # classes with exact distance ties from rounding to 0.1
+        rng = np.random.default_rng(block_rows)
+        n, ks = 50, (1, 3, 5)
+        X = np.round(rng.normal(size=(n, 17)), 1)
+        y = rng.permutation(np.repeat([0, 1, 2], [17, 16, 17]))
+        monkeypatch.setattr(relieff, "BLOCK_ELEMENTS", 2 * n * block_rows)
+        np.testing.assert_array_equal(_relieff_pass(X, y, ks),
+                                      oracles.relieff_pass_loop(X, y, ks))
+        train = np.arange(n) % 5 != 0
+        args = (X[train], y[train], X[~train], y[~train])
+        assert (_nearest_neighbor_accuracy(*args)
+                == oracles.nearest_neighbor_accuracy_loop(*args))
+
     def test_memory_bounded(self):
-        # one block of at most BLOCK_ELEMENTS diffs (2 MB) at a time; an
-        # n x n x d array would be 544 MB here
+        # one block's two buffers of at most BLOCK_ELEMENTS values (512 KB)
+        # at a time; an n x n x d array would be 544 MB here
         rng = np.random.default_rng(2)
         X = rng.normal(size=(2000, 17))
         y = balanced_labels(rng, 2000)

@@ -12,8 +12,8 @@ from speechbp.artifacts import write_json
 from speechbp.dataset import fit_scaler, partition
 from speechbp.errors import InsufficientData, TrainingDiverged
 from speechbp.features import BASE_NAMES, FeatureVector
-from speechbp.model import (EncoderConfig, forward, init_params, load_params,
-                            save_params)
+from speechbp.model import (CHUNK, EncoderConfig, forward, init_params,
+                            load_params, save_params)
 from speechbp.textcodec import build_vocabulary, serialize_features, tokenize
 from speechbp.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                                DIVERGENCE_LIMIT, LabeledSequence, Metrics,
@@ -240,6 +240,27 @@ class TestAdam:
             adam_step(params, {"w": np.zeros(3)}, init_adam_state(params),
                       0, self.cfg())
 
+
+    @pytest.mark.parametrize("shape", [(1,), (CHUNK - 1,), (CHUNK,),
+                                       (CHUNK + 1,), (32, 95, 256)])
+    def test_in_place_update_matches_oracle(self, shape):
+        # three steps of the in-place update against the one-expression
+        # update, bit for bit; the gradients are left as they were
+        rng = np.random.default_rng(shape[0])
+        params = {"w": rng.normal(size=shape)}
+        state = init_adam_state(params)
+        theta, m, v = params["w"].copy(), np.zeros(shape), np.zeros(shape)
+        for t in (1, 2, 3):
+            g = rng.normal(size=shape)
+            g[..., ::7] = 0.0
+            before = g.copy()
+            adam_step(params, {"w": g}, state, t,
+                      self.cfg(learning_rate=1e-3))
+            theta, m, v = oracles.adam_update_oracle(theta, g, m, v, t, 1e-3)
+            np.testing.assert_array_equal(g, before)
+            for got, want in ((params["w"], theta), (state["m"]["w"], m),
+                              (state["v"]["w"], v)):
+                assert got.tobytes() == want.tobytes()
 
 class TestTrainConfig:
     def test_defaults_echo_published_table(self):
