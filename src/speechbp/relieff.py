@@ -10,6 +10,8 @@ most BLOCK_ELEMENTS values, so memory stays bounded whatever n is.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -183,6 +185,13 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
                               k_grid: Sequence[int] = DEFAULT_K_GRID,
                               seed: int = 0,
@@ -193,7 +202,9 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
     Each fold's training part gets one ReliefF pass over every feasible k:
     a k is feasible when every training part has more than k examples in
     each class.  Ties in mean accuracy go to the smaller k.  Final weights
-    are recomputed on the full data with the winner.
+    are recomputed on the full data with the winner.  The folds run at
+    once on up to the usable CPUs and are gathered in fold order, so the
+    result and the first error raised are those of a fold-by-fold loop.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -214,14 +225,41 @@ def cross_validated_selection(X, y, folds: int = DEFAULT_FOLDS,
     if not ks:
         raise InsufficientData("no candidate k fits the smallest class")
 
+    # the calling thread takes share 0, so one usable CPU starts no thread
+    workers = min(folds, _usable_cpus())
+    shares = [[] for _ in range(workers)]
+
+    def run_share(first):
+        # every workers-th fold from first on, in order, up to and including
+        # the first one that raises; no callee here is a tracer span
+        try:
+            for f in range(first, folds, workers):
+                tr, te = fold_of != f, fold_of == f
+                shares[first].append([_nearest_neighbor_accuracy(
+                    X[tr][:, cols], y[tr], X[te][:, cols], y[te])
+                    for cols in map(_kept_columns,
+                                    _relieff_pass(X[tr], y[tr], ks))])
+        except Exception as error:  # raised again below, in fold order
+            shares[first].append(error)
+
+    started = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=run_share, args=(first,))
+            thread.start()
+            started.append(thread)
+        run_share(0)
+    finally:
+        for thread in started:
+            thread.join()
+
     per_k: dict = {k: [] for k in ks}
     for f in range(folds):
-        tr = fold_of != f
-        te = ~tr
-        for k, weights in zip(ks, _relieff_pass(X[tr], y[tr], ks)):
-            cols = _kept_columns(weights)
-            per_k[k].append(_nearest_neighbor_accuracy(
-                X[tr][:, cols], y[tr], X[te][:, cols], y[te]))
+        outcome = shares[f % workers][f // workers]
+        if isinstance(outcome, Exception):
+            raise outcome
+        for k, accuracy in zip(ks, outcome):
+            per_k[k].append(accuracy)
 
     chosen = min(per_k, key=lambda k: (-float(np.mean(per_k[k])), k))
     final = relieff_weights(X, y, k=chosen, names=names)

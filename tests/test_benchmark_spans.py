@@ -5,16 +5,22 @@ perfbench/tracer.py wraps named speechbp functions from the outside, and
 Installing it here makes such a refactor fail the test suite, not only a
 traced benchmark run.  A small traced pipeline does the same for a spanned
 function that still exists but is no longer called on a workload that
-declares it.
+declares it, and for a spanned call made off the thread that called
+`main`: the tracer keeps one span stack, so such a call would garble the
+per-layer numbers.
 """
 
+import functools
 import importlib
 import importlib.util
 import json
+import pkgutil
+import threading
 from pathlib import Path
 
 import numpy as np
 
+import speechbp
 from speechbp import features
 from speechbp.audio_io import AudioClip
 from speechbp.cli import EXIT_OK, main
@@ -32,6 +38,30 @@ def load_tracer():
 def spanned(spans) -> dict:
     return {span: getattr(importlib.import_module(f"speechbp.{module}"), func)
             for span, (module, func, _, _) in spans.items()}
+
+
+def note_threads(spans, monkeypatch) -> list:
+    """Bind each spanned function, under every name a speechbp module holds
+    it by, to a wrapper that notes the thread it runs on; a tracer
+    installed afterwards wraps these wrappers."""
+    threads = []
+    modules = [importlib.import_module(f"speechbp.{m.name}")
+               for m in pkgutil.iter_modules(speechbp.__path__)]
+
+    def noting(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    for fn in spanned(spans).values():
+        wrapper = noting(fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return threads
 
 
 def test_tracer_installs_and_removes():
@@ -64,11 +94,12 @@ def small_config(tmp_path) -> Path:
     return config
 
 
-def test_small_pipeline_calls_every_declared_span(tmp_path):
+def test_small_pipeline_calls_every_declared_span(tmp_path, monkeypatch):
     # synth to report over the small cohort, then one predict --wav, all
     # traced
     tracer_module = load_tracer()
     config = small_config(tmp_path)
+    threads = note_threads(tracer_module.SPANS, monkeypatch)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -84,6 +115,14 @@ def test_small_pipeline_calls_every_declared_span(tmp_path):
     for workload in (tracer_module.PIPE, tracer_module.PRED):
         assert tracer_module.zero_call_spans(workload, summary,
                                              summary) == []
+    # one span stack holds only if every span runs on the calling thread,
+    # and then each span lies inside its parent
+    assert len(threads) == len(tracer.spans)
+    assert set(threads) == {threading.get_ident()}
+    for name, start, end, parent, _ in tracer.spans:
+        if parent >= 0:
+            _, parent_start, parent_end, _, _ = tracer.spans[parent]
+            assert parent_start <= start <= end <= parent_end, name
 
 
 def test_traced_extract_counts_every_segment_once(tmp_path):

@@ -3,6 +3,9 @@
 import csv
 import itertools
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -358,6 +361,97 @@ class TestCrossValidation:
                     np.testing.assert_array_equal(
                         _fold_assignment(y, folds, seed),
                         oracles.fold_assignment_loop(y, folds, seed))
+
+
+class TestFoldWorkers:
+    """The folds run on min(folds, usable CPUs) threads, the calling thread
+    among them; nothing the selection returns or raises may follow that
+    count."""
+
+    def data(self):
+        # a weak label signal: the folds keep different feature sets
+        rng = np.random.default_rng(5)
+        y = balanced_labels(rng, 90, min_per_class=20)
+        X = np.column_stack([y + rng.normal(0, 1.5, 90),
+                             rng.normal(size=(90, 5))])
+        return X, y
+
+    def select(self, monkeypatch, workers):
+        monkeypatch.setattr(relieff, "_usable_cpus", lambda: workers)
+        return cross_validated_selection(*self.data(), folds=5,
+                                         k_grid=(1, 3, 5), seed=2)
+
+    def test_worker_count_leaves_bits(self, monkeypatch):
+        kept, fold_threads, started = set(), set(), []
+        keep, start = relieff._kept_columns, threading.Thread.start
+
+        def noting_keep(weights):
+            fold_threads.add(threading.get_ident())
+            cols = keep(weights)
+            kept.add(tuple(cols))
+            return cols
+
+        def noting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(relieff, "_kept_columns", noting_keep)
+        monkeypatch.setattr(threading.Thread, "start", noting_start)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            for workers in (1, 2, 3):
+                fold_threads.clear()
+                started.clear()
+                before = threading.active_count()
+                results[workers] = self.select(monkeypatch, workers)
+                assert threading.active_count() == before
+                # the calling thread is one of the workers
+                assert len(started) == workers - 1
+                assert (len(fold_threads) > 1) == (workers > 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(kept) > 1
+        serial = results[1]
+        for workers in (2, 3):
+            res = results[workers]
+            assert res.chosen_k == serial.chosen_k
+            assert res.kept == serial.kept
+            assert res.fold_accuracies_by_k == serial.fold_accuracies_by_k
+            assert (res.weights.weights.tobytes()
+                    == serial.weights.weights.tobytes())
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        assert relieff._usable_cpus() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert relieff._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert relieff._usable_cpus() == 1
+
+    def test_first_failing_fold_raises(self, monkeypatch):
+        # fold 2 fails and so do the folds after it, with another error;
+        # at 2 and 3 workers a later fold can fail before fold 2 does
+        X, y = self.data()
+        fold_of = _fold_assignment(y, 5, 2)
+        real = relieff._relieff_pass
+
+        def failing(X_train, y_train, ks):
+            f = next(f for f in range(5)
+                     if np.array_equal(X_train, X[fold_of != f]))
+            if f == 2:
+                raise InsufficientData("fold 2")
+            if f > 2:
+                raise ValueError(f"fold {f}")
+            return real(X_train, y_train, ks)
+
+        monkeypatch.setattr(relieff, "_relieff_pass", failing)
+        for workers in (1, 2, 3):
+            before = threading.active_count()
+            with pytest.raises(InsufficientData, match="^fold 2$"):
+                self.select(monkeypatch, workers)
+            assert threading.active_count() == before
 
 
 class TestReports:
