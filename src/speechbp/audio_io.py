@@ -1,8 +1,10 @@
 """WAV ingestion and vowel-like fixture synthesis.
 
 The corpus format is RIFF/WAVE, PCM format code 1, 16-bit little-endian,
-stereo at 48 kHz.  Loading downmixes to mono; other sample rates are accepted
-and passed through, downstream frame sizes are derived from the actual rate.
+stereo at 48 kHz.  The extensible header (format code 0xFFFE) that many
+recorders write is read as format 1 when its subformat is PCM.  Loading
+downmixes to mono; other sample rates are accepted and passed through,
+downstream frame sizes are derived from the actual rate.
 
 The synthesizer evaluates its harmonic series as one complex matrix product
 over the sample index split as a*B + b (the factoring of Bailey's four-step
@@ -23,6 +25,11 @@ from .errors import MalformedArtifact
 
 # -32768 maps to -1.0 exactly with this divisor
 INT16_FULL_SCALE = 32768.0
+
+# WAVE_FORMAT_EXTENSIBLE, and KSDATAFORMAT_SUBTYPE_PCM as its fmt chunk
+# stores it at bytes 24..39
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 
 F0_MIN_HZ = 60.0
 F0_MAX_HZ = 400.0
@@ -49,7 +56,8 @@ def load_wav(path) -> AudioClip:
     not copied.
 
     Raises MalformedArtifact for a container that is not RIFF/WAVE, is cut
-    short, or is not 16-bit integer PCM.
+    short, or is not 16-bit integer PCM (format 1, or extensible with the
+    PCM subformat).
     """
     data = memoryview(Path(path).read_bytes())
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -67,7 +75,7 @@ def load_wav(path) -> AudioClip:
             if len(body) < 16:
                 raise MalformedArtifact(
                     f"{path}: fmt chunk shorter than 16 bytes")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
             if len(body) < declared:
                 raise MalformedArtifact(
@@ -80,8 +88,14 @@ def load_wav(path) -> AudioClip:
     if fmt is None or pcm is None:
         raise MalformedArtifact(f"{path}: missing fmt or data chunk")
 
-    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
-    if audio_format != 1:
+    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = (
+        struct.unpack_from("<HHIIHH", fmt, 0))
+    subformat = bytes(fmt[24:40])
+    if audio_format == WAVE_FORMAT_EXTENSIBLE and subformat != PCM_SUBFORMAT:
+        raise MalformedArtifact(
+            f"{path}: extensible format needs the PCM subformat, got "
+            f"{subformat.hex() or 'none'} in a {len(fmt)}-byte fmt chunk")
+    if audio_format not in (1, WAVE_FORMAT_EXTENSIBLE):
         raise MalformedArtifact(
             f"{path}: PCM format code 1 required, got {audio_format}")
     if bits != 16:

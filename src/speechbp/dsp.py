@@ -1,15 +1,10 @@
 """Voiced-region detection, 50 ms segmentation, windowing, and the FFT.
 
 The FFT takes power-of-two lengths; frames are zero-padded to the next power
-of two (2400-sample frames at 48 kHz become 4096 points).  It is Bailey's
-four-step transform (FFTs in external or hierarchical memory, J.
-Supercomputing 4, 1990): N = N1*N2 points become an N2-point DFT-matrix
-product, a twiddle multiply and an N1-point DFT-matrix product, with the
-matrices cached per length.  A real frame of N points goes through one
-N/2-point complex transform: even samples as the real part, odd samples as
-the imaginary part, then a split step that recovers bins 0..N/2 (Sorensen et
-al., Real-valued FFT algorithms, IEEE TASSP 1987).  Pitch (in features)
-comes from an FFT autocorrelation built from two such packed transforms.
+of two (2400-sample frames at 48 kHz become 4096 points).  It is numpy's FFT
+(np.fft, pocketfft), O(N log N): real frames go through its real transform
+and get their upper bins as conjugates of the lower ones.  Pitch (in
+features) comes from an FFT autocorrelation built from two such transforms.
 """
 
 from __future__ import annotations
@@ -78,82 +73,27 @@ def gaussian_window(n: int) -> np.ndarray:
     return w
 
 
-# === four-step FFT ===
-
-def _dft_matrix(n: int) -> np.ndarray:
-    # k*j is reduced mod n in integers, so every angle lies below 2*pi
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
-
-
-@cache
-def _plan(n: int) -> tuple:
-    """(N1-point DFT matrix, N2-point DFT matrix, twiddles [k2, n1]) of the
-    length-n four-step transform, read-only."""
-    n1 = 1 << ((n.bit_length() - 1) // 2)
-    n2 = n // n1
-    plan = (_dft_matrix(n1), _dft_matrix(n2),
-            np.exp(-2j * np.pi * np.outer(np.arange(n2), np.arange(n1)) / n))
-    for table in plan:
-        table.flags.writeable = False
-    return plan
-
-
-@cache
-def _split_twiddles(n: int) -> np.ndarray:
-    """-i/2 * W_N^k for k = 0..N/2, the split step's twiddles, read-only."""
-    tw = -0.5j * np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
-    tw.flags.writeable = False
-    return tw
-
+# === FFT ===
 
 def fft_radix2(x) -> np.ndarray:
-    """In-order FFT along the last axis, as Bailey's four-step transform.
+    """FFT along the last axis, all N bins, by numpy's FFT.
 
-    Length must be a power of two.  N = N1*N2 with N1 = 2^floor(log2(N)/2);
-    the frame x[n1 + N1*n2] is an (N2, N1) matrix.  The N2-point DFT matrix
-    transforms its columns, the twiddles W_N^(n1*k2) scale the result, the
-    N1-point DFT matrix transforms its rows, and X[N2*k1 + k2] is read out.
-    Both products run batched over the leading axes.
+    N must be a power of two.  Complex input goes through np.fft.fft.  Real
+    input goes through np.fft.rfft for bins 0..N/2, and bins N/2+1..N-1 are
+    the conjugates of bins N/2-1..1, as the DFT of a real frame has them.
+    Each row of a stack along the leading axes gets the bits it gets alone.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"radix-2 length must be a power of two, got {n}")
-    if n == 1:
-        return x.copy()
-
-    f1, f2, twiddles = _plan(n)
-    lead = x.shape[:-1]
-    # in place where the arithmetic allows: a stack's temporaries are large
-    # enough that each fresh one costs page faults
-    t = f2 @ x.reshape(*lead, len(f2), len(f1))
-    t *= twiddles
-    c = t @ f1
-    out = t.reshape(*lead, len(f1), len(f2))
-    np.copyto(out, c.swapaxes(-1, -2))
-    return out.reshape(*lead, n)
-
-
-def real_fft(x) -> np.ndarray:
-    """Bins 0..N/2 of the DFT of real frames along the last axis.
-
-    N must be a power of two and at least 2.  The N/2-point transform of
-    z[k] = x[2k] + i*x[2k+1] holds the even- and odd-sample spectra E and O,
-    which the split step separates and joins as X[k] = E[k] + W_N^k O[k].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    z = 1j * x[..., 1::2]
-    z += x[..., 0::2]
-    z = fft_radix2(z)
-    # zk[k] = Z[k mod N/2] and its reversal gives Z[(N/2 - k) mod N/2]
-    zk = np.concatenate([z, z[..., :1]], axis=-1)
-    zr = np.conj(zk[..., ::-1])
-    out = zk + zr
-    out *= 0.5
-    np.subtract(zk, zr, out=zr)
-    out += np.multiply(_split_twiddles(n), zr, out=zr)
+    if np.iscomplexobj(x):
+        return np.fft.fft(x.astype(np.complex128, copy=False))
+    # rfft writes into the output's lower bins (out= needs numpy 2.0): a
+    # separate half-spectrum array, copied over, costs fresh pages per call
+    out = np.empty(x.shape[:-1] + (n,), dtype=np.complex128)
+    np.fft.rfft(x.astype(np.float64, copy=False), out=out[..., :n // 2 + 1])
+    np.conjugate(out[..., n // 2 - 1:0:-1], out=out[..., n // 2 + 1:])
     return out
 
 
@@ -173,12 +113,9 @@ def fft_magnitude(samples, sample_rate: int) -> Spectrum:
     nfft = 1
     while nfft < length:
         nfft *= 2
-    if nfft == 1:
-        mags = np.abs(x)
-    else:
-        padded = np.zeros(x.shape[:-1] + (nfft,))
-        padded[..., :length] = x
-        mags = np.abs(real_fft(padded))
+    padded = np.zeros(x.shape[:-1] + (nfft,))
+    padded[..., :length] = x
+    mags = np.abs(fft_radix2(padded)[..., :nfft // 2 + 1])
     return Spectrum(magnitudes=mags, bin_hz=sample_rate / nfft, fft_size=nfft)
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from .artifacts import (read_csv, read_json, require_keys, write_csv,
                         write_json)
 from .dsp import (DEFAULT_WINDOW_SIGMA, SEGMENT_SECONDS, STACK_ROWS, Segment,
-                  detect_voiced_regions, fft_magnitude, gaussian_window,
-                  real_fft, segment_length, segment_regions)
+                  detect_voiced_regions, fft_magnitude, fft_radix2,
+                  gaussian_window, segment_length, segment_regions)
 from .audio_io import AudioClip
 from .errors import DegenerateInput, InsufficientData, MalformedArtifact
 
@@ -202,20 +202,19 @@ def pitch(segment: Segment):
     # power spectrum.  Padding to nfft >= n + lag_hi keeps the circular
     # autocorrelation from wrapping into the lags read here.  The power
     # spectrum is real and even, so its forward transform is nfft times its
-    # inverse and a second packed real transform serves.
+    # inverse and a second forward transform of a real frame serves.
     nfft = 2
     while nfft < n + lag_hi:
         nfft *= 2
     padded = np.zeros((len(live), nfft))
     padded[:, :n] = rows[live]
-    spec = real_fft(padded)
-    # the power spectrum, mirrored to its full even length, written into
-    # the padded frames' buffer
-    half = nfft // 2
-    power = np.multiply(spec.real, spec.real, out=padded[:, :half + 1])
+    spec = fft_radix2(padded)
+    # the power spectrum over all nfft bins, even because the upper bins
+    # are conjugates of the lower ones, written into the padded frames'
+    # buffer
+    power = np.multiply(spec.real, spec.real, out=padded)
     power += spec.imag * spec.imag
-    padded[:, half + 1:] = power[:, -2:0:-1]
-    acf = real_fft(padded).real
+    acf = fft_radix2(power).real
     r = acf[:, lag_lo:lag_hi + 1] / (nfft * r0[live, None])
     best = np.argmax(r, axis=-1)  # first maximum, as a strict > scan would
     peak = r[np.arange(len(live)), best]

@@ -15,15 +15,19 @@ from speechbp.errors import MalformedArtifact
 
 
 def wav_bytes(samples_int16, sample_rate=48000, channels=1, audio_format=1,
-              bits=16, data_size=None, magic=b"RIFF", wave_id=b"WAVE"):
-    """Hand-assemble a WAV file so each header field can be corrupted."""
+              bits=16, data_size=None, magic=b"RIFF", wave_id=b"WAVE",
+              fmt_extension=b""):
+    """Hand-assemble a WAV file so each header field can be corrupted.
+
+    fmt_extension follows the 16 bytes of the basic fmt chunk."""
     payload = np.asarray(samples_int16, dtype="<i2").tobytes()
     if data_size is None:
         data_size = len(payload)
     block_align = channels * bits // 8
-    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, channels,
-                                sample_rate, sample_rate * block_align,
-                                block_align, bits)
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16 + len(fmt_extension),
+                                audio_format, channels, sample_rate,
+                                sample_rate * block_align, block_align,
+                                bits) + fmt_extension
     data = b"data" + struct.pack("<I", data_size) + payload
     body = wave_id + fmt + data
     return magic + struct.pack("<I", len(body)) + body
@@ -127,6 +131,58 @@ class TestLoadWav:
         p.write_bytes(head + extra + data)
         clip = load_wav(p)
         assert len(clip.samples) == 2
+
+
+def extensible(samples_int16, channels, subformat):
+    """A WAVE_FORMAT_EXTENSIBLE file: cbSize 22, 16 valid bits, the front
+    speakers as channel mask, then the subformat GUID."""
+    mask = 0x4 if channels == 1 else 0x3
+    return wav_bytes(samples_int16, channels=channels, audio_format=0xFFFE,
+                     fmt_extension=struct.pack("<HHI", 22, 16, mask)
+                     + subformat)
+
+
+# the GUID tail shared by the KSDATAFORMAT_SUBTYPE_* formats
+GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+class TestExtensibleFormat:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_pcm_subformat_reads_as_format_1(self, tmp_path, channels):
+        ints = np.random.default_rng(channels).integers(-32768, 32768,
+                                                        size=2 * 999)
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(wav_bytes(ints, channels=channels))
+        ext.write_bytes(extensible(ints, channels, b"\x01\x00" + GUID_TAIL))
+        want, got = load_wav(plain), load_wav(ext)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got.sample_rate, got.source_channels) == (48000, channels)
+
+    def test_float_subformat_rejected(self, tmp_path):
+        p = tmp_path / "f.wav"
+        p.write_bytes(extensible([0, 1], 1, b"\x03\x00" + GUID_TAIL))
+        with pytest.raises(MalformedArtifact) as info:
+            load_wav(p)
+        assert str(info.value) == (
+            f"{p}: extensible format needs the PCM subformat, got "
+            f"0300{GUID_TAIL.hex()} in a 40-byte fmt chunk")
+
+    def test_short_extensible_chunk_rejected(self, tmp_path):
+        p = tmp_path / "s.wav"
+        p.write_bytes(wav_bytes([0, 1], audio_format=0xFFFE,
+                                fmt_extension=struct.pack("<H", 0)))
+        with pytest.raises(MalformedArtifact,
+                           match="got none in a 18-byte fmt chunk"):
+            load_wav(p)
+
+    def test_bits_still_checked(self, tmp_path):
+        p = tmp_path / "b.wav"
+        raw = bytearray(extensible([0, 1], 1, b"\x01\x00" + GUID_TAIL))
+        struct.pack_into("<H", raw, 34, 24)  # the fmt chunk's bit depth
+        p.write_bytes(bytes(raw))
+        with pytest.raises(MalformedArtifact,
+                           match="16-bit samples required, got 24"):
+            load_wav(p)
 
 
 class TestWriteRoundTrip:

@@ -59,10 +59,6 @@ class TestGaussianWindow:
 # every table built once and shared by all callers, by name
 CACHED_TABLES = {
     "window": lambda: gaussian_window(48),
-    "plan-n1-dft": lambda: dsp._plan(2048)[0],
-    "plan-n2-dft": lambda: dsp._plan(2048)[1],
-    "plan-twiddles": lambda: dsp._plan(2048)[2],
-    "split-twiddles": lambda: dsp._split_twiddles(4096),
     "mel-filterbank": lambda: features.mel_filterbank(48000, 2049, 4096),
     "dct": lambda: features._dct2_matrix(features.N_MEL_FILTERS),
 }
@@ -114,8 +110,7 @@ class TestFFT:
             fft_radix2(np.arange(3, dtype=float))
 
     def test_matches_loop_dft(self):
-        # every power of two to 64: odd log2 (2, 8, 32) splits N into
-        # N1 < N2, even log2 into N1 = N2
+        # every power of two to 64, and 256
         rng = np.random.default_rng(17)
         for n in (2, 4, 8, 16, 32, 64, 256):
             x = rng.normal(size=n)
@@ -126,7 +121,7 @@ class TestFFT:
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_non_square_split_matches_matrix_dft(self, n):
-        # 2048 is the complex length of every packed 48 kHz segment frame
+        # complex input, which np.fft.fft takes as it is
         rng = np.random.default_rng(n)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.max(np.abs(fft_radix2(x) - oracles.dft_matrix(x))) < 1e-9
@@ -141,6 +136,33 @@ class TestFFT:
             for j in range(3):
                 np.testing.assert_array_equal(stacked[i, j],
                                               fft_radix2(frames[i, j]))
+
+    @pytest.mark.parametrize("n", [4, 64, 4096])
+    def test_real_input_upper_bins_are_conjugates(self, n):
+        got = fft_radix2(np.random.default_rng(n).normal(size=n))
+        np.testing.assert_array_equal(got[n // 2 + 1:],
+                                      np.conj(got[n // 2 - 1:0:-1]))
+
+    @pytest.mark.parametrize("n", [2, 64, 4096])
+    def test_real_and_complex_input_agree(self, n):
+        x = np.random.default_rng(n + 1).normal(size=n)
+        real = fft_radix2(x)
+        assert real.dtype == np.complex128 and real.shape == (n,)
+        assert np.max(np.abs(real - fft_radix2(x.astype(complex)))) < 1e-12
+
+    @pytest.mark.parametrize("x", [[2.5], [2.5 - 1.5j]])
+    def test_one_point_returns_input(self, x):
+        np.testing.assert_array_equal(fft_radix2(np.array(x)), x)
+
+    # 1024 and 4096 are the padded lengths of 16 kHz and 44.1/48 kHz
+    # segments; 2048 and 4096 are those of pitch's two transforms
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    @pytest.mark.parametrize("rows", [1, 3, dsp.STACK_ROWS])
+    def test_real_stack_rows_keep_their_bits(self, n, rows):
+        frames = np.random.default_rng(n + rows).normal(size=(rows, n))
+        stacked = fft_radix2(frames)
+        for i in range(rows):
+            np.testing.assert_array_equal(stacked[i], fft_radix2(frames[i]))
 
     def test_matches_matrix_dft_at_4096(self):
         rng = np.random.default_rng(23)
@@ -177,6 +199,16 @@ class TestFFT:
                 np.testing.assert_array_equal(stacked.magnitudes[i, j],
                                               single.magnitudes)
                 assert single.fft_size == stacked.fft_size
+
+    # the segment lengths at 16, 44.1 and 48 kHz
+    @pytest.mark.parametrize("n", [800, 2205, 2400])
+    @pytest.mark.parametrize("rows", [1, 3, dsp.STACK_ROWS])
+    def test_segment_stack_rows_keep_their_bits(self, n, rows):
+        frames = np.random.default_rng(n * rows).normal(size=(rows, n))
+        stacked = fft_magnitude(frames, 48000).magnitudes
+        for i in range(rows):
+            np.testing.assert_array_equal(
+                stacked[i], fft_magnitude(frames[i], 48000).magnitudes)
 
     def test_parseval_energy(self):
         rng = np.random.default_rng(31)

@@ -599,7 +599,7 @@ class TestSegmentLayout:
         assert got == want
 
     def test_one_magnitude_spectrum_per_segment(self, monkeypatch):
-        # the MFCCs' windowed transform is the only one; pitch uses real_fft
+        # the MFCCs' windowed transform is the only one; pitch calls fft_radix2
         calls = []
         real = F.fft_magnitude
         monkeypatch.setattr(F, "fft_magnitude",
