@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,8 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     # absolute, so the manifest's WAV paths hold from any directory
     wav_dir = cfg.workdir.resolve() / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
+    # an old manifest would list the mix of WAVs that a cut-short synth leaves
+    (cfg.workdir / "manifest.csv").unlink(missing_ok=True)
     records = synthesize_cohort(n_female=cfg.cohort["n_female"],
                                 n_male=cfg.cohort["n_male"],
                                 seed=cfg.seed, wav_dir=wav_dir)
@@ -585,6 +588,7 @@ def _write_heatmap_svg(path, names, matrix) -> None:
 
 # --- argument handling ------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bp",

@@ -19,6 +19,7 @@ from .artifacts import read_csv, write_csv
 from .audio_io import synthesize_speech, write_wav
 from .errors import InsufficientData, MalformedArtifact
 from .features import FeatureVector
+from .parallel import ordered_map
 
 SBP_RANGE = (60.0, 260.0)
 DBP_RANGE = (30.0, 160.0)
@@ -291,12 +292,13 @@ def synthesize_cohort(n_female: int = 45, n_male: int = 50, seed: int = 0,
 
     All random draws happen in a fixed order that does not depend on
     wav_dir, so the records are identical whether or not audio is written.
+    The WAVs, each drawn from its own seeds, go through `ordered_map`.
     """
     if n_female < 0 or n_male < 0:
         raise ValueError("cohort sizes must be non-negative")
 
     rng = np.random.default_rng(seed)
-    records = []
+    records, clips = [], []
     for sex, count in (("F", n_female), ("M", n_male)):
         for j in range(count):
             sbp, dbp = _bounded_pair(rng, DEFAULT_PROFILE[sex]["sbp"],
@@ -311,14 +313,15 @@ def synthesize_cohort(n_female: int = 45, n_male: int = 50, seed: int = 0,
             if wav_dir is not None:
                 # the WAV draws from its own generators, never from rng
                 wav_paths = (str(Path(wav_dir) / f"{pid}.wav"),)
-                _write_cohort_wav(Path(wav_paths[0]), sbp, dbp,
-                                  seed * 1_000_003 + len(records))
+                clips.append((Path(wav_paths[0]), sbp, dbp,
+                              seed * 1_000_003 + len(records)))
             records.append(ParticipantRecord(
                 id=pid, sex=sex, age=age,
                 sbp_initial=sbp + jitter_s, sbp_final=sbp - jitter_s,
                 dbp_initial=dbp + jitter_d, dbp_final=dbp - jitter_d,
                 heart_rate=heart_rate, wav_paths=wav_paths,
             ))
+    ordered_map(lambda clip: _write_cohort_wav(*clip), clips)
     return records
 
 

@@ -8,9 +8,7 @@ per (seed, epoch, batch), and Adam runs in plain float64.
 
 from __future__ import annotations
 
-import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +19,7 @@ from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, apply_scaler,
                       invert_scaler, label_hypertension)
 from .errors import InsufficientData, MalformedArtifact, TrainingDiverged
 from .model import EncoderConfig, backward, forward
+from .parallel import one_blas_thread
 from .textcodec import TokenSequence
 
 EVAL_BATCH = 32
@@ -33,14 +32,6 @@ DIVERGENCE_LIMIT = 1000.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-try:  # the thread controls of the OpenBLAS that numpy bundles, if it does
-    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    _get_threads = _blas.scipy_openblas_get_num_threads64_
-    _set_threads = _blas.scipy_openblas_set_num_threads64_
-except (AttributeError, OSError):
-    _get_threads, _set_threads = (lambda: 1), (lambda n: None)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -180,23 +171,11 @@ def _targets(examples) -> np.ndarray:
     return np.array([[ex.sbp, ex.dbp] for ex in examples], dtype=np.float64)
 
 
-@contextmanager
-def _one_blas_thread():
-    """One OpenBLAS thread, then the caller's count again: a second thread
-    buys this model nothing and makes the trained bytes follow the count."""
-    before = _get_threads()
-    _set_threads(1)
-    try:
-        yield
-    finally:
-        _set_threads(before)
-
-
 def _predict(enc_config, params, sequences):
     """Eval-mode predictions for token sequences in fixed-size chunks, in
     scaler units, (n, 2)."""
     rows = []
-    with _one_blas_thread():
+    with one_blas_thread():
         for start in range(0, len(sequences), EVAL_BATCH):
             out = forward(enc_config, params,
                           sequences[start:start + EVAL_BATCH], mode="eval")
@@ -227,7 +206,7 @@ def train(enc_config: EncoderConfig, params: dict,
     state = init_adam_state(params)
     step = 0
     train_hist, val_hist = [], []
-    with _one_blas_thread():
+    with one_blas_thread():
         for epoch in range(1, config.epochs + 1):
             order = np.random.default_rng((config.seed, epoch)).permutation(n)
             running = 0.0

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speechbp import training
+from speechbp import dataset, training
 from speechbp.audio_io import write_wav
 from speechbp.cli import (CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DATA,
                           EXIT_DEGENERATE, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
@@ -324,6 +324,25 @@ class TestSynth:
         monkeypatch.chdir(tmp_path / "b")
         assert main(["extract", "--config", str(config),
                      "--workdir", "../a/runs"]) == EXIT_OK
+
+    def test_interrupted_synth_leaves_no_manifest(self, tmp_path,
+                                                  monkeypatch):
+        # the WAVs of a synth that stops part-way are a mix of old and new
+        # ones, which the old manifest must not go on listing
+        config = write_config(tmp_path / "c.json", tmp_path / "w",
+                              cohort={"n_female": 4, "n_male": 4})
+        assert main(["synth", "--config", str(config)]) == EXIT_OK
+        write = dataset._write_cohort_wav
+
+        def failing(path, *args):
+            if path.name == "M002.wav":  # item 5
+                raise OSError("disk full")
+            write(path, *args)
+
+        monkeypatch.setattr(dataset, "_write_cohort_wav", failing)
+        assert main(["synth", "--config", str(config)]) == EXIT_IO
+        assert not (tmp_path / "w" / "manifest.csv").exists()
+        assert main(["extract", "--config", str(config)]) == EXIT_IO
 
     def test_unwritable_workdir(self, tmp_path):
         blocker = tmp_path / "blocker"

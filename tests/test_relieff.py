@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from speechbp import relieff
+from speechbp import parallel, relieff
 from speechbp.errors import InsufficientData
 from speechbp.relieff import (FeatureWeights, _fold_assignment,
                               _nearest_neighbor_accuracy, _relieff_pass,
@@ -377,7 +377,7 @@ class TestFoldWorkers:
         return X, y
 
     def select(self, monkeypatch, workers):
-        monkeypatch.setattr(relieff, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         return cross_validated_selection(*self.data(), folds=5,
                                          k_grid=(1, 3, 5), seed=2)
 
@@ -423,12 +423,12 @@ class TestFoldWorkers:
                     == serial.weights.weights.tobytes())
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
-        assert relieff._usable_cpus() >= 1
+        assert parallel.usable_cpus() >= 1
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert relieff._usable_cpus() == 3
+        assert parallel.usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert relieff._usable_cpus() == 1
+        assert parallel.usable_cpus() == 1
 
     def test_first_failing_fold_raises(self, monkeypatch):
         # fold 2 fails and so do the folds after it, with another error;
