@@ -13,15 +13,27 @@ keys and values still span every position, but its queries, attention
 output, both layernorms and the feed-forward run on row 0, in forward and in
 backward.
 
-Every dense layer is one product over all of a batch's rows with its bias
-added in place, and goes back through one rule whose weight gradient is
-again one product over all rows.  The element-wise work runs in place on
-cache-sized pieces: GELU and its backward over flat chunks of CHUNK values,
-attention (scores, mask, softmax and its jacobian, the products with the
-values) a group of examples at a time into preallocated outputs.  Each
-element still goes through the same operations in the same order as with
-one numpy expression per step, so the trained bytes do not depend on the
-chunk or the group size.
+Each block runs on contiguous shards of the batch's examples, one thread
+per shard through `parallel.ordered_map`, when the batch has at least
+ROWS_PER_SHARD token rows per shard; a smaller batch is one shard on the
+calling thread.  A shard does only row-local work: its rows' dense
+products, layernorm's per-row statistics, GELU, attention within its
+examples and, in backward, every d_out @ W.T.  It writes each array that
+outlives it into its examples' slice of a full-batch array the calling
+thread allocated.  Every reduction over rows runs on the calling thread
+after the join, over the whole batch: each weight gradient as one product
+over all rows, each bias, gain and position sum, and the token-embedding
+gradient; so do the embedding lookup, the pooler and the heads.  A shard's
+rows of a stacked product are the whole batch's bit for bit, so the trained
+bytes do not depend on the number of CPUs.  A training loop passes a
+workspace that keeps the full-batch arrays from one step to the next.
+
+The element-wise work runs in place on cache-sized pieces: GELU and its
+backward over flat chunks of CHUNK values, attention (scores, mask, softmax
+and its jacobian, the products with the values) a group of examples at a
+time into preallocated outputs.  Each element still goes through the same
+operations in the same order as with one numpy expression per step, so the
+trained bytes do not depend on the chunk or the group size either.
 
 Weights live in a flat dict keyed by the names `param_shapes` defines, which
 is also the serialization order of the on-disk container.
@@ -48,6 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .artifacts import parse_json, write_bytes
 from .errors import MalformedArtifact
 from .textcodec import TokenSequence
@@ -57,6 +70,7 @@ INIT_STD = 0.02
 MASK_BIAS = -1e9
 CHUNK = 2**14          # values per elementwise chunk: 128 KB of float64
 GROUP_SCORES = 2**16   # attention weights per group of examples: 512 KB
+ROWS_PER_SHARD = 1024  # token rows a shard needs to pay for its thread
 
 
 @dataclass(frozen=True)
@@ -192,30 +206,34 @@ def _split_heads(x, n_heads):
     return x.reshape(b, t, n_heads, h // n_heads).transpose(0, 2, 1, 3)
 
 
-def _layer_norm(x, gain, bias, eps):
+def _layer_norm(x, gain, bias, eps, out=(None,) * 4):
+    """(y, xhat, inv, live) of a layernorm along the last axis, each into
+    its entry of `out` when that is an array."""
     # epsilon floors the denominator instead of padding the variance, so on
     # any non-degenerate input the normalized vector has variance exactly 1.
     # The variance is x.var's own arithmetic: the centred values squared,
     # summed along the row, divided by the row length.
+    y, xhat, inv, live = out
     mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    y = np.square(xhat)             # the squares, then the output
+    xhat = np.subtract(x, mu, out=xhat)
+    y = np.square(xhat, out=y)      # the squares, then the output
     sd = np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / x.shape[-1])
-    inv = 1.0 / np.maximum(sd, eps)
+    inv = np.divide(1.0, np.maximum(sd, eps), out=inv)
     xhat *= inv
     np.multiply(xhat, gain, out=y)
     y += bias
-    return y, xhat, inv, sd >= eps
+    return y, xhat, inv, np.greater_equal(sd, eps, out=live)
 
 
-def _layer_norm_backward(d_out, xhat, inv, live, gain):
-    rows = tuple(range(d_out.ndim - 1))
-    scratch = np.multiply(d_out, xhat)
-    d_gain = np.sum(scratch, axis=rows)
-    d_bias = np.sum(d_out, axis=rows)
-    d_x = np.multiply(d_out, gain)  # d_xhat, then d_x in place
+def _layer_norm_backward(d_out, xhat, inv, live, gain, out=(None,) * 2):
+    """(d_x, d_out * xhat) of `_layer_norm`, each into its entry of `out`
+    when that is an array; row by row, so the gain and bias gradients are
+    left to `_layer_norm_sums` over the whole batch."""
+    d_x, prod = out
+    prod = np.multiply(d_out, xhat, out=prod)
+    d_x = np.multiply(d_out, gain, out=d_x)   # d_xhat, then d_x in place
     m1 = d_x.mean(axis=-1, keepdims=True)
-    np.multiply(d_x, xhat, out=scratch)
+    scratch = np.multiply(d_x, xhat)
     m2 = scratch.mean(axis=-1, keepdims=True)
     # on the floored branch the denominator is a constant, so the variance
     # term of the jacobian vanishes
@@ -224,7 +242,14 @@ def _layer_norm_backward(d_out, xhat, inv, live, gain):
     d_x -= m1
     d_x -= scratch
     d_x *= inv
-    return d_x, d_gain, d_bias
+    return d_x, prod
+
+
+def _layer_norm_sums(d_out, prod):
+    """d loss / d gain and d loss / d bias of a layernorm: its d_out * xhat
+    and its d_out, each summed over every row."""
+    rows = tuple(range(d_out.ndim - 1))
+    return np.sum(prod, axis=rows), np.sum(d_out, axis=rows)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -235,11 +260,13 @@ def _chunks(n):
     return (slice(s, min(s + CHUNK, n)) for s in range(0, n, CHUNK))
 
 
-def _gelu(u):
+def _gelu(u, out=(None,) * 2):
+    """(gelu(u), the tanh term its backward reads), each into its entry of
+    `out` when that is a contiguous array."""
     # tanh form: 0.5 * u * (1 + tanh(sqrt(2/pi) * (u + 0.044715 u^3))); the
     # cube is two multiplies because numpy's pow costs ~40x as much here
     flat = u.reshape(-1)
-    g, t = np.empty_like(flat), np.empty_like(flat)
+    g, t = (np.empty_like(flat) if z is None else z.reshape(-1) for z in out)
     scratch = np.empty(min(CHUNK, flat.size))
     for c in _chunks(flat.size):
         uc, tc, gc, sc = flat[c], t[c], g[c], scratch[:c.stop - c.start]
@@ -255,10 +282,12 @@ def _gelu(u):
     return g.reshape(u.shape), t.reshape(u.shape)
 
 
-def _gelu_backward(d_out, u, t):
+def _gelu_backward(d_out, u, t, out=None):
+    """d loss / d u of `_gelu`, into `out` when that is a contiguous
+    array."""
     # d_out * (0.5 (1 + t) + 0.5 u (1 - t^2) sqrt(2/pi) (1 + 3 0.044715 u^2))
     flat_d, flat_u, flat_t = d_out.reshape(-1), u.reshape(-1), t.reshape(-1)
-    d_u = np.empty_like(flat_u)
+    d_u = np.empty_like(flat_u) if out is None else out.reshape(-1)
     inner = np.empty(min(CHUNK, flat_u.size))
     term = np.empty_like(inner)
     for c in _chunks(flat_u.size):
@@ -296,24 +325,30 @@ def _groups(b, per_example):
     return [slice(s, min(s + step, b)) for s in range(0, b, step)]
 
 
-def _dense(src, params, weight, bias=None):
-    """`src @ params[weight] + params[bias]`, the bias added in place."""
-    out = src @ params[weight]
+def _dense(src, params, weight, bias=None, out=None):
+    """`src @ params[weight] + params[bias]`, the bias added in place, into
+    `out` when that is an array."""
+    out = np.matmul(src, params[weight], out=out)
     if bias:
         out += params[bias]
     return out
 
 
-def _attention(q, k, v, key_bias, scale, keep):
+def _attention(q, k, v, key_bias, scale, out=(None,) * 2):
     """Masked attention of (b, a, tq, dh) queries over (b, a, t, dh) keys
     and values, a group of examples at a time.  Returns the context in
-    merged (b, tq, h) layout and, when `keep`, the (b, a, tq, t) weights;
-    without it the weights live in one group-sized buffer."""
+    merged (b, tq, h) layout, into `out[0]` when that is an array; the
+    (b, a, tq, t) weights are kept in `out[1]` when that is an array, and
+    live in one group-sized buffer otherwise."""
     b, a, tq, dh = q.shape
     t = k.shape[2]
     groups = _groups(b, a * tq * t)
-    attn = np.empty((b if keep else groups[0].stop, a, tq, t))
-    ctx = np.empty((b, tq, a * dh))
+    ctx, attn = out
+    keep = attn is not None
+    if not keep:
+        attn = np.empty((groups[0].stop, a, tq, t))
+    if ctx is None:
+        ctx = np.empty((b, tq, a * dh))
     ctx_h = _split_heads(ctx, a)
     k_t = k.transpose(0, 1, 3, 2)
     for g in groups:
@@ -323,19 +358,17 @@ def _attention(q, k, v, key_bias, scale, keep):
         w += key_bias[g]
         _softmax_rows(w)
         np.matmul(w, v[g], out=ctx_h[g])
-    return ctx, attn if keep else None
+    return ctx
 
 
-def _attention_backward(d_ctx, c, scale):
-    """Gradients of `_attention` for the queries, keys and values, each in
-    merged (b, rows, h) layout, from d loss / d context and a block's
-    cache; a group of examples at a time."""
+def _attention_backward(d_ctx, c, scale, out):
+    """Gradients of `_attention` for the queries, keys and values, into the
+    three (b, rows, h) arrays of `out`, from d loss / d context and a
+    block's cache; a group of examples at a time."""
     q, k, v, attn = c["q"], c["k"], c["v"], c["attn"]
     b, a, tq, t = attn.shape
-    h = d_ctx.shape[-1]
     d_ctx_h = _split_heads(d_ctx, a)
-    d_q = np.empty((b, tq, h))
-    d_k, d_v = np.empty((b, t, h)), np.empty((b, t, h))
+    d_q, d_k, d_v = out
     d_qh, d_kh, d_vh = (_split_heads(z, a) for z in (d_q, d_k, d_v))
     groups = _groups(b, a * tq * t)
     d_scores = np.empty((groups[0].stop, a, tq, t))
@@ -355,21 +388,98 @@ def _attention_backward(d_ctx, c, scale):
         d_qh[g] *= scale
         np.matmul(ds.transpose(0, 1, 3, 2), q[g], out=d_kh[g])
         d_kh[g] *= scale
-    return d_q, d_k, d_v
+
+
+def _shards(b, t):
+    """Contiguous slices of a batch's b examples of t tokens, one per
+    worker: as many as there are usable CPUs, examples and shares of
+    ROWS_PER_SHARD token rows, one at least."""
+    workers = max(1, min(parallel.usable_cpus(), b, b * t // ROWS_PER_SHARD))
+    return [slice(b * k // workers, b * (k + 1) // workers)
+            for k in range(workers)]
+
+
+def _buffer(workspace, key, shape, dtype=np.float64):
+    """An empty C-contiguous array of `shape`: a fresh one without a
+    workspace, else a view of the workspace's buffer under `key`, which
+    grows to the largest shape asked of it and is then reused."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = workspace.get(key)
+    if flat is None or flat.size < size:
+        flat = workspace[key] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+def _block_arrays(config, b, t, tq, train, workspace, p):
+    """Empty full-batch arrays for block `p`'s output rows ("y2") and, in
+    train mode, the activations its backward reads; q, k and v in merged
+    (b, rows, h) layout.  The shards fill them at their examples."""
+    h, ff, a = config.hidden_dim, config.ff_dim, config.n_heads
+    shapes = {"y2": (b, tq, h)}
+    if train:
+        shapes.update(q=(b, tq, h), k=(b, t, h), v=(b, t, h),
+                      attn=(b, a, tq, t), ctx=(b, tq, h), ln1_xhat=(b, tq, h),
+                      ln1_inv=(b, tq, 1), y1=(b, tq, h), h1=(b, tq, ff),
+                      gelu_t=(b, tq, ff), g=(b, tq, ff), ln2_xhat=(b, tq, h),
+                      ln2_inv=(b, tq, 1))
+    c = {name: _buffer(workspace, p + name, shape)
+         for name, shape in shapes.items()}
+    if train:
+        for name in ("ln1_live", "ln2_live"):
+            c[name] = _buffer(workspace, p + name, (b, tq, 1), bool)
+    return c
+
+
+def _block_rows(config, params, p, scale, key_bias, c):
+    """Block `p`'s forward on one shard, `c` its `_block_arrays` and its
+    input "x_in" at the shard's examples: each array there is filled, and
+    each activation without one is let go."""
+    x, y2 = c["x_in"], c["y2"]
+    # the query rows: all of them, except in the last block, whose only
+    # reader is the pooler at position 0
+    xq = x[:, :y2.shape[1]]
+    q = _split_heads(_dense(xq, params, p + "wq", p + "bq", c.get("q")),
+                     config.n_heads)
+    # no key bias: the softmax cancels the q . b_k it would add
+    k = _split_heads(_dense(x, params, p + "wk", out=c.get("k")),
+                     config.n_heads)
+    v = _split_heads(_dense(x, params, p + "wv", p + "bv", c.get("v")),
+                     config.n_heads)
+    ctx = _attention(q, k, v, key_bias, scale, (c.get("ctx"), c.get("attn")))
+    res1 = _dense(ctx, params, p + "wo", p + "bo")
+    res1 += xq
+    y1 = _layer_norm(res1, params[p + "attn_gain"], params[p + "attn_bias"],
+                     config.layernorm_epsilon,
+                     (c.get("y1"), c.get("ln1_xhat"), c.get("ln1_inv"),
+                      c.get("ln1_live")))[0]
+    g = _gelu(_dense(y1, params, p + "w1", p + "b1", c.get("h1")),
+              (c.get("g"), c.get("gelu_t")))[0]
+    res2 = _dense(g, params, p + "w2", p + "b2")
+    res2 += y1
+    _layer_norm(res2, params[p + "ffn_gain"], params[p + "ffn_bias"],
+                config.layernorm_epsilon,
+                (y2, c.get("ln2_xhat"), c.get("ln2_inv"), c.get("ln2_live")))
 
 
 def forward(config: EncoderConfig, params: dict,
             sequences: Sequence[TokenSequence], mode: str = "eval",
-            dropout_seed=0) -> ForwardOutput:
+            dropout_seed=0, workspace: dict | None = None) -> ForwardOutput:
     """Run the encoder on a batch; train mode retains the backward cache,
     eval mode lets each block's activations go once the next has read
-    them."""
+    them.  Each block runs on shards of the batch's examples.
+
+    A `workspace`, a dict the caller keeps from one training step to the
+    next, holds the train-mode cache's arrays and `backward`'s: each call
+    writes over the previous one's, in memory that stays paged in."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     ids, mask = _batch_arrays(config, sequences)
     b, t = ids.shape
     scale = 1.0 / np.sqrt(config.head_dim)
     train = mode == "train"
+    shards = _shards(b, t)
 
     x = params["token_embedding"][ids]
     x += params["position_embedding"][:t]
@@ -380,37 +490,22 @@ def forward(config: EncoderConfig, params: dict,
     layers = []
     for i in range(config.n_layers):
         p = f"layer{i}."
-        # the query rows: all of them, except in the last block, whose only
-        # reader is the pooler at position 0
-        xq = x[:, :1] if i == config.n_layers - 1 else x
-        q = _split_heads(_dense(xq, params, p + "wq", p + "bq"),
-                         config.n_heads)
-        # no key bias: the softmax cancels the q . b_k it would add
-        k = _split_heads(_dense(x, params, p + "wk"), config.n_heads)
-        v = _split_heads(_dense(x, params, p + "wv", p + "bv"),
-                         config.n_heads)
-        ctx, attn = _attention(q, k, v, key_bias, scale, keep=train)
-        res1 = _dense(ctx, params, p + "wo", p + "bo")
-        res1 += xq
-        y1, ln1_xhat, ln1_inv, ln1_live = _layer_norm(
-            res1, params[p + "attn_gain"], params[p + "attn_bias"],
-            config.layernorm_epsilon)
-        h1 = _dense(y1, params, p + "w1", p + "b1")
-        g, gelu_t = _gelu(h1)
-        res2 = _dense(g, params, p + "w2", p + "b2")
-        res2 += y1
-        y2, ln2_xhat, ln2_inv, ln2_live = _layer_norm(
-            res2, params[p + "ffn_gain"], params[p + "ffn_bias"],
-            config.layernorm_epsilon)
+        tq = 1 if i == config.n_layers - 1 else t
+        c = _block_arrays(config, b, t, tq, train, workspace, p)
+        c["x_in"] = x
+        parallel.ordered_map(
+            lambda s: _block_rows(config, params, p, scale, key_bias[s],
+                                  {name: a[s] for name, a in c.items()}),
+            shards)
+        x = c.pop("y2")
         if train:
-            layers.append({"x_in": x, "xq": xq, "q": q, "k": k, "v": v,
-                           "attn": attn, "ctx": ctx, "ln1_xhat": ln1_xhat,
-                           "ln1_inv": ln1_inv, "ln1_live": ln1_live,
-                           "y1": y1, "h1": h1, "gelu_t": gelu_t, "g": g,
-                           "ln2_xhat": ln2_xhat, "ln2_inv": ln2_inv,
-                           "ln2_live": ln2_live})
-        x = y2
+            c["xq"] = c["x_in"][:, :tq]
+            for name in ("q", "k", "v"):
+                c[name] = _split_heads(c[name], config.n_heads)
+            layers.append(c)
 
+    # the pooler's product stays whole: on a one-example shard it would be
+    # a matrix-vector call, whose bits differ from the matrix product's
     pooled = _dense(x[:, 0, :], params, "pooler_weight", "pooler_bias")
     np.tanh(pooled, out=pooled)
     dropped, cache = pooled, None
@@ -427,9 +522,61 @@ def forward(config: EncoderConfig, params: dict,
     return ForwardOutput(sbp_pred=sbp, dbp_pred=dbp, cache=cache)
 
 
+def _row_gradients(c, d_y2, workspace, p):
+    """Empty full-batch arrays for what the reductions over rows read of a
+    block's reverse sweep, `c` its cache: d loss / d each dense layer's
+    output, each layernorm's d_out * xhat ("ln1", "ln2") and d loss / d the
+    block input ("d_x"); "d_y2", d loss / d its output, is whole already.
+    Their keys in the workspace are block `p`'s, behind "d."."""
+    b, tq, h = c["ctx"].shape
+    t, ff = c["x_in"].shape[1], c["h1"].shape[2]
+    shapes = {"ln2": (b, tq, h), "d_res2": (b, tq, h), "d_h1": (b, tq, ff),
+              "d_y1": (b, tq, h), "ln1": (b, tq, h), "d_res1": (b, tq, h),
+              "d_q": (b, tq, h), "d_k": (b, t, h), "d_v": (b, t, h),
+              "d_x": (b, t, h)}
+    r = {name: _buffer(workspace, "d." + p + name, shape)
+         for name, shape in shapes.items()}
+    r["d_y2"] = d_y2
+    return r
+
+
+def _block_backward_rows(params, p, scale, c, r):
+    """The row-local part of block `p`'s reverse sweep on one shard, with
+    `c` and `r` its cache and `_row_gradients` at the shard's examples:
+    layernorm's per-row part, every d_out @ W.T, GELU's and attention's
+    backward."""
+    d_res2 = _layer_norm_backward(
+        r["d_y2"], c["ln2_xhat"], c["ln2_inv"], c["ln2_live"],
+        params[p + "ffn_gain"], (r["d_res2"], r["ln2"]))[0]
+    d_g = d_res2 @ params[p + "w2"].T
+    d_h1 = _gelu_backward(d_g, c["h1"], c["gelu_t"], r["d_h1"])
+    d_y1 = np.matmul(d_h1, params[p + "w1"].T, out=r["d_y1"])
+    d_y1 += d_res2
+    d_res1 = _layer_norm_backward(
+        d_y1, c["ln1_xhat"], c["ln1_inv"], c["ln1_live"],
+        params[p + "attn_gain"], (r["d_res1"], r["ln1"]))[0]
+    d_ctx = d_res1 @ params[p + "wo"].T
+    _attention_backward(d_ctx, c, scale, (r["d_q"], r["d_k"], r["d_v"]))
+
+    # the residual and Q paths reach the query rows, K and V every row
+    d_x = r["d_x"]
+    d_x.fill(0.0)
+    d_xq = d_x[:, :d_res1.shape[1]]
+    d_xq += d_res1
+    d_xq += r["d_q"] @ params[p + "wq"].T
+    d_x += r["d_k"] @ params[p + "wk"].T
+    d_x += r["d_v"] @ params[p + "wv"].T
+
+
 def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
-             grad_sbp: np.ndarray, grad_dbp: np.ndarray) -> dict:
-    """Exact reverse sweep; upstream grads are d loss / d head outputs."""
+             grad_sbp: np.ndarray, grad_dbp: np.ndarray,
+             workspace: dict | None = None) -> dict:
+    """Exact reverse sweep; upstream grads are d loss / d head outputs;
+    `workspace` as for `forward`.
+
+    Each block's row-local part runs on shards of the batch's examples;
+    after it, every sum over rows runs here, as one operation over the
+    whole batch."""
     cache = output.cache
     if cache is None:
         raise ValueError("backward needs a train-mode forward cache")
@@ -444,46 +591,38 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
                                  "dbp_weight", "dbp_bias")
     d_pooled = d_dropped * cache["drop_scale"]
     d_pooled_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
-
-    # d loss / d block output at the query rows; the last block has one
+    # d loss / d the last block's output, which has the query row alone
     d_x = _dense_backward(d_pooled_pre, cache["state0"], params, grads,
                           "pooler_weight", "pooler_bias")[:, None, :]
 
+    b, t = cache["ids"].shape
+    shards = _shards(b, t)
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
         c = cache["layers"][i]
+        r = _row_gradients(c, d_x, workspace, p)
+        parallel.ordered_map(
+            lambda s: _block_backward_rows(
+                params, p, scale, {name: a[s] for name, a in c.items()},
+                {name: a[s] for name, a in r.items()}),
+            shards)
 
-        d_res2, grads[p + "ffn_gain"], grads[p + "ffn_bias"] = \
-            _layer_norm_backward(d_x, c["ln2_xhat"], c["ln2_inv"],
-                                 c["ln2_live"], params[p + "ffn_gain"])
-        d_g = _dense_backward(d_res2, c["g"], params, grads, p + "w2", p + "b2")
-        d_h1 = _gelu_backward(d_g, c["h1"], c["gelu_t"])
-        d_y1 = _dense_backward(d_h1, c["y1"], params, grads, p + "w1",
-                               p + "b1")
-        d_y1 += d_res2
-
-        d_res1, grads[p + "attn_gain"], grads[p + "attn_bias"] = \
-            _layer_norm_backward(d_y1, c["ln1_xhat"], c["ln1_inv"],
-                                 c["ln1_live"], params[p + "attn_gain"])
-        d_ctx = _dense_backward(d_res1, c["ctx"], params, grads,
-                                p + "wo", p + "bo")
-        d_q, d_k, d_v = _attention_backward(d_ctx, c, scale)
-
-        # the residual and Q paths reach the query rows, K and V every row
-        x_in, xq = c["x_in"], c["xq"]
-        d_x = np.zeros_like(x_in)
-        d_xq = d_x[:, :xq.shape[1]]
-        d_xq += d_res1
-        for mat, vec, dh, src, dst in (("wq", "bq", d_q, xq, d_xq),
-                                       ("wk", None, d_k, x_in, d_x),
-                                       ("wv", "bv", d_v, x_in, d_x)):
-            dst += _dense_backward(dh, src, params, grads,
-                                   p + mat, vec and p + vec)
+        grads[p + "ffn_gain"], grads[p + "ffn_bias"] = _layer_norm_sums(
+            r["d_y2"], r["ln2"])
+        _weight_gradients(grads, r["d_res2"], c["g"], p + "w2", p + "b2")
+        _weight_gradients(grads, r["d_h1"], c["y1"], p + "w1", p + "b1")
+        grads[p + "attn_gain"], grads[p + "attn_bias"] = _layer_norm_sums(
+            r["d_y1"], r["ln1"])
+        _weight_gradients(grads, r["d_res1"], c["ctx"], p + "wo", p + "bo")
+        _weight_gradients(grads, r["d_q"], c["xq"], p + "wq", p + "bq")
+        _weight_gradients(grads, r["d_k"], c["x_in"], p + "wk")
+        _weight_gradients(grads, r["d_v"], c["x_in"], p + "wv", p + "bv")
+        d_x = r["d_x"]
 
     grads["token_embedding"] = _embedding_backward(
         cache["ids"].ravel(), d_x.reshape(-1, config.hidden_dim),
         config.vocab_size)
-    grads["position_embedding"][:d_x.shape[1]] = d_x.sum(axis=0)
+    grads["position_embedding"][:t] = d_x.sum(axis=0)
     return grads
 
 
@@ -502,14 +641,20 @@ def _embedding_backward(ids, rows, vocab_size):
     return grad
 
 
-def _dense_backward(d_out, src, params, grads, weight, bias=None):
-    """Backward of the dense layer `src @ params[weight] + params[bias]`:
-    fills its gradients in `grads`, the weight's as one product over every
-    row, and returns d loss / d src."""
+def _weight_gradients(grads, d_out, src, weight, bias=None):
+    """The gradients of the dense layer `src @ params[weight] +
+    params[bias]` into `grads`, from d loss / d its output: the weight's as
+    one product over every row, the bias's as one sum."""
     grads[weight] = (src.reshape(-1, src.shape[-1]).T
                      @ d_out.reshape(-1, d_out.shape[-1]))
     if bias:
         grads[bias] = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
+
+
+def _dense_backward(d_out, src, params, grads, weight, bias=None):
+    """Backward of a dense layer run whole: fills its gradients in
+    `grads` and returns d loss / d src."""
+    _weight_gradients(grads, d_out, src, weight, bias)
     return d_out @ params[weight].T
 
 

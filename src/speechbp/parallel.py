@@ -44,7 +44,8 @@ def ordered_map(fn, items) -> list:
     Thread s takes every workers-th item from item s on and stops at its
     first error; all are joined before the map returns.  The results, and
     the first error in item order, are a plain loop's.  fn must call no
-    tracer span: the benchmark's tracer keeps one span stack.
+    tracer span: the benchmark's tracer keeps one span stack.  Its users:
+    `select`'s folds, `synth`'s WAVs and the encoder's shards.
     """
     items = list(items)
     if not items:

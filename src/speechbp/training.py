@@ -204,6 +204,9 @@ def train(enc_config: EncoderConfig, params: dict,
     z_val = apply_scaler(scaler, _targets(val_set)) if val_set else None
 
     state = init_adam_state(params)
+    # the encoder's full-batch arrays, kept from step to step: allocated
+    # afresh, most steps paged them in again
+    workspace = {}
     step = 0
     train_hist, val_hist = [], []
     with one_blas_thread():
@@ -214,7 +217,8 @@ def train(enc_config: EncoderConfig, params: dict,
                 idx = order[start:start + config.batch_size]
                 batch = [train_set[i].sequence for i in idx]
                 out = forward(enc_config, params, batch, mode="train",
-                              dropout_seed=(config.seed, epoch, bi))
+                              dropout_seed=(config.seed, epoch, bi),
+                              workspace=workspace)
                 zb = z[idx]
                 loss = total_loss(out.sbp_pred, out.dbp_pred, *zb.T)
                 if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
@@ -222,7 +226,7 @@ def train(enc_config: EncoderConfig, params: dict,
                         f"loss {loss:.3g} at epoch {epoch}, batch {bi}")
                 gs, gd = total_loss_gradients(out.sbp_pred, out.dbp_pred,
                                               *zb.T)
-                grads = backward(enc_config, params, out, gs, gd)
+                grads = backward(enc_config, params, out, gs, gd, workspace)
                 step += 1
                 adam_step(params, grads, state, step, config)
                 running += loss * len(idx)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import speechbp
-from speechbp import features
+from speechbp import features, model, parallel
 from speechbp.audio_io import AudioClip
 from speechbp.cli import EXIT_OK, main
 
@@ -117,6 +117,42 @@ def test_small_pipeline_calls_every_declared_span(tmp_path, monkeypatch):
                                              summary) == []
     # one span stack holds only if every span runs on the calling thread,
     # and then each span lies inside its parent
+    assert len(threads) == len(tracer.spans)
+    assert set(threads) == {threading.get_ident()}
+    for name, start, end, parent, _ in tracer.spans:
+        if parent >= 0:
+            _, parent_start, parent_end, _, _ = tracer.spans[parent]
+            assert parent_start <= start <= end <= parent_end, name
+
+
+def test_sharded_train_spans_stay_on_calling_thread(tmp_path, monkeypatch):
+    # the encoder's shards run on threads; at two workers, with every batch
+    # sharded, each spanned call must still run on the thread that called
+    # `main` and lie inside its parent
+    tracer_module = load_tracer()
+    config = small_config(tmp_path)
+    for command in ("synth", "extract", "select"):
+        assert main([command, "--config", str(config)]) == EXIT_OK
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "ROWS_PER_SHARD", 1)
+    shard_threads, block_rows = set(), model._block_rows
+
+    def noting_rows(*args):
+        shard_threads.add(threading.get_ident())
+        block_rows(*args)
+
+    monkeypatch.setattr(model, "_block_rows", noting_rows)
+    threads = note_threads(tracer_module.SPANS, monkeypatch)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = main(["train", "--config", str(config)])
+    finally:
+        tracer.remove()
+    assert code == EXIT_OK
+    assert len(shard_threads) > 1
+    assert {name for name, *_ in tracer.spans} >= {
+        "model.forward.train", "model.backward", "training.adam_step"}
     assert len(threads) == len(tracer.spans)
     assert set(threads) == {threading.get_ident()}
     for name, start, end, parent, _ in tracer.spans:

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,14 +18,14 @@ import pytest
 import oracles
 from oracles import (central_difference, encoder_forward_oracle,
                      gelu_backward_pow_oracle, gelu_pow_oracle)
-from speechbp import model
+from speechbp import model, parallel
 from speechbp.errors import MalformedArtifact
 from speechbp.model import (CHUNK, EncoderConfig, ForwardOutput,
                             _embedding_backward, _gelu, _gelu_backward,
                             _layer_norm, _layer_norm_backward,
-                            _softmax_rows, backward, forward, init_params,
-                            load_params, param_shapes, save_params,
-                            zero_gradients)
+                            _layer_norm_sums, _softmax_rows, backward,
+                            forward, init_params, load_params,
+                            param_shapes, save_params, zero_gradients)
 from speechbp.textcodec import TokenSequence
 
 VOCAB = 12
@@ -483,7 +484,7 @@ class TestLayerNormDegenerate:
             return float(np.sum(w * y))
 
         _, xhat, inv, live = _layer_norm(x, gain, bias, 1e-5)
-        d_x, _, _ = _layer_norm_backward(w, xhat, inv, live, gain)
+        d_x, _ = _layer_norm_backward(w, xhat, inv, live, gain)
         for j in range(8):
             fd = central_difference(scalar, lambda: x[0, j],
                                     lambda v: x.__setitem__((0, j), v),
@@ -561,7 +562,11 @@ class TestKernelsMatchOracles:
         _, xhat, inv, live = oracles.layer_norm_oracle(x, gain, 0.0, 1e-5)
         inputs = (kernel_input(shape, 10, 1.0), xhat, inv, live, gain)
         copies = [a.copy() for a in inputs]
-        for got, want in zip(_layer_norm_backward(*inputs),
+        # the row-local part, then the sums over rows that backward runs on
+        # the whole batch
+        d_x, prod = _layer_norm_backward(*inputs)
+        parts = (d_x, *_layer_norm_sums(inputs[0], prod))
+        for got, want in zip(parts,
                              oracles.layer_norm_backward_oracle(*inputs)):
             assert_bits_equal(got, want)
         assert_unchanged(inputs, copies)
@@ -606,6 +611,89 @@ class TestAttentionGroups:
             assert len(run) == len(runs[0])
             for got, want in zip(run, runs[0]):
                 assert_bits_equal(got, want)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    threads, start = [], threading.Thread.start
+
+    def noting_start(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", noting_start)
+    return threads
+
+
+def step_arrays(cfg, params, batch, up, **kwargs):
+    """Train-mode and eval-mode predictions and every gradient of one
+    step, in a fixed order."""
+    out = forward(cfg, params, batch, mode="train", dropout_seed=2, **kwargs)
+    grads = backward(cfg, params, out, *up, **kwargs)
+    ev = forward(cfg, params, batch)
+    return [out.sbp_pred, out.dbp_pred, ev.sbp_pred, ev.dbp_pred,
+            *(grads[name] for name in param_shapes(cfg))]
+
+
+class TestShards:
+    """Each block's row-local work runs on contiguous shards of the
+    batch's examples, one thread each; every sum over rows stays one
+    operation over the whole batch, so no bit may follow the count."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_worker_count_leaves_bits(self, n, n_layers, monkeypatch,
+                                      started):
+        # one token row per shard suffices, so 5 examples on 3 workers
+        # make shards of 1, 2 and 2 examples
+        monkeypatch.setattr(model, "ROWS_PER_SHARD", 1)
+        cfg = EncoderConfig(vocab_size=40, max_len=128, n_layers=n_layers,
+                            seed=n)
+        params = init_params(cfg)
+        batch = padded_batch(np.random.default_rng(n), n)
+        up = np.random.default_rng(200 + n).normal(size=(2, n, 1))
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+            started.clear()
+            before = threading.active_count()
+            runs[workers] = step_arrays(cfg, params, batch, up)
+            assert threading.active_count() == before
+            # train forward, backward and eval forward: one map per block
+            assert len(started) == 3 * n_layers * (min(workers, n) - 1)
+        for workers in (2, 3):
+            assert len(runs[workers]) == len(runs[1])
+            for got, want in zip(runs[workers], runs[1]):
+                assert_bits_equal(got, want)
+
+    def test_workspace_leaves_bits(self, monkeypatch):
+        # steps of 33, 5 and again 33 examples through one workspace, at
+        # two workers, as without one
+        monkeypatch.setattr(model, "ROWS_PER_SHARD", 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        cfg = EncoderConfig(vocab_size=40, max_len=128, seed=6)
+        params = init_params(cfg)
+        workspace = {}
+        for n in (33, 5, 33):
+            batch = padded_batch(np.random.default_rng(n), n)
+            up = np.random.default_rng(300 + n).normal(size=(2, n, 1))
+            got = step_arrays(cfg, params, batch, up, workspace=workspace)
+            for g, want in zip(got, step_arrays(cfg, params, batch, up)):
+                assert_bits_equal(g, want)
+
+    @pytest.mark.parametrize("n, width, threads", [(1, 99, 0), (8, 19, 0),
+                                                   (32, 99, 2)])
+    def test_small_batches_start_no_thread(self, n, width, threads,
+                                           monkeypatch, started):
+        # one example, or item 1's (8 x 19) batches, stay on the calling
+        # thread; 32 full-length feature texts take one thread per block
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        cfg = EncoderConfig(vocab_size=40, max_len=128, seed=7)
+        rng = np.random.default_rng(n)
+        batch = [random_seq(rng, width, 40, width) for _ in range(n)]
+        forward(cfg, init_params(cfg), batch)
+        assert len(started) == threads
 
 
 def header_edit(mutate, sign=False):

@@ -1,9 +1,11 @@
-"""Tests for the ordered map on threads and the cohort WAVs written through
-it."""
+"""Tests for the ordered map on threads, and the cohort WAVs and the
+encoder's shards that run through it."""
 
 import contextlib
 import ctypes
+import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -12,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechbp import dataset, parallel
+from speechbp import dataset, model, parallel
 from speechbp.cli import EXIT_OK, main
 from speechbp.parallel import ordered_map
+from speechbp.textcodec import TokenSequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,6 +163,91 @@ class TestCohortWorkers:
                       else contextlib.nullcontext()):
                     dataset.synthesize_cohort(
                         4, 4, seed=5, wav_dir=tmp_path / f"w{workers}")
+                assert counts and set(counts) == {1}
+                assert BLAS_GET() == 2
+        finally:
+            BLAS_SET(before)
+
+
+class TestEncoderWorkers:
+    """The encoder runs each block on min(usable CPUs, examples, token rows
+    // ROWS_PER_SHARD) shards; no byte that train, eval or predict writes
+    may follow that count.  ROWS_PER_SHARD is lowered to one row so the
+    small cohort's batches shard too."""
+
+    @pytest.fixture(scope="class")
+    def selected(self, tmp_path_factory):
+        """A workdir through `bp select` for 6 F + 6 M, with a two-block
+        encoder trained two epochs on batches of 5."""
+        workdir = tmp_path_factory.mktemp("encoder")
+        config = workdir / "cfg.json"
+        config.write_text(json.dumps({
+            "seed": 3, "cohort": {"n_female": 6, "n_male": 6},
+            "selection": {"folds": 2, "k_grid": [1]},
+            "encoder": {"hidden_dim": 8, "n_layers": 2, "n_heads": 2,
+                        "ff_dim": 16, "max_len": 128},
+            "training": {"epochs": 2, "batch_size": 5}}))
+        for command in ("synth", "extract", "select"):
+            assert main([command, "--workdir", str(workdir / "w"),
+                         "--config", str(config)]) == EXIT_OK
+        return workdir / "w", config
+
+    def test_worker_count_leaves_bytes(self, selected, monkeypatch, tmp_path,
+                                       capsys, started, often):
+        base, config = selected
+        monkeypatch.setattr(model, "ROWS_PER_SHARD", 1)
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+            workdir = tmp_path / f"w{workers}"
+            shutil.copytree(base, workdir)
+            started.clear()
+            before = threading.active_count()
+            capsys.readouterr()
+            for command in (["train"], ["eval"], ["predict", "--row", "F001"]):
+                assert main(command + ["--workdir", str(workdir), "--config",
+                                       str(config)]) == EXIT_OK
+            stdout = capsys.readouterr().out
+            assert '"sbp_mmhg"' in stdout.splitlines()[-1]
+            assert threading.active_count() == before
+            assert (len(started) > 0) == (workers > 1)
+            outputs[workers] = (
+                *(Path(workdir, name).read_bytes() for name in (
+                    "model/params.bin", "metrics.json", "loss_curve.csv")),
+                stdout)
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+    @pytest.mark.skipif(BLAS_GET is None,
+                        reason="numpy bundles no scipy-openblas")
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_one_blas_thread_inside(self, monkeypatch, fail):
+        # every shard runs at one OpenBLAS thread, and the caller's count
+        # is back after the pass returns and after it raises
+        monkeypatch.setattr(model, "ROWS_PER_SHARD", 1)
+        counts, gelu = [], model._gelu
+
+        def recording(u, *args):
+            counts.append(BLAS_GET())
+            if fail and threading.current_thread() is not \
+                    threading.main_thread():
+                raise FloatingPointError("shard")
+            return gelu(u, *args)
+
+        monkeypatch.setattr(model, "_gelu", recording)
+        cfg = model.EncoderConfig(vocab_size=12, hidden_dim=8, n_heads=2,
+                                  ff_dim=16, max_len=16)
+        batch = [TokenSequence(np.array([2, 5, 7, 3]), np.ones(4, int), 4)
+                 for _ in range(5)]
+        before = BLAS_GET()
+        BLAS_SET(2)
+        try:
+            for workers in (1, 2, 3):
+                counts.clear()
+                monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+                with (pytest.raises(FloatingPointError, match="^shard$")
+                      if fail and workers > 1 else contextlib.nullcontext()):
+                    model.forward(cfg, model.init_params(cfg), batch)
                 assert counts and set(counts) == {1}
                 assert BLAS_GET() == 2
         finally:
