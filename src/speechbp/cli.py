@@ -113,9 +113,11 @@ def _merge_section(defaults: dict, given: dict, where: str) -> dict:
     return merged
 
 
-def _reject_non_finite(name):
-    # json.loads takes NaN, Infinity and -Infinity, which no setting means
-    raise ConfigError(f"config number {name} is not finite")
+def _finite_number(text):
+    # json.loads takes NaN, Infinity and -Infinity, and reads 1e400 as inf
+    if math.isfinite(value := float(text)):
+        return value
+    raise ConfigError(f"config number {text} is not finite")
 
 
 def resolve_config(config_path, seed_override=None,
@@ -132,7 +134,8 @@ def resolve_config(config_path, seed_override=None,
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}")
         try:
-            given = json.loads(text, parse_constant=_reject_non_finite)
+            given = json.loads(text, parse_float=_finite_number,
+                               parse_constant=_finite_number)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}")
         if not isinstance(given, dict):

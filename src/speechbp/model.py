@@ -26,7 +26,8 @@ over all rows, each bias, gain and position sum, and the token-embedding
 gradient; so do the embedding lookup, the pooler and the heads.  A shard's
 rows of a stacked product are the whole batch's bit for bit, so the trained
 bytes do not depend on the number of CPUs.  A training loop passes a
-workspace that keeps the full-batch arrays from one step to the next.
+workspace that keeps the full-batch arrays and the gradient vector from one
+step to the next.
 
 The element-wise work runs in place on cache-sized pieces: GELU and its
 backward over flat chunks of CHUNK values, attention (scores, mask, softmax
@@ -35,17 +36,15 @@ time into preallocated outputs.  Each element still goes through the same
 operations in the same order as with one numpy expression per step, so the
 trained bytes do not depend on the chunk or the group size either.
 
-Weights live in a flat dict keyed by the names `param_shapes` defines, which
-is also the serialization order of the on-disk container.
-
-A trained model is one file: a little-endian u64 header length, a JSON
-header, then every array as little-endian float64 in `param_shapes` order,
-so the config alone fixes the payload's layout.  The header holds the
-format version, the encoder config, the pipeline record (how a feature row
-becomes model input: kept features, scalers, decimals, schema, split) and a
-sha256 over the header less that field (sorted-key JSON) followed by the
-payload.  So an edit to the weights, the config or the record that leaves
-the header parseable fails the checksum.
+The weights are one float64 vector, every parameter array in `param_shapes`
+order, behind a dict of named views (`param_views`), and so are the gradients.
+A trained model is one file: a little-endian u64 header length, a JSON header,
+then that vector as little-endian float64, so the config alone fixes the
+payload's layout.  The header holds the format version, the encoder config, the
+pipeline record (how a feature row becomes model input: kept features, scalers,
+decimals, schema, split) and a sha256 over the header less that field
+(sorted-key JSON) followed by the payload.  So an edit to the weights, the
+config or the record that leaves the header parseable fails the checksum.
 """
 
 from __future__ import annotations
@@ -104,12 +103,16 @@ class EncoderConfig:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by "
                 f"n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
+        p, eps = self.dropout_p, self.layernorm_epsilon
+        # exactly int or float, since a bool passes a range check; a NaN
+        # fails every range check, and an infinity a bounded one
+        if type(p) not in (int, float) or not 0.0 <= p < 1.0:
+            raise ValueError(f"dropout_p must lie in [0, 1), got {p!r}")
         if self.max_len < 2:
             raise ValueError("max_len must admit [CLS] and [SEP]")
-        if self.layernorm_epsilon <= 0.0:
-            raise ValueError("layernorm_epsilon must be positive")
+        if type(eps) not in (int, float) or not 0.0 < eps < math.inf:
+            raise ValueError(f"layernorm_epsilon must be positive and "
+                             f"finite, got {eps!r}")
 
     @property
     def head_dim(self) -> int:
@@ -163,23 +166,36 @@ def _truncated_normal(rng, shape, std):
     return out
 
 
+def _param_count(config: EncoderConfig) -> int:
+    return sum(math.prod(s) for s in param_shapes(config).values())
+
+
+def param_views(config: EncoderConfig, flat: np.ndarray) -> dict:
+    """Name -> the view of `flat`, a vector of every parameter array in
+    `param_shapes` order, that is that array."""
+    views, offset = {}, 0
+    for name, shape in param_shapes(config).items():
+        views[name] = flat[offset:offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    return views
+
+
+def param_vector(config: EncoderConfig, params: dict) -> np.ndarray:
+    """One fresh float64 vector of `params`' arrays in `param_shapes` order."""
+    return np.concatenate([np.ravel(params[n]) for n in param_shapes(config)],
+                          dtype=np.float64)
+
+
 def init_params(config: EncoderConfig) -> dict:
     """Seed-deterministic init: truncated normal weights, identity norms."""
     rng = np.random.default_rng(config.seed)
-    params = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(("_gain",)):
-            params[name] = np.ones(shape)
-        elif name.endswith(("_bias", "b1", "b2", "bq", "bv", "bo")):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = _truncated_normal(rng, shape, INIT_STD)
+    params = param_views(config, np.zeros(_param_count(config)))
+    for name, view in params.items():
+        if name.endswith("_gain"):
+            view.fill(1.0)
+        elif not name.endswith(("_bias", "b1", "b2", "bq", "bv", "bo")):
+            view[...] = _truncated_normal(rng, view.shape, INIT_STD)
     return params
-
-
-def zero_gradients(config: EncoderConfig) -> dict:
-    return {name: np.zeros(shape)
-            for name, shape in param_shapes(config).items()}
 
 
 # --- forward pieces ---------------------------------------------------------
@@ -228,7 +244,7 @@ def _layer_norm(x, gain, bias, eps, out=(None,) * 4):
 def _layer_norm_backward(d_out, xhat, inv, live, gain, out=(None,) * 2):
     """(d_x, d_out * xhat) of `_layer_norm`, each into its entry of `out`
     when that is an array; row by row, so the gain and bias gradients are
-    left to `_layer_norm_sums` over the whole batch."""
+    left to `_sum_rows` over the whole batch."""
     d_x, prod = out
     prod = np.multiply(d_out, xhat, out=prod)
     d_x = np.multiply(d_out, gain, out=d_x)   # d_xhat, then d_x in place
@@ -245,11 +261,10 @@ def _layer_norm_backward(d_out, xhat, inv, live, gain, out=(None,) * 2):
     return d_x, prod
 
 
-def _layer_norm_sums(d_out, prod):
-    """d loss / d gain and d loss / d bias of a layernorm: its d_out * xhat
-    and its d_out, each summed over every row."""
-    rows = tuple(range(d_out.ndim - 1))
-    return np.sum(prod, axis=rows), np.sum(d_out, axis=rows)
+def _sum_rows(a, out=None):
+    """`a` summed over every row, into `out` when that is an array: each
+    bias and gain gradient is such a sum."""
+    return np.sum(a, axis=tuple(range(a.ndim - 1)), out=out)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -471,8 +486,9 @@ def forward(config: EncoderConfig, params: dict,
     them.  Each block runs on shards of the batch's examples.
 
     A `workspace`, a dict the caller keeps from one training step to the
-    next, holds the train-mode cache's arrays and `backward`'s: each call
-    writes over the previous one's, in memory that stays paged in."""
+    next, holds the train-mode cache's arrays and `backward`'s, "grads"
+    its gradient vector: each call writes over the previous one's, in
+    memory that stays paged in."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     ids, mask = _batch_arrays(config, sequences)
@@ -571,8 +587,8 @@ def _block_backward_rows(params, p, scale, c, r):
 def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
              grad_sbp: np.ndarray, grad_dbp: np.ndarray,
              workspace: dict | None = None) -> dict:
-    """Exact reverse sweep; upstream grads are d loss / d head outputs;
-    `workspace` as for `forward`.
+    """Exact reverse sweep into `param_views` of one gradient vector;
+    upstream grads are d loss / d head outputs; `workspace` as for `forward`.
 
     Each block's row-local part runs on shards of the batch's examples;
     after it, every sum over rows runs here, as one operation over the
@@ -582,7 +598,8 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
         raise ValueError("backward needs a train-mode forward cache")
     grad_sbp = np.asarray(grad_sbp, dtype=np.float64).reshape(-1, 1)
     grad_dbp = np.asarray(grad_dbp, dtype=np.float64).reshape(-1, 1)
-    grads = zero_gradients(config)
+    grads = param_views(config, _buffer(workspace, "grads",
+                                        (_param_count(config),)))
     scale = 1.0 / np.sqrt(config.head_dim)
 
     d_dropped = _dense_backward(grad_sbp, cache["dropped"], params, grads,
@@ -607,48 +624,47 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
                 {name: a[s] for name, a in r.items()}),
             shards)
 
-        grads[p + "ffn_gain"], grads[p + "ffn_bias"] = _layer_norm_sums(
-            r["d_y2"], r["ln2"])
+        _sum_rows(r["ln2"], grads[p + "ffn_gain"])
+        _sum_rows(r["d_y2"], grads[p + "ffn_bias"])
         _weight_gradients(grads, r["d_res2"], c["g"], p + "w2", p + "b2")
         _weight_gradients(grads, r["d_h1"], c["y1"], p + "w1", p + "b1")
-        grads[p + "attn_gain"], grads[p + "attn_bias"] = _layer_norm_sums(
-            r["d_y1"], r["ln1"])
+        _sum_rows(r["ln1"], grads[p + "attn_gain"])
+        _sum_rows(r["d_y1"], grads[p + "attn_bias"])
         _weight_gradients(grads, r["d_res1"], c["ctx"], p + "wo", p + "bo")
         _weight_gradients(grads, r["d_q"], c["xq"], p + "wq", p + "bq")
         _weight_gradients(grads, r["d_k"], c["x_in"], p + "wk")
         _weight_gradients(grads, r["d_v"], c["x_in"], p + "wv", p + "bv")
         d_x = r["d_x"]
 
-    grads["token_embedding"] = _embedding_backward(
-        cache["ids"].ravel(), d_x.reshape(-1, config.hidden_dim),
-        config.vocab_size)
-    grads["position_embedding"][:t] = d_x.sum(axis=0)
+    _embedding_backward(cache["ids"].ravel(), d_x.reshape(b * t, -1),
+                        grads["token_embedding"])
+    grads["position_embedding"][t:] = 0.0
+    np.sum(d_x, axis=0, out=grads["position_embedding"][:t])
     return grads
 
 
-def _embedding_backward(ids, rows, vocab_size):
-    """d loss / d token table: each id's rows summed in their order from
-    +0.0, as np.add.at into a zero table sums them, by a stable sort on id
-    and one reduce per id.  numpy reduces rows of two or more values one
-    row after another; a single column it would sum pairwise."""
-    grad = np.zeros((vocab_size, rows.shape[1]))
+def _embedding_backward(ids, rows, grad):
+    """d loss / d token table, into `grad`: each id's rows summed in their
+    order from +0.0, as np.add.at into a zero table sums them, by a stable
+    sort on id and one reduce per id.  numpy reduces rows of two or more
+    values one row after another; a single column it would sum pairwise."""
+    grad.fill(0.0)
     order = np.argsort(ids, kind="stable")
     rows = rows[order]
     tokens, starts = np.unique(ids[order], return_index=True)
     for token, start, stop in zip(tokens, starts,
                                   np.append(starts[1:], len(ids))):
         grad[token] = np.add.reduce(rows[start:stop], axis=0, initial=0.0)
-    return grad
 
 
 def _weight_gradients(grads, d_out, src, weight, bias=None):
     """The gradients of the dense layer `src @ params[weight] +
-    params[bias]` into `grads`, from d loss / d its output: the weight's as
-    one product over every row, the bias's as one sum."""
-    grads[weight] = (src.reshape(-1, src.shape[-1]).T
-                     @ d_out.reshape(-1, d_out.shape[-1]))
+    params[bias]` into their views in `grads`, from d loss / d its output:
+    the weight's as one product over every row, the bias's as one sum."""
+    np.matmul(src.reshape(-1, src.shape[-1]).T,
+              d_out.reshape(-1, d_out.shape[-1]), out=grads[weight])
     if bias:
-        grads[bias] = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
+        _sum_rows(d_out, grads[bias])
 
 
 def _dense_backward(d_out, src, params, grads, weight, bias=None):
@@ -669,8 +685,7 @@ def _digest(header: dict, payload: bytes) -> str:
 def save_params(path, config: EncoderConfig, params: dict,
                 pipeline: dict) -> None:
     """The whole trained model as one file, written once."""
-    payload = b"".join(np.ascontiguousarray(params[name], dtype="<f8")
-                       .tobytes() for name in param_shapes(config))
+    payload = param_vector(config, params).astype("<f8").tobytes()
     header = {"format_version": FORMAT_VERSION, "config": asdict(config),
               "pipeline": pipeline}
     header["sha256"] = _digest(header, payload)
@@ -702,19 +717,12 @@ def load_params(path):
         raise MalformedArtifact(
             f"{path}: header does not describe a model "
             f"({type(err).__name__}: {err})") from None
-    shapes = param_shapes(config)
     payload = raw[8 + header_len:]
-    if len(payload) != 8 * sum(math.prod(s) for s in shapes.values()):
+    if len(payload) != 8 * _param_count(config):
         raise MalformedArtifact(
             f"{path}: payload length does not match header")
     if _digest(header, payload) != digest:
         raise MalformedArtifact(f"{path}: checksum mismatch")
 
-    flat = np.frombuffer(payload, dtype="<f8")
-    params, offset = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        params[name] = flat[offset:offset + size].reshape(shape).astype(
-            np.float64)
-        offset += size
-    return config, params, pipeline
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return config, param_views(config, flat), pipeline

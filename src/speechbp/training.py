@@ -18,7 +18,7 @@ from .artifacts import read_csv, write_csv, write_json
 from .dataset import (DBP_RANGE, SBP_RANGE, Scaler, apply_scaler,
                       invert_scaler, label_hypertension)
 from .errors import InsufficientData, MalformedArtifact, TrainingDiverged
-from .model import EncoderConfig, backward, forward
+from .model import EncoderConfig, backward, forward, param_vector, param_views
 from .parallel import one_blas_thread
 from .textcodec import TokenSequence
 
@@ -122,47 +122,34 @@ def total_loss_gradients(sbp_pred, dbp_pred, sbp_true, dbp_true):
 
 # --- optimizer --------------------------------------------------------------
 
-def init_adam_state(params: dict) -> dict:
-    return {"m": {n: np.zeros_like(a) for n, a in params.items()},
-            "v": {n: np.zeros_like(a) for n, a in params.items()}}
-
-
-def adam_step(params: dict, grads: dict, state: dict, t: int,
-              config: TrainConfig):
-    """One bias-corrected Adam update; mutates params and state in place,
-    through two scratch arrays per parameter array, and leaves grads as
-    they are."""
+def adam_step(params, grads, m, v, t: int, config: TrainConfig) -> None:
+    """One bias-corrected Adam update over the parameter vector; mutates
+    params and the moment vectors m and v in place, through two scratch
+    vectors, and leaves grads as they are."""
     if t < 1:
         raise ValueError("step index starts at 1")
-    if set(grads) != set(params):
-        raise ValueError("gradient keys do not match parameters")
-    for name, g in grads.items():
-        if g.shape != params[name].shape:
-            raise ValueError(f"{name}: grad {g.shape} vs "
-                             f"param {params[name].shape}")
+    if grads.shape != params.shape:
+        raise ValueError(f"grad {grads.shape} vs param {params.shape}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     lr = config.learning_rate
-    for name, g in grads.items():
-        m, v = state["m"][name], state["v"][name]
-        step, denom = np.empty_like(g), np.empty_like(g)
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=step)
-        m += step
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v += step
-        # (lr m_hat) / (sqrt(v_hat) + eps), m_hat = m / (1 - b1^t) and
-        # v_hat = v / (1 - b2^t)
-        np.divide(m, 1.0 - b1 ** t, out=step)
-        step *= lr
-        np.divide(v, 1.0 - b2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPSILON
-        step /= denom
-        params[name] -= step
-    return params, state
+    step, denom = np.empty_like(grads), np.empty_like(grads)
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    m *= b1
+    np.multiply(grads, 1.0 - b1, out=step)
+    m += step
+    v *= b2
+    np.multiply(grads, 1.0 - b2, out=step)
+    step *= grads
+    v += step
+    # (lr m_hat) / (sqrt(v_hat) + eps), m_hat = m / (1 - b1^t) and
+    # v_hat = v / (1 - b2^t)
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    step /= denom
+    params -= step
 
 
 # --- training loop ----------------------------------------------------------
@@ -186,8 +173,8 @@ def _predict(enc_config, params, sequences):
 def train(enc_config: EncoderConfig, params: dict,
           train_set: Sequence[LabeledSequence],
           val_set: Sequence[LabeledSequence], config: TrainConfig):
-    """Run the full loop; mutates params in place and returns them with the
-    per-epoch loss history.
+    """Run the full loop on one vector copied from `params`, which stay as
+    they are; return its `param_views` and the per-epoch loss history.
 
     Shuffle order is drawn from (seed, epoch) and dropout from
     (seed, epoch, batch), so a rerun with the same inputs reproduces every
@@ -203,9 +190,11 @@ def train(enc_config: EncoderConfig, params: dict,
     z = apply_scaler(scaler, _targets(train_set))
     z_val = apply_scaler(scaler, _targets(val_set)) if val_set else None
 
-    state = init_adam_state(params)
-    # the encoder's full-batch arrays, kept from step to step: allocated
-    # afresh, most steps paged them in again
+    flat = param_vector(enc_config, params)
+    params = param_views(enc_config, flat)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    # the encoder's full-batch arrays and the gradient vector, kept from
+    # step to step: allocated afresh, most steps paged them in again
     workspace = {}
     step = 0
     train_hist, val_hist = [], []
@@ -226,9 +215,9 @@ def train(enc_config: EncoderConfig, params: dict,
                         f"loss {loss:.3g} at epoch {epoch}, batch {bi}")
                 gs, gd = total_loss_gradients(out.sbp_pred, out.dbp_pred,
                                               *zb.T)
-                grads = backward(enc_config, params, out, gs, gd, workspace)
+                backward(enc_config, params, out, gs, gd, workspace)
                 step += 1
-                adam_step(params, grads, state, step, config)
+                adam_step(flat, workspace["grads"], m, v, step, config)
                 running += loss * len(idx)
             train_hist.append(running / n)
             if val_set:

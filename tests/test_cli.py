@@ -156,10 +156,17 @@ class TestConfigResolution:
                                          # Adam's constants are not settings
                                          {"training": {"beta1": 0.9}},
                                          {"training": {"beta2": 0.999}},
-                                         {"training": {"epsilon": 1e-8}}])
+                                         {"training": {"epsilon": 1e-8}},
+                                         # raw text: json.loads reads
+                                         # these as inf and -inf
+                                         '{"training": {"learning_rate":'
+                                         ' 1e400}}',
+                                         '{"training": {"learning_rate":'
+                                         ' -1e400}}'])
     def test_value_guards(self, tmp_path, payload):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(payload))
+        p.write_text(payload if isinstance(payload, str)
+                     else json.dumps(payload))
         with pytest.raises(ConfigError):
             resolve_config(p)
 

@@ -23,9 +23,9 @@ from speechbp.errors import MalformedArtifact
 from speechbp.model import (CHUNK, EncoderConfig, ForwardOutput,
                             _embedding_backward, _gelu, _gelu_backward,
                             _layer_norm, _layer_norm_backward,
-                            _layer_norm_sums, _softmax_rows, backward,
+                            _softmax_rows, _sum_rows, backward,
                             forward, init_params, load_params,
-                            param_shapes, save_params, zero_gradients)
+                            param_shapes, save_params)
 from speechbp.textcodec import TokenSequence
 
 VOCAB = 12
@@ -96,6 +96,13 @@ class TestConfig:
         dict(layernorm_epsilon=0.0),
         dict(n_heads=2.0),
         dict(ff_dim=True),
+        dict(layernorm_epsilon=float("nan")),
+        dict(layernorm_epsilon=float("inf")),
+        dict(layernorm_epsilon=-float("inf")),
+        dict(layernorm_epsilon=True),
+        dict(dropout_p=False),
+        dict(dropout_p=float("nan")),
+        dict(dropout_p="0.1"),
     ])
     def test_invalid(self, kw):
         base = dict(vocab_size=VOCAB, hidden_dim=8, n_layers=1, n_heads=2,
@@ -436,11 +443,66 @@ class TestBackward:
                          np.ones((2, 1)))
         assert {n: g.shape for n, g in grads.items()} == param_shapes(cfg)
 
-    def test_zero_gradients_layout(self, toy):
-        cfg, _, _ = toy
-        z = zero_gradients(cfg)
-        assert all(np.all(arr == 0.0) for arr in z.values())
-        assert {n: a.shape for n, a in z.items()} == param_shapes(cfg)
+
+def assert_tiles_one_vector(cfg, views):
+    """`views` are `param_views` of one float64 vector: each array in
+    `param_shapes` order, end to end, and nothing else in the vector.
+    Returns that vector."""
+    first = next(iter(views.values()))
+    flat = first.base
+    while flat.base is not None:
+        flat = flat.base
+    assert flat.dtype == np.float64 and flat.ndim == 1
+    assert list(views) == list(param_shapes(cfg))
+    offset = 0
+    for name, shape in param_shapes(cfg).items():
+        view = views[name]
+        assert view.shape == shape and view.flags.c_contiguous
+        assert view.__array_interface__["data"][0] == \
+            flat.__array_interface__["data"][0] + 8 * offset
+        offset += math.prod(shape)
+    assert offset == flat.size
+    return flat
+
+
+class TestParameterVector:
+    """Weights and gradients are views of one float64 vector each, in
+    `param_shapes` order; its bytes are the model file's payload."""
+
+    def test_init_and_load_tile_the_payload(self, tmp_path):
+        cfg = toy_config(n_layers=2)
+        params = init_params(cfg)
+        flat = assert_tiles_one_vector(cfg, params)
+        p = tmp_path / "weights.bin"
+        save_params(p, cfg, params, PIPELINE)
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 0)
+        assert raw[8 + hlen:] == flat.astype("<f8").tobytes()
+        _, loaded, _ = load_params(p)
+        assert assert_tiles_one_vector(cfg, loaded).tobytes() == \
+            flat.tobytes()
+        assert loaded["token_embedding"].flags.writeable
+
+    def test_backward_tiles_one_vector(self):
+        # with a workspace the vector is the one it keeps under "grads",
+        # the same from step to step; each step's gradients, copied out,
+        # equal those computed without a workspace, bit for bit
+        cfg = EncoderConfig(vocab_size=40, max_len=128, n_layers=2, seed=8)
+        params = init_params(cfg)
+        workspace = {}
+        for n in (33, 5, 33):
+            batch = padded_batch(np.random.default_rng(n), n)
+            up = np.random.default_rng(400 + n).normal(size=(2, n, 1))
+            out = forward(cfg, params, batch, mode="train", dropout_seed=n,
+                          workspace=workspace)
+            held = backward(cfg, params, out, *up, workspace)
+            assert assert_tiles_one_vector(cfg, held) is workspace["grads"]
+            held = {name: g.copy() for name, g in held.items()}
+            out = forward(cfg, params, batch, mode="train", dropout_seed=n)
+            fresh = backward(cfg, params, out, *up)
+            assert_tiles_one_vector(cfg, fresh)
+            for name in param_shapes(cfg):
+                assert_bits_equal(held[name], fresh[name])
 
 
 class TestGelu:
@@ -565,7 +627,7 @@ class TestKernelsMatchOracles:
         # the row-local part, then the sums over rows that backward runs on
         # the whole batch
         d_x, prod = _layer_norm_backward(*inputs)
-        parts = (d_x, *_layer_norm_sums(inputs[0], prod))
+        parts = (d_x, _sum_rows(prod), _sum_rows(inputs[0]))
         for got, want in zip(parts,
                              oracles.layer_norm_backward_oracle(*inputs)):
             assert_bits_equal(got, want)
@@ -583,9 +645,11 @@ class TestKernelsMatchOracles:
         d_rows[ids == 5] = -0.0         # add.at sums these to +0.0
         d_rows[ids == 6, :3] = -0.0
         copies = [ids.copy(), d_rows.copy()]
+        # every row of the table is written, the unused ones with +0.0
+        grad = np.full((40, 64), np.nan)
+        _embedding_backward(ids, d_rows, grad)
         assert_bits_equal(
-            _embedding_backward(ids, d_rows, 40),
-            oracles.embedding_gradient_oracle(ids, d_rows, 40))
+            grad, oracles.embedding_gradient_oracle(ids, d_rows, 40))
         assert_unchanged((ids, d_rows), copies)
 
 
@@ -843,8 +907,16 @@ class TestPersistence:
         # a config edit signed again still cannot move the layout
         (header_edit(lambda h: h["config"].update(ff_dim=32), sign=True),
          "payload length does not match header"),
+        # nor set an epsilon that is not a finite number
+        (header_edit(lambda h: h["config"].update(
+            layernorm_epsilon=float("nan")), sign=True),
+         "header does not describe a model"),
+        (header_edit(lambda h: h["config"].update(
+            layernorm_epsilon=float("inf")), sign=True),
+         "header does not describe a model"),
     ], ids=["short-file", "truncated-header", "payload-length",
-            "resigned-ff_dim"])
+            "resigned-ff_dim", "resigned-epsilon-nan",
+            "resigned-epsilon-inf"])
     def test_layout_damage_names_the_file(self, toy, tmp_path, damage,
                                           message):
         cfg, params, _ = toy

@@ -18,7 +18,7 @@ from speechbp.textcodec import build_vocabulary, serialize_features, tokenize
 from speechbp.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                                DIVERGENCE_LIMIT, LabeledSequence, Metrics,
                                TrainConfig, TrainHistory, adam_step,
-                               confusion_matrix, evaluate, init_adam_state,
+                               confusion_matrix, evaluate,
                                label_prediction, mae, mse, predict_pressures, r2,
                                read_history_csv, total_loss,
                                total_loss_gradients, train, write_history_csv,
@@ -183,84 +183,84 @@ class TestTotalLoss:
 
 
 class TestAdam:
+    """Adam runs over the parameter, gradient and two moment vectors."""
+
     def cfg(self, **kw):
         base = dict(epochs=1, batch_size=1, learning_rate=2e-5, seed=0)
         base.update(kw)
         return TrainConfig(**base)
 
     def test_first_step_hand_value(self):
-        params = {"w": np.zeros(4)}
-        state = init_adam_state(params)
-        adam_step(params, {"w": np.ones(4)}, state, 1, self.cfg())
+        params = np.zeros(4)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        adam_step(params, np.ones(4), m, v, 1, self.cfg())
         want = oracles.adam_single_step_oracle(0.0, 1.0)
-        assert np.all(params["w"] == want)
-        assert params["w"][0] == pytest.approx(-2e-5, rel=1e-7)
+        assert np.all(params == want)
+        assert params[0] == pytest.approx(-2e-5, rel=1e-7)
 
     def test_zero_gradient_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        before = params["w"].copy()
-        state = init_adam_state(params)
-        adam_step(params, {"w": np.zeros(3)}, state, 1, self.cfg())
-        np.testing.assert_array_equal(params["w"], before)
+        params = np.array([1.0, -2.0, 3.0])
+        before = params.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        adam_step(params, np.zeros(3), m, v, 1, self.cfg())
+        np.testing.assert_array_equal(params, before)
 
     def test_update_opposes_gradient_sign(self):
         rng = np.random.default_rng(13)
         g = rng.normal(size=20)
-        params = {"w": np.zeros(20)}
-        state = init_adam_state(params)
-        adam_step(params, {"w": g}, state, 1, self.cfg())
+        params = np.zeros(20)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        adam_step(params, g, m, v, 1, self.cfg())
         nz = g != 0
-        assert np.all(np.sign(params["w"][nz]) == -np.sign(g[nz]))
+        assert np.all(np.sign(params[nz]) == -np.sign(g[nz]))
 
     def test_two_steps_match_scalar_recurrence(self):
         lr, b1, b2, eps = 2e-5, 0.9, 0.999, 1e-8
-        params = {"w": np.array([0.5])}
-        state = init_adam_state(params)
-        theta, m, v = 0.5, 0.0, 0.0
+        params = np.array([0.5])
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        theta, want_m, want_v = 0.5, 0.0, 0.0
         for t, g in ((1, 0.3), (2, -1.1)):
-            adam_step(params, {"w": np.array([g])}, state, t, self.cfg())
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            theta -= lr * (m / (1 - b1 ** t)) / (
-                math.sqrt(v / (1 - b2 ** t)) + eps)
-        assert params["w"][0] == pytest.approx(theta, abs=1e-18)
+            adam_step(params, np.array([g]), m, v, t, self.cfg())
+            want_m = b1 * want_m + (1 - b1) * g
+            want_v = b2 * want_v + (1 - b2) * g * g
+            theta -= lr * (want_m / (1 - b1 ** t)) / (
+                math.sqrt(want_v / (1 - b2 ** t)) + eps)
+        assert params[0] == pytest.approx(theta, abs=1e-18)
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(3)}
-        state = init_adam_state(params)
-        with pytest.raises(ValueError, match=r"w: grad \(4,\) vs param"):
-            adam_step(params, {"w": np.zeros(4)}, state, 1, self.cfg())
-        with pytest.raises(ValueError,
-                           match="gradient keys do not match parameters"):
-            adam_step(params, {"x": np.zeros(3)}, state, 1, self.cfg())
+        params = np.zeros(3)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        with pytest.raises(ValueError, match=r"grad \(4,\) vs param \(3,\)"):
+            adam_step(params, np.zeros(4), m, v, 1, self.cfg())
 
     def test_step_index_starts_at_one(self):
-        params = {"w": np.zeros(3)}
+        params = np.zeros(3)
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.zeros(3)}, init_adam_state(params),
-                      0, self.cfg())
-
+            adam_step(params, np.zeros(3), np.zeros(3), np.zeros(3), 0,
+                      self.cfg())
 
     @pytest.mark.parametrize("shape", [(1,), (CHUNK - 1,), (CHUNK,),
                                        (CHUNK + 1,), (32, 95, 256)])
     def test_in_place_update_matches_oracle(self, shape):
-        # three steps of the in-place update against the one-expression
-        # update, bit for bit; the gradients are left as they were
+        # three steps of the in-place update over a vector of the shape's
+        # size against the one-expression update, bit for bit; the
+        # gradients are left as they were
+        size = math.prod(shape)
         rng = np.random.default_rng(shape[0])
-        params = {"w": rng.normal(size=shape)}
-        state = init_adam_state(params)
-        theta, m, v = params["w"].copy(), np.zeros(shape), np.zeros(shape)
+        params = rng.normal(size=size)
+        m, v = np.zeros(size), np.zeros(size)
+        theta, want_m, want_v = params.copy(), np.zeros(size), np.zeros(size)
         for t in (1, 2, 3):
-            g = rng.normal(size=shape)
-            g[..., ::7] = 0.0
+            g = rng.normal(size=size)
+            g[::7] = 0.0
             before = g.copy()
-            adam_step(params, {"w": g}, state, t,
-                      self.cfg(learning_rate=1e-3))
-            theta, m, v = oracles.adam_update_oracle(theta, g, m, v, t, 1e-3)
+            adam_step(params, g, m, v, t, self.cfg(learning_rate=1e-3))
+            theta, want_m, want_v = oracles.adam_update_oracle(
+                theta, g, want_m, want_v, t, 1e-3)
             np.testing.assert_array_equal(g, before)
-            for got, want in ((params["w"], theta), (state["m"]["w"], m),
-                              (state["v"]["w"], v)):
+            for got, want in ((params, theta), (m, want_m), (v, want_v)):
                 assert got.tobytes() == want.tobytes()
+
 
 class TestTrainConfig:
     def test_defaults_echo_published_table(self):
