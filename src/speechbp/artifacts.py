@@ -46,16 +46,19 @@ def write_csv(path, header, rows) -> None:
 
 def require_keys(payload, keys: dict, where):
     """payload, checked to be a JSON object that holds every key of `keys`
-    with a value of the type it maps to."""
+    with a value of the type it maps to; a bool is not an int here, though
+    it is one to Python."""
     if not isinstance(payload, dict):
         raise MalformedArtifact(f"{where}: not a JSON object")
     missing = [k for k in keys if k not in payload]
     if missing:
         raise MalformedArtifact(f"{where}: lacks {missing}")
     for key, kind in keys.items():
-        if not isinstance(payload[key], kind):
+        value = payload[key]
+        if not isinstance(value, kind) or (kind is int
+                                           and isinstance(value, bool)):
             raise MalformedArtifact(f"{where}: {key} is "
-                                    f"{type(payload[key]).__name__}, "
+                                    f"{type(value).__name__}, "
                                     f"expected {kind.__name__}")
     return payload
 

@@ -32,9 +32,8 @@ from .dataset import (Scaler, apply_scaler, build_examples,
                       synthesize_cohort, write_manifest)
 from .errors import (ConfigError, DegenerateInput, InsufficientData,
                      MalformedArtifact, TrainingDiverged)
-from .features import (BASE_SCHEMA, SCHEMAS, FeatureVector,
-                       extract_recording, read_features_csv,
-                       write_features_csv)
+from .features import (BASE_SCHEMA, FeatureVector, extract_recording,
+                       read_features_csv, write_features_csv)
 from .model import EncoderConfig, init_params, load_params, save_params
 from .relieff import (DEFAULT_FOLDS, DEFAULT_K_GRID,
                       cross_validated_selection, write_selection_manifest,
@@ -68,7 +67,6 @@ def _field_defaults(cls, *settable) -> dict:
 CONFIG_DEFAULTS = {
     "workdir": None,
     "seed": 0,
-    "schema": BASE_SCHEMA,
     "cohort": {"n_female": 45, "n_male": 50},
     "selection": {"folds": DEFAULT_FOLDS, "k_grid": list(DEFAULT_K_GRID)},
     "encoder": _field_defaults(EncoderConfig, "hidden_dim", "n_layers",
@@ -82,7 +80,6 @@ CONFIG_DEFAULTS = {
 class PipelineConfig:
     workdir: Path
     seed: int
-    schema: str
     cohort: dict
     selection: dict
     encoder: dict
@@ -154,8 +151,6 @@ def resolve_config(config_path, seed_override=None,
     if sum(merged["cohort"].values()) == 0:
         raise ConfigError("cohort must hold at least one participant, "
                           "got n_female + n_male = 0")
-    if merged["schema"] not in SCHEMAS:
-        raise ConfigError(f"unknown feature schema {merged['schema']!r}")
     if merged["selection"]["folds"] < 2:
         raise ConfigError("selection.folds must be at least 2")
     k_grid = merged["selection"]["k_grid"]
@@ -176,7 +171,8 @@ def resolve_config(config_path, seed_override=None,
 # --- shared plumbing --------------------------------------------------------
 
 def _read_examples(cfg: PipelineConfig):
-    """Labeled examples over the full extracted schema, manifest order.
+    """(examples, names): labeled examples over the 17 base features, in
+    manifest order, and the feature names.
 
     Participants whose extraction failed (no features row) are skipped so a
     partial corpus still trains and evaluates.
@@ -190,11 +186,11 @@ def _read_examples(cfg: PipelineConfig):
     if not have:
         raise InsufficientData("no participant has both a manifest row "
                                "and a features row")
-    vectors = {r.id: FeatureVector(names=tuple(names), values=by_id[r.id],
+    vectors = {r.id: FeatureVector(names=names, values=by_id[r.id],
                                    n_segments=nseg[r.id],
-                                   schema_id=fman["schema_id"])
+                                   schema_id=BASE_SCHEMA)
                for r in have}
-    return build_examples(have, vectors), tuple(names), fman
+    return build_examples(have, vectors), names
 
 
 def _feature_names(value, where) -> tuple:
@@ -238,7 +234,6 @@ class ModelBundle:
     kept: tuple
     feature_scaler: Scaler
     target_scaler: Scaler
-    schema_id: str
     test_ids: tuple
 
 
@@ -264,7 +259,7 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
     if type(decimals) is not int or decimals != DEFAULT_DECIMALS:
         raise MalformedArtifact(f"{path}: decimals must be "
                                 f"{DEFAULT_DECIMALS}, got {decimals!r}")
-    if not (isinstance(schema_id, str) and schema_id in SCHEMAS):
+    if schema_id != BASE_SCHEMA:
         raise MalformedArtifact(f"{path}: unknown schema_id {schema_id!r}")
     if not (isinstance(test_ids, list) and test_ids
             and all(isinstance(i, str) for i in test_ids)):
@@ -272,7 +267,7 @@ def _load_model(cfg: PipelineConfig) -> ModelBundle:
                                 f"participant ids, got {test_ids!r}")
     model = ModelBundle(enc=enc, params=params, kept=kept,
                         feature_scaler=feature_scaler,
-                        target_scaler=target_scaler, schema_id=schema_id,
+                        target_scaler=target_scaler,
                         test_ids=tuple(test_ids))
     vocab_size = len(build_vocabulary(kept))
     if vocab_size != enc.vocab_size:
@@ -317,7 +312,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
                 raise DegenerateInput(
                     "the manifest lists no WAV file for this participant")
             vectors.append(extract_recording(
-                [load_wav(p) for p in record.wav_paths], cfg.schema))
+                [load_wav(p) for p in record.wav_paths]))
             ids.append(record.id)
         except (ValueError, OSError) as err:
             print(f"  failed {record.id}: {err}", file=sys.stderr)
@@ -327,12 +322,12 @@ def cmd_extract(cfg: PipelineConfig) -> int:
             f"no recording yielded features ({len(records)} failed)")
     write_features_csv(cfg.workdir / "features.csv",
                        cfg.workdir / "features.json", ids, vectors,
-                       parameters={"schema": cfg.schema})
+                       parameters={"schema": BASE_SCHEMA})
     return EXIT_PARTIAL if len(ids) < len(records) else EXIT_OK
 
 
 def cmd_select(cfg: PipelineConfig) -> int:
-    examples, names, _ = _read_examples(cfg)
+    examples, names = _read_examples(cfg)
     X = np.array([ex.features.values for ex in examples], dtype=np.float64)
     y = np.array([ex.hypertension for ex in examples], dtype=np.int64)
     result = cross_validated_selection(
@@ -348,7 +343,7 @@ def cmd_select(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    examples, names, fman = _read_examples(cfg)
+    examples, names = _read_examples(cfg)
     selection = cfg.workdir / "selection.json"
     kept = _feature_names(read_json(selection, {"kept": list})["kept"],
                           f"{selection}: kept")
@@ -379,7 +374,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
     (cfg.workdir / "model").mkdir(parents=True, exist_ok=True)
     save_params(cfg.workdir / "model" / "params.bin", enc, params, {
-        "schema_id": fman["schema_id"],
+        "schema_id": BASE_SCHEMA,
         "decimals": DEFAULT_DECIMALS,
         "kept_features": list(kept),
         "feature_scaler": scaler_to_dict(feature_scaler),
@@ -399,7 +394,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 def cmd_eval(cfg: PipelineConfig) -> int:
     model = _load_model(cfg)
-    examples, names, _ = _read_examples(cfg)
+    examples, names = _read_examples(cfg)
     by_id = {ex.participant_id: ex for ex in examples}
     missing = [i for i in model.test_ids if i not in by_id]
     if missing:
@@ -431,10 +426,10 @@ def cmd_predict(cfg: PipelineConfig, wav=None, row=None) -> int:
     model = _load_model(cfg)
 
     if wav is not None:
-        vector = extract_recording([load_wav(wav)], model.schema_id)
+        vector = extract_recording([load_wav(wav)])
         source = str(wav)
     else:
-        examples, _, _ = _read_examples(cfg)
+        examples, _ = _read_examples(cfg)
         match = [ex.features for ex in examples if ex.participant_id == row]
         if not match:
             raise ConfigError(f"participant {row!r} has no features row")
@@ -452,7 +447,7 @@ def cmd_predict(cfg: PipelineConfig, wav=None, row=None) -> int:
 
 
 def cmd_report(cfg: PipelineConfig) -> int:
-    examples, names, _ = _read_examples(cfg)
+    examples, names = _read_examples(cfg)
     if len(examples) < 3:
         raise InsufficientData("correlation needs at least 3 participants")
     columns = {name: [ex.features.values[j] for ex in examples]

@@ -3,7 +3,8 @@
 Each 50 ms segment yields one row: 12 MFCCs, amplitude-shape statistics
 (skewness, excess kurtosis, rectified area, extrema) and pitch, in
 SEGMENT_NAMES order.  A recording is summarized by the arithmetic mean of each
-of its schema's columns over its segments, so downstream CSVs line up.
+of the 17 BASE_NAMES columns over its segments; pitch is computed per segment
+but not aggregated, so every feature table has the same columns.
 
 Every per-segment function works along the last axis, so a clip's segments go
 through them in stacks of at most STACK_ROWS consecutive segments, and each
@@ -37,9 +38,6 @@ N_MFCC = 12
 PITCH_MIN_HZ = 60.0
 PITCH_MAX_HZ = 400.0
 PITCH_MIN_CORRELATION = 0.3
-# a recording's pitch is its voiced segments' mean only when at least this
-# fraction of segments comes back voiced, and 0.0 (unvoiced) otherwise
-PITCH_VOICED_FRACTION = 0.5
 
 BASE_NAMES = tuple(f"mfcc{i}" for i in range(1, N_MFCC + 1)) + (
     "skewness", "kurtosis", "poly_area", "amp_max", "amp_min")
@@ -47,9 +45,8 @@ PITCH_NAME = "pitch_hz"
 # the columns of a segment_features row, in order
 SEGMENT_NAMES = BASE_NAMES + (PITCH_NAME,)
 
+# the schema id of every feature table and model record
 BASE_SCHEMA = "base"
-# schema id -> the columns a recording's vector averages
-SCHEMAS = {BASE_SCHEMA: BASE_NAMES, "extended": SEGMENT_NAMES}
 
 
 @dataclass(frozen=True)
@@ -238,37 +235,18 @@ def segment_features(segment: Segment) -> np.ndarray:
         *amplitude_extrema(segment), pitch(segment)], axis=-1)], axis=-1)
 
 
-def aggregate_recording(rows, schema: str = BASE_SCHEMA) -> FeatureVector:
-    """Mean of each of the schema's columns over the segment rows.
-
-    Pitch is the mean over the voiced rows (pitch above 0) when at least
-    PITCH_VOICED_FRACTION of the rows are voiced, and 0.0 otherwise, the
-    value an unvoiced segment gives.
-    """
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}")
+def aggregate_recording(rows) -> FeatureVector:
+    """Mean of each BASE_NAMES column over the segment rows."""
     rows = np.asarray(rows, dtype=np.float64)
     if len(rows) == 0:
         raise DegenerateInput("no voiced audio in input")
-
-    names = SCHEMAS[schema]
-    # take keeps the copy row-major, so each column sums its rows in order;
-    # pitch, the last column, is averaged apart
-    values = list(rows.take([SEGMENT_NAMES.index(n) for n in names
-                             if n != PITCH_NAME], axis=1).mean(axis=0))
-    if PITCH_NAME in names:
-        hz = rows[:, SEGMENT_NAMES.index(PITCH_NAME)]
-        voiced = hz[hz > 0.0]
-        values.append(voiced.mean()
-                      if len(voiced) >= PITCH_VOICED_FRACTION * len(rows)
-                      else 0.0)
-    return FeatureVector(names=names,
-                         values=np.array(values, dtype=np.float64),
-                         n_segments=len(rows), schema_id=schema)
+    # take keeps the copy row-major, so each column sums its rows in order
+    values = rows.take(range(len(BASE_NAMES)), axis=1).mean(axis=0)
+    return FeatureVector(names=BASE_NAMES, values=values,
+                         n_segments=len(rows), schema_id=BASE_SCHEMA)
 
 
-def extract_recording(clips: Sequence[AudioClip],
-                      schema: str = BASE_SCHEMA) -> FeatureVector:
+def extract_recording(clips: Sequence[AudioClip]) -> FeatureVector:
     """Voiced-region detection, segmentation, and aggregation for a recording.
 
     Each clip is segmented on its own, so the segment cap applies per clip,
@@ -286,7 +264,7 @@ def extract_recording(clips: Sequence[AudioClip],
                 samples=np.stack([s.samples for s in stack]),
                 sample_rate=clip.sample_rate, start_s=stack[0].start_s,
                 index=stack[0].index)))
-    return aggregate_recording(np.concatenate(rows), schema)
+    return aggregate_recording(np.concatenate(rows))
 
 
 def default_parameters() -> dict:
@@ -333,9 +311,10 @@ def write_features_csv(csv_path, manifest_path, recording_ids,
 def read_features_csv(csv_path, manifest_path):
     """Returns (ids, names, value matrix, manifest dict).
 
-    A bad cell, an unknown schema id, a header that is not that schema's
-    columns, a repeated recording id, or a manifest whose recordings
-    disagree with the CSV's rows is MalformedArtifact, naming the file.
+    A bad cell, a schema id other than BASE_SCHEMA, a header that is not
+    exactly BASE_NAMES, a repeated recording id, or a manifest whose
+    recordings disagree with the CSV's rows is MalformedArtifact, naming
+    the file.
     """
     manifest = read_json(manifest_path, {"schema_id": str,
                                          "recordings": list})
@@ -348,15 +327,20 @@ def read_features_csv(csv_path, manifest_path):
     if not np.all(np.isfinite(matrix)):
         raise MalformedArtifact(f"{csv_path}: a cell is not finite")
     schema_id = manifest["schema_id"]
-    if schema_id not in SCHEMAS:
+    if schema_id != BASE_SCHEMA:
         raise MalformedArtifact(f"{manifest_path}: unknown schema_id "
                                 f"{schema_id!r}")
-    if names != SCHEMAS[schema_id]:
+    if names != BASE_NAMES:
         raise MalformedArtifact(f"{manifest_path}: schema_id {schema_id!r} "
                                 f"does not match the header of {csv_path}")
-    ids = [require_keys(rec, {"id": str, "n_segments": int},
-                        manifest_path)["id"]
-           for rec in manifest["recordings"]]
+    ids = []
+    for rec in manifest["recordings"]:
+        require_keys(rec, {"id": str, "n_segments": int}, manifest_path)
+        # aggregate_recording never writes a row without a segment
+        if rec["n_segments"] < 1:
+            raise MalformedArtifact(f"{manifest_path}: n_segments must be at "
+                                    f"least 1, got {rec['n_segments']}")
+        ids.append(rec["id"])
     first: dict = {}
     for pos, rid in enumerate(ids):
         if first.setdefault(rid, pos) != pos:

@@ -87,7 +87,6 @@ class TestConfigResolution:
         cfg = resolve_config(None)
         assert cfg.workdir == Path("runs")
         assert cfg.seed == 0
-        assert cfg.schema == "base"
         assert cfg.encoder["hidden_dim"] == 64
         assert cfg.training["learning_rate"] == 2e-5
 
@@ -218,8 +217,12 @@ class TestConfigResolution:
         ({"encoder": {"dropout_p": 0.1}}, "encoder.dropout_p"),
         ({"encoder": {"layernorm_epsilon": 1e-5}},
          "encoder.layernorm_epsilon"),
+        # every stage reads the 17 base features; there is no other set
+        ({"schema": "base"}, "schema"),
+        ({"schema": "extended"}, "schema"),
     ], ids=["decimals", "split-test_fraction", "split-val_fraction",
-            "dropout_p", "layernorm_epsilon"])
+            "dropout_p", "layernorm_epsilon", "schema-base",
+            "schema-extended"])
     def test_fixed_value_is_an_unknown_key(self, pipeline, tmp_path, capsys,
                                            overrides, key, command):
         # fixed values of the experiment, not settings, even at their value
@@ -461,6 +464,13 @@ def _without(key):
     return lambda d: {k: v for k, v in d.items() if k != key}
 
 
+def _n_segments(value):
+    """features.json damage: the first recording's n_segments is value."""
+    return lambda m: {**m, "recordings": [{**m["recordings"][0],
+                                           "n_segments": value}]
+                      + m["recordings"][1:]}
+
+
 def _edit_first_row(text: str, edit) -> str:
     header, first, rest = text.split("\n", 2)
     return "\n".join([header, edit(first), rest])
@@ -549,7 +559,15 @@ class TestSelect:
             + m["recordings"][2:]},
          "recording id 'F001' repeats at recordings[0] and recordings[1]"),
         (lambda m: {**m, "schema_id": "bogus"}, "unknown schema_id 'bogus'"),
-    ], ids=["repeated-id", "unknown-schema"])
+        # the retired schema; every stage reads the 17 base features
+        (lambda m: {**m, "schema_id": "extended"},
+         "unknown schema_id 'extended'"),
+        # a bool is an int to Python, and no recording has no segment
+        (_n_segments(True), "n_segments is bool, expected int"),
+        (_n_segments(0), "n_segments must be at least 1, got 0"),
+        (_n_segments(-5), "n_segments must be at least 1, got -5"),
+    ], ids=["repeated-id", "unknown-schema", "extended-schema",
+            "n_segments-bool", "n_segments-0", "n_segments-negative"])
     def test_features_json_bad_value_exits_io(self, pipeline, tmp_path,
                                               capsys, command, extra, damage,
                                               message):
@@ -863,8 +881,8 @@ class TestPredict:
                      "Z999"]) == EXIT_CONFIG
 
     def test_schema_mismatch(self, pipeline, tmp_path, capsys):
-        # a valid base feature table, and a model of the extended schema
-        # that keeps an extended-only column
+        # a valid base feature table, and a model, signed again, of the
+        # retired `extended` schema that keeps its extra column
         workdir, _ = pipeline
         clone = clone_inputs(workdir, tmp_path / "w", "model")
         params_path = clone / "model" / "params.bin"
@@ -872,9 +890,12 @@ class TestPredict:
         kept = ["pitch_hz"] + pipe["kept_features"][1:]
         save_params(params_path, enc, params,
                     {**pipe, "schema_id": "extended", "kept_features": kept})
-        assert main(["predict", "--workdir", str(clone), "--row",
-                     "F001"]) == EXIT_CONFIG
-        assert f"input features lack ['{kept[0]}']" in capsys.readouterr().err
+        for source in (["--row", "F001"],
+                       ["--wav", str(workdir / "wav" / "F001.wav")]):
+            assert main(["predict", "--workdir", str(clone),
+                         *source]) == EXIT_IO
+            assert capsys.readouterr().err == (
+                f"error: {params_path}: unknown schema_id 'extended'\n")
 
 
 def _flip_payload_byte(data: bytes) -> bytes:

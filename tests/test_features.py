@@ -14,7 +14,7 @@ from speechbp.dsp import (STACK_ROWS, Segment, detect_voiced_regions,
                           segment_regions)
 from speechbp.errors import DegenerateInput, InsufficientData, MalformedArtifact
 from speechbp import features as F
-from speechbp.features import (BASE_NAMES, SCHEMAS, SEGMENT_NAMES,
+from speechbp.features import (BASE_NAMES, SEGMENT_NAMES,
                                FeatureVector, aggregate_recording,
                                amplitude_extrema, extract_recording,
                                kurtosis, mfcc_12, pitch,
@@ -247,16 +247,10 @@ def col(name):
     return SEGMENT_NAMES.index(name)
 
 
-def unvoiced(row):
-    out = row.copy()
-    out[col("pitch_hz")] = 0.0
-    return out
-
-
 class TestAggregate:
     def test_single_segment_identity(self):
         f = fake_features(np.random.default_rng(1))
-        vec = aggregate_recording([f], schema="base")
+        vec = aggregate_recording([f])
         assert vec.schema_id == "base"
         assert vec.n_segments == 1
         assert len(vec.names) == 17
@@ -269,64 +263,35 @@ class TestAggregate:
         a, b = fake_features(rng), fake_features(rng)
         a[:12] = [1.0] + [0.0] * 11
         b[:12] = [3.0] + [0.0] * 11
-        vec = aggregate_recording([a, b], schema="base")
+        vec = aggregate_recording([a, b])
         assert vec.values[0] == 2.0
 
     def test_matches_straight_sum_oracle(self):
         rng = np.random.default_rng(3)
         feats = [fake_features(rng) for _ in range(2400)]
-        vec = aggregate_recording(feats, schema="extended")
+        vec = aggregate_recording(feats)
+        assert vec.names == BASE_NAMES
         for j, name in enumerate(vec.names):
             column = [f[col(name)] for f in feats]
-            if name == "pitch_hz":
-                column = [hz for hz in column if hz > 0]
             want = math.fsum(column) / len(column)
             assert vec.values[j] == pytest.approx(want, rel=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         feats = [fake_features(rng) for _ in range(31)]
-        fwd = aggregate_recording(feats, schema="extended")
-        rev = aggregate_recording(feats[::-1], schema="extended")
-        assert fwd.names == rev.names
+        fwd = aggregate_recording(feats)
+        rev = aggregate_recording(feats[::-1])
+        assert fwd.names == rev.names == BASE_NAMES
         np.testing.assert_allclose(fwd.values, rev.values, rtol=1e-12)
-
-    def test_extended_layout(self):
-        rng = np.random.default_rng(5)
-        vec = aggregate_recording([fake_features(rng)], schema="extended")
-        assert vec.names[:17] == aggregate_recording(
-            [fake_features(rng)], schema="base").names
-        assert vec.names[17] == "pitch_hz"
-
-    def test_pitch_gate_at_half(self):
-        rng = np.random.default_rng(6)
-        feats = [fake_features(rng) for _ in range(4)]
-        half_voiced = feats[:2] + [unvoiced(f) for f in feats[2:]]
-        vec = aggregate_recording(half_voiced, schema="extended")
-        assert "pitch_hz" in vec.names
-        want = (feats[0][col("pitch_hz")] + feats[1][col("pitch_hz")]) / 2
-        assert vec.values[-1] == pytest.approx(want)
-
-        # a mostly unvoiced recording keeps the column, read as unvoiced
-        mostly_unvoiced = feats[:1] + [unvoiced(f) for f in feats[1:]]
-        vec2 = aggregate_recording(mostly_unvoiced, schema="extended")
-        assert vec2.names == SEGMENT_NAMES
-        assert len(vec2.names) == 18
-        assert vec2.values[-1] == 0.0
 
     def test_base_schema_never_carries_pitch(self):
         rng = np.random.default_rng(7)
-        vec = aggregate_recording([fake_features(rng)], schema="base")
+        vec = aggregate_recording([fake_features(rng)])
         assert "pitch_hz" not in vec.names
 
     def test_no_segments(self):
         with pytest.raises(DegenerateInput, match="no voiced audio in input"):
-            aggregate_recording([], schema="base")
-
-    def test_unknown_schema(self):
-        with pytest.raises(ValueError):
-            aggregate_recording([fake_features(np.random.default_rng(8))],
-                                schema="huge")
+            aggregate_recording([])
 
 
 class TestExtractRecording:
@@ -338,14 +303,14 @@ class TestExtractRecording:
         return AudioClip(np.concatenate([pad, vowel.samples, pad]), 48000, 1)
 
     def test_full_pipeline(self):
-        vec = extract_recording([self.bracketed(150.0, 3)], schema="extended")
+        vec = extract_recording([self.bracketed(150.0, 3)])
         assert vec.n_segments == 30
-        assert vec.names[-1] == "pitch_hz"
-        assert abs(vec.values[-1] - 150.0) <= 2.0
+        assert vec.names == BASE_NAMES
+        assert vec.schema_id == "base"
         assert np.all(np.isfinite(vec.values))
 
     def test_base_width(self):
-        vec = extract_recording([self.bracketed(120.0, 4)], schema="base")
+        vec = extract_recording([self.bracketed(120.0, 4)])
         assert len(vec.values) == 17
 
     def test_silence_raises(self):
@@ -373,14 +338,13 @@ class TestExtractRecording:
 
     def test_clips_pool_their_segments(self):
         clips = [self.bracketed(150.0, 3), self.bracketed(120.0, 4)]
-        vec = extract_recording(clips, schema="extended")
+        vec = extract_recording(clips)
         per_clip = [segment_regions(c, detect_voiced_regions(c))
                     for c in clips]
         assert vec.n_segments == sum(len(segs) for segs in per_clip)
         want = aggregate_recording(
-            [segment_features(s) for segs in per_clip for s in segs],
-            schema="extended")
-        assert vec.names == want.names
+            [segment_features(s) for segs in per_clip for s in segs])
+        assert vec.names == want.names == BASE_NAMES
         np.testing.assert_array_equal(vec.values, want.values)
 
     def test_stacks_never_span_two_clips(self, monkeypatch):
@@ -446,8 +410,8 @@ class TestSegmentStacks:
 class TestCsvRoundTrip:
     def make_vectors(self, n=3):
         rng = np.random.default_rng(42)
-        vecs = [aggregate_recording([fake_features(rng) for _ in range(5)],
-                                    schema="base") for _ in range(n)]
+        vecs = [aggregate_recording([fake_features(rng) for _ in range(5)])
+                for _ in range(n)]
         ids = [f"P{i:03d}" for i in range(n)]
         return ids, vecs
 
@@ -508,36 +472,23 @@ class TestCsvRoundTrip:
                                  r"'bogus'"):
             read_features_csv(csv_p, man_p)
 
-    @pytest.mark.parametrize("schema,label", [("extended", "base"),
-                                              ("base", "extended")])
-    def test_header_outside_schema_rejected(self, tmp_path, schema, label):
+    # the retired `extended` schema: the 17 base columns plus pitch_hz
+    @pytest.mark.parametrize("names,label,message", [
+        (BASE_NAMES, "extended", "unknown schema_id 'extended'"),
+        (SEGMENT_NAMES, "base",
+         "schema_id 'base' does not match the header of {csv}"),
+        (SEGMENT_NAMES, "extended", "unknown schema_id 'extended'"),
+    ], ids=["base-extended", "extended-base", "extended-extended"])
+    def test_header_outside_schema_rejected(self, tmp_path, names, label,
+                                            message):
         rng = np.random.default_rng(5)
-        vec = aggregate_recording([fake_features(rng) for _ in range(3)],
-                                  schema=schema)
         csv_p, man_p = tmp_path / "table.csv", tmp_path / "features.json"
         write_features_csv(csv_p, man_p, ["P000"], [FeatureVector(
-            names=vec.names, values=vec.values, n_segments=3,
-            schema_id=label)])
+            names=names, values=fake_features(rng)[:len(names)],
+            n_segments=3, schema_id=label)])
         with pytest.raises(MalformedArtifact) as info:
             read_features_csv(csv_p, man_p)
-        assert str(info.value).startswith(
-            f"{man_p}: schema_id {label!r} does not match the header of "
-            f"{csv_p}")
-
-    def test_extended_header_without_pitch_rejected(self, tmp_path):
-        rng = np.random.default_rng(5)
-        vec = aggregate_recording([unvoiced(fake_features(rng))
-                                   for _ in range(3)], schema="extended")
-        assert vec.names == SEGMENT_NAMES
-        csv_p, man_p = tmp_path / "f.csv", tmp_path / "features.json"
-        write_features_csv(csv_p, man_p, ["P000"], [vec])
-        assert read_features_csv(csv_p, man_p)[1] == SEGMENT_NAMES
-        write_features_csv(csv_p, man_p, ["P000"], [FeatureVector(
-            names=vec.names[:-1], values=vec.values[:-1], n_segments=3,
-            schema_id="extended")])
-        with pytest.raises(MalformedArtifact, match="does not match the "
-                                                    "header"):
-            read_features_csv(csv_p, man_p)
+        assert str(info.value) == f"{man_p}: " + message.format(csv=csv_p)
 
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "recordings": m["recordings"][:1]},
@@ -573,13 +524,6 @@ class TestSegmentLayout:
             "mfcc1", "mfcc2", "mfcc3", "mfcc4", "mfcc5", "mfcc6", "mfcc7",
             "mfcc8", "mfcc9", "mfcc10", "mfcc11", "mfcc12", "skewness",
             "kurtosis", "poly_area", "amp_max", "amp_min", "pitch_hz")
-
-    def test_schemas_name_their_columns(self):
-        assert SCHEMAS == {"base": BASE_NAMES, "extended": SEGMENT_NAMES}
-        rng = np.random.default_rng(11)
-        for schema, names in SCHEMAS.items():
-            vec = aggregate_recording([fake_features(rng)], schema=schema)
-            assert vec.names == names
 
     def test_one_finite_value_per_name(self):
         row = segment_features(vowel_segment())
