@@ -21,13 +21,17 @@ products, layernorm's per-row statistics, GELU, attention within its
 examples and, in backward, every d_out @ W.T.  It writes each array that
 outlives it into its examples' slice of a full-batch array the calling
 thread allocated.  Every reduction over rows runs on the calling thread
-after the join, over the whole batch: each weight gradient as one product
-over all rows, each bias, gain and position sum, and the token-embedding
-gradient; so do the embedding lookup, the pooler and the heads.  A shard's
-rows of a stacked product are the whole batch's bit for bit, so the trained
-bytes do not depend on the number of CPUs.  A training loop passes a
-workspace that keeps the full-batch arrays and the gradient vector from one
-step to the next.
+over the whole batch: each weight gradient as one product over all rows,
+each bias, gain and position sum, and the token-embedding gradient; so do
+the embedding lookup, the pooler and the heads.  A shard's rows of a
+stacked product are the whole batch's bit for bit, so the trained bytes do
+not depend on the number of CPUs.  A training loop passes a workspace that
+keeps the full-batch arrays and the gradient vector from one step to the
+next.  Backward writes each gradient over an activation its block has
+finished reading: d loss / d g over g once w2's gradient has read it,
+GELU's input gradient over h1, each layernorm's d_out * xhat over its
+xhat; the arrays left over are one set shared by every block.  So backward
+may run once per forward output, and a second call raises.
 
 The element-wise work runs in place on cache-sized pieces: GELU and its
 backward over flat chunks of CHUNK values, attention (scores, mask, softmax
@@ -244,9 +248,9 @@ def _layer_norm(x, gain, bias, eps, out=(None,) * 4):
 def _layer_norm_backward(d_out, xhat, inv, live, gain, out=(None,) * 2):
     """(d_x, d_out * xhat) of `_layer_norm`, each into its entry of `out`
     when that is an array; row by row, so the gain and bias gradients are
-    left to `_sum_rows` over the whole batch."""
+    left to `_sum_rows` over the whole batch.  The product comes last, so
+    its entry may be `xhat` itself."""
     d_x, prod = out
-    prod = np.multiply(d_out, xhat, out=prod)
     d_x = np.multiply(d_out, gain, out=d_x)   # d_xhat, then d_x in place
     m1 = d_x.mean(axis=-1, keepdims=True)
     scratch = np.multiply(d_x, xhat)
@@ -258,7 +262,7 @@ def _layer_norm_backward(d_out, xhat, inv, live, gain, out=(None,) * 2):
     d_x -= m1
     d_x -= scratch
     d_x *= inv
-    return d_x, prod
+    return d_x, np.multiply(d_out, xhat, out=prod)
 
 
 def _sum_rows(a, out=None):
@@ -299,7 +303,8 @@ def _gelu(u, out=(None,) * 2):
 
 def _gelu_backward(d_out, u, t, out=None):
     """d loss / d u of `_gelu`, into `out` when that is a contiguous
-    array."""
+    array; each chunk reads `u` before it writes `out`, so `out` may be
+    `u` itself."""
     # d_out * (0.5 (1 + t) + 0.5 u (1 - t^2) sqrt(2/pi) (1 + 3 0.044715 u^2))
     flat_d, flat_u, flat_t = d_out.reshape(-1), u.reshape(-1), t.reshape(-1)
     d_u = np.empty_like(flat_u) if out is None else out.reshape(-1)
@@ -312,9 +317,9 @@ def _gelu_backward(d_out, u, t, out=None):
         ic *= 3.0 * 0.044715
         ic += 1.0
         ic *= _GELU_C
+        np.multiply(uc, 0.5, out=sc)
         np.multiply(tc, tc, out=oc)
         np.subtract(1.0, oc, out=oc)
-        np.multiply(uc, 0.5, out=sc)
         sc *= oc
         sc *= ic
         np.add(tc, 1.0, out=oc)
@@ -538,39 +543,39 @@ def forward(config: EncoderConfig, params: dict,
     return ForwardOutput(sbp_pred=sbp, dbp_pred=dbp, cache=cache)
 
 
-def _row_gradients(c, d_y2, workspace, p):
-    """Empty full-batch arrays for what the reductions over rows read of a
-    block's reverse sweep, `c` its cache: d loss / d each dense layer's
-    output, each layernorm's d_out * xhat ("ln1", "ln2") and d loss / d the
-    block input ("d_x"); "d_y2", d loss / d its output, is whole already.
-    Their keys in the workspace are block `p`'s, behind "d."."""
+def _row_gradients(c, workspace, i):
+    """Empty full-batch arrays for what block `i`'s reverse sweep writes and
+    no dead activation of `c`, its cache, can hold: d loss / d each
+    layernorm's input ("d_res2", "d_res1"), d loss / d y1, q, k and v, and
+    d loss / d the block input ("d_x").  A block's arrays are dead once its
+    sums over rows are done, so every block's sweep shares one set in the
+    workspace, behind "d."; but "d_x" is the "d_y2" of the block below, so
+    two buffers take turns with the block's parity."""
     b, tq, h = c["ctx"].shape
-    t, ff = c["x_in"].shape[1], c["h1"].shape[2]
-    shapes = {"ln2": (b, tq, h), "d_res2": (b, tq, h), "d_h1": (b, tq, ff),
-              "d_y1": (b, tq, h), "ln1": (b, tq, h), "d_res1": (b, tq, h),
-              "d_q": (b, tq, h), "d_k": (b, t, h), "d_v": (b, t, h),
-              "d_x": (b, t, h)}
-    r = {name: _buffer(workspace, "d." + p + name, shape)
+    t = c["x_in"].shape[1]
+    shapes = {"d_res2": (b, tq, h), "d_y1": (b, tq, h), "d_res1": (b, tq, h),
+              "d_q": (b, tq, h), "d_k": (b, t, h), "d_v": (b, t, h)}
+    r = {name: _buffer(workspace, "d." + name, shape)
          for name, shape in shapes.items()}
-    r["d_y2"] = d_y2
+    r["d_x"] = _buffer(workspace, f"d.d_x{i % 2}", (b, t, h))
     return r
 
 
 def _block_backward_rows(params, p, scale, c, r):
-    """The row-local part of block `p`'s reverse sweep on one shard, with
-    `c` and `r` its cache and `_row_gradients` at the shard's examples:
-    layernorm's per-row part, every d_out @ W.T, GELU's and attention's
-    backward."""
-    d_res2 = _layer_norm_backward(
-        r["d_y2"], c["ln2_xhat"], c["ln2_inv"], c["ln2_live"],
-        params[p + "ffn_gain"], (r["d_res2"], r["ln2"]))[0]
-    d_g = d_res2 @ params[p + "w2"].T
-    d_h1 = _gelu_backward(d_g, c["h1"], c["gelu_t"], r["d_h1"])
+    """The row-local part of block `p`'s reverse sweep on one shard after
+    the FFN layernorm's, with `c` and `r` its cache and `_row_gradients` at
+    the shard's examples: every d_out @ W.T, GELU's, the attention
+    layernorm's and attention's backward.  d loss / d g goes over g, d loss
+    / d h1 over h1, and the attention layernorm's d_out * xhat over its
+    xhat."""
+    d_res2 = r["d_res2"]
+    d_g = np.matmul(d_res2, params[p + "w2"].T, out=c["g"])
+    d_h1 = _gelu_backward(d_g, c["h1"], c["gelu_t"], c["h1"])
     d_y1 = np.matmul(d_h1, params[p + "w1"].T, out=r["d_y1"])
     d_y1 += d_res2
     d_res1 = _layer_norm_backward(
         d_y1, c["ln1_xhat"], c["ln1_inv"], c["ln1_live"],
-        params[p + "attn_gain"], (r["d_res1"], r["ln1"]))[0]
+        params[p + "attn_gain"], (r["d_res1"], c["ln1_xhat"]))[0]
     d_ctx = d_res1 @ params[p + "wo"].T
     _attention_backward(d_ctx, c, scale, (r["d_q"], r["d_k"], r["d_v"]))
 
@@ -590,12 +595,19 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
     """Exact reverse sweep into `param_views` of one gradient vector;
     upstream grads are d loss / d head outputs; `workspace` as for `forward`.
 
-    Each block's row-local part runs on shards of the batch's examples;
-    after it, every sum over rows runs here, as one operation over the
-    whole batch."""
+    Each block's FFN layernorm and the sums that read its GELU output run
+    here first; then the rest of its row-local part runs on shards of the
+    batch's examples, and after it every other sum over rows runs here, each
+    as one operation over the whole batch.  The sweep writes gradients over
+    the cached activations it has finished reading, so it runs once per
+    forward output."""
     cache = output.cache
     if cache is None:
         raise ValueError("backward needs a train-mode forward cache")
+    if cache.get("spent"):
+        raise ValueError(
+            "backward already ran on this forward output, and its sweep "
+            "wrote gradients over the cached activations: run forward again")
     grad_sbp = np.asarray(grad_sbp, dtype=np.float64).reshape(-1, 1)
     grad_dbp = np.asarray(grad_dbp, dtype=np.float64).reshape(-1, 1)
     grads = param_views(config, _buffer(workspace, "grads",
@@ -609,33 +621,42 @@ def backward(config: EncoderConfig, params: dict, output: ForwardOutput,
     d_pooled = d_dropped * cache["drop_scale"]
     d_pooled_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
     # d loss / d the last block's output, which has the query row alone
-    d_x = _dense_backward(d_pooled_pre, cache["state0"], params, grads,
-                          "pooler_weight", "pooler_bias")[:, None, :]
+    d_y2 = _dense_backward(d_pooled_pre, cache["state0"], params, grads,
+                           "pooler_weight", "pooler_bias")[:, None, :]
 
     b, t = cache["ids"].shape
     shards = _shards(b, t)
+    cache["spent"] = True
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
         c = cache["layers"][i]
-        r = _row_gradients(c, d_x, workspace, p)
+        r = _row_gradients(c, workspace, i)
+        # the FFN layernorm is row-wise, so the whole batch gives each
+        # shard's bits; after the sums below g is dead, and the shards
+        # write d loss / d g over it
+        _layer_norm_backward(d_y2, c["ln2_xhat"], c["ln2_inv"],
+                             c["ln2_live"], params[p + "ffn_gain"],
+                             (r["d_res2"], c["ln2_xhat"]))
+        _sum_rows(c["ln2_xhat"], grads[p + "ffn_gain"])
+        _sum_rows(d_y2, grads[p + "ffn_bias"])
+        _weight_gradients(grads, r["d_res2"], c["g"], p + "w2", p + "b2")
         parallel.ordered_map(
             lambda s: _block_backward_rows(
                 params, p, scale, {name: a[s] for name, a in c.items()},
                 {name: a[s] for name, a in r.items()}),
             shards)
 
-        _sum_rows(r["ln2"], grads[p + "ffn_gain"])
-        _sum_rows(r["d_y2"], grads[p + "ffn_bias"])
-        _weight_gradients(grads, r["d_res2"], c["g"], p + "w2", p + "b2")
-        _weight_gradients(grads, r["d_h1"], c["y1"], p + "w1", p + "b1")
-        _sum_rows(r["ln1"], grads[p + "attn_gain"])
+        d_h1 = c["h1"]
+        _weight_gradients(grads, d_h1, c["y1"], p + "w1", p + "b1")
+        _sum_rows(c["ln1_xhat"], grads[p + "attn_gain"])
         _sum_rows(r["d_y1"], grads[p + "attn_bias"])
         _weight_gradients(grads, r["d_res1"], c["ctx"], p + "wo", p + "bo")
         _weight_gradients(grads, r["d_q"], c["xq"], p + "wq", p + "bq")
         _weight_gradients(grads, r["d_k"], c["x_in"], p + "wk")
         _weight_gradients(grads, r["d_v"], c["x_in"], p + "wv", p + "bv")
-        d_x = r["d_x"]
+        d_y2 = r["d_x"]
 
+    d_x = d_y2          # block 0's d_x: d loss / d the embedding sum
     _embedding_backward(cache["ids"].ravel(), d_x.reshape(b * t, -1),
                         grads["token_embedding"])
     grads["position_embedding"][t:] = 0.0
@@ -676,10 +697,13 @@ def _dense_backward(d_out, src, params, grads, weight, bias=None):
 
 # --- persistence ------------------------------------------------------------
 
-def _digest(header: dict, payload: bytes) -> str:
+def _digest(header: dict, payload) -> str:
+    """sha256 over the header less its "sha256" field (sorted-key JSON),
+    then the payload, a bytes-like object, which is hashed where it lies."""
     signed = {k: v for k, v in header.items() if k != "sha256"}
-    return hashlib.sha256(json.dumps(signed, sort_keys=True).encode("utf-8")
-                          + payload).hexdigest()
+    digest = hashlib.sha256(json.dumps(signed, sort_keys=True).encode("utf-8"))
+    digest.update(payload)
+    return digest.hexdigest()
 
 
 def save_params(path, config: EncoderConfig, params: dict,
@@ -717,7 +741,8 @@ def load_params(path):
         raise MalformedArtifact(
             f"{path}: header does not describe a model "
             f"({type(err).__name__}: {err})") from None
-    payload = raw[8 + header_len:]
+    # a view: the one copy of the payload is the aligned, writable vector
+    payload = memoryview(raw)[8 + header_len:]
     if len(payload) != 8 * _param_count(config):
         raise MalformedArtifact(
             f"{path}: payload length does not match header")

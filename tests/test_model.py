@@ -402,14 +402,26 @@ class TestBackward:
         assert worst < 1e-4
 
     def test_linearity_in_upstream_grad(self, toy):
+        # backward writes over its forward's cache, so each call has its own
         cfg, params, batch = toy
         out = forward(cfg, params, batch, mode="train", dropout_seed=5)
         g1 = backward(cfg, params, out, np.ones((2, 1)),
                       np.full((2, 1), 0.5))
+        out = forward(cfg, params, batch, mode="train", dropout_seed=5)
         g2 = backward(cfg, params, out, 2 * np.ones((2, 1)),
                       np.full((2, 1), 1.0))
         for name in g1:
             np.testing.assert_array_equal(2.0 * g1[name], g2[name])
+
+    def test_second_backward_on_one_forward_raises(self, toy):
+        # the first sweep wrote gradients over the cached activations, so a
+        # second one would read them as activations
+        cfg, params, batch = toy
+        out = forward(cfg, params, batch, mode="train", dropout_seed=5)
+        up = (np.ones((2, 1)), np.ones((2, 1)))
+        backward(cfg, params, out, *up)
+        with pytest.raises(ValueError, match="already ran on this forward"):
+            backward(cfg, params, out, *up)
 
     def test_dead_head_gradient_zero(self, toy):
         cfg, params, batch = toy
@@ -442,6 +454,29 @@ class TestBackward:
         grads = backward(cfg, params, out, np.ones((2, 1)),
                          np.ones((2, 1)))
         assert {n: g.shape for n, g in grads.items()} == param_shapes(cfg)
+
+    def test_step_peak_into_empty_workspace(self, monkeypatch):
+        # one training step of 32 feature texts of 97 tokens at the
+        # default encoder, from an empty workspace: backward writes its
+        # gradients over dead activations and shares one set of arrays
+        # across blocks, which holds the traced peak near 61 MiB; a second
+        # full-batch array per gradient took it to 79 MiB
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        cfg = EncoderConfig(vocab_size=40, seed=7)
+        params = init_params(cfg)
+        rng = np.random.default_rng(3)
+        batch = [random_seq(rng, 97, 40, 97) for _ in range(32)]
+        up = rng.normal(size=(2, 32, 1))
+        workspace = {}
+        tracemalloc.start()
+        try:
+            out = forward(cfg, params, batch, mode="train", dropout_seed=1,
+                          workspace=workspace)
+            backward(cfg, params, out, *up, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20
 
 
 def assert_tiles_one_vector(cfg, views):
@@ -591,6 +626,34 @@ class TestKernelsMatchOracles:
         assert_bits_equal(_gelu_backward(*inputs),
                           oracles.gelu_backward_oracle(*inputs))
         assert_unchanged(inputs, copies)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu_backward_over_its_input(self, shape):
+        # backward writes d loss / d u over u, chunk by chunk
+        u = kernel_input(shape, 2)
+        _, t = oracles.gelu_oracle(u)
+        d_out = kernel_input(shape, 3, 1.0)
+        want = _gelu_backward(d_out, u, t)
+        got = _gelu_backward(d_out, u, t, out=u)
+        assert np.shares_memory(got, u)
+        assert_bits_equal(got, want)
+
+    # a row of one value has xhat 0, which its product leaves as it was
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES[1:])
+    def test_layer_norm_backward_over_xhat(self, shape):
+        # backward writes d_out * xhat over xhat
+        x = kernel_input(shape, 8)
+        if x.ndim > 1:
+            x[0, 0] = 3.0
+        gain = kernel_input(shape[-1:], 9, 1.0)
+        _, xhat, inv, live = oracles.layer_norm_oracle(x, gain, 0.0, 1e-5)
+        d_out = kernel_input(shape, 10, 1.0)
+        want = _layer_norm_backward(d_out, xhat, inv, live, gain)
+        got = _layer_norm_backward(d_out, xhat, inv, live, gain,
+                                   (None, xhat))
+        assert got[1] is xhat
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_softmax_rows_in_place(self, shape):
